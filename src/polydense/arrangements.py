@@ -20,7 +20,6 @@ from .errors import BudgetExceeded, DegenerateInput
 from .exactlp import origin_in_conv, strict_separation
 
 __all__ = [
-    "SignVector",
     "VectorConfig",
     "ChamberCount",
     "SIGN_SEARCH",
@@ -34,9 +33,6 @@ __all__ = [
     "normal_cdf",
     "moivre_laplace_ratio",
 ]
-
-# one entry in {-1,+1} per configuration vector
-SignVector = tuple[int, ...]
 
 SIGN_SEARCH = "sign-search"
 BRUTE_FORCE = "brute-force"
@@ -120,7 +116,15 @@ def _canonical_ray(vec: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) / lead for x in v)
 
 
-def _dedupe(S) -> tuple[list[tuple[Fraction, ...]], int | None]:
+def _integer_scaled(v: Sequence) -> tuple[int, ...]:
+    """The least positive multiple of a rational vector with integer entries;
+    it spans the same ray and has the same signs under every functional."""
+    mult = math.lcm(*(x.denominator for x in v))
+    return tuple(int(x * mult) for x in v)
+
+
+def _dedupe(S) -> tuple[list[tuple[int, ...]], int | None]:
+    """One integer vector per distinct ray of S, in canonical-ray order."""
     if isinstance(S, VectorConfig):
         vectors, r = S.vectors, S.r
     else:
@@ -128,7 +132,7 @@ def _dedupe(S) -> tuple[list[tuple[Fraction, ...]], int | None]:
                    for v in S]
         r = len(vectors[0]) if vectors else None
     canon = sorted({_canonical_ray(v) for v in vectors})
-    return canon, r
+    return [_integer_scaled(v) for v in canon], r
 
 
 def chamber_count(S: "VectorConfig | Iterable[Sequence]", max_m: int = 24) -> ChamberCount:
@@ -138,7 +142,8 @@ def chamber_count(S: "VectorConfig | Iterable[Sequence]", max_m: int = 24) -> Ch
     separator, by depth-first search over sign prefixes: an infeasible
     prefix cannot become feasible, so the subtree is pruned.  Vectors that
     are nonzero multiples of one another define the same hyperplane and are
-    deduplicated first.
+    deduplicated first.  Rays and witnesses are scaled to integer vectors,
+    which keeps every sign and so every count.
     """
     vecs, r = _dedupe(S)
     m = len(vecs)
@@ -151,7 +156,7 @@ def chamber_count(S: "VectorConfig | Iterable[Sequence]", max_m: int = 24) -> Ch
     def dot(h, s):
         return sum(a * b for a, b in zip(h, s))
 
-    prefix: list[tuple[Fraction, ...]] = []
+    prefix: list[tuple[int, ...]] = []
 
     def dfs(idx: int, witness) -> int:
         if idx == m:
@@ -168,7 +173,7 @@ def chamber_count(S: "VectorConfig | Iterable[Sequence]", max_m: int = 24) -> Ch
             res = strict_separation(prefix + [sv], dim=r)
             if res.feasible:
                 prefix.append(sv)
-                total += dfs(idx + 1, res.witness)
+                total += dfs(idx + 1, _integer_scaled(res.witness))
                 prefix.pop()
         return total
 

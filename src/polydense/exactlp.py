@@ -1,21 +1,25 @@
 """Exact rational linear feasibility with certificates.
 
 This is the single geometric kernel behind edge tests, origin-in-hull tests
-and chamber sign-vector feasibility.  The solver is a dense two-phase
+and chamber sign-vector feasibility.  The solver is a dense phase-one
 simplex with Bland's anti-cycling rule, run on an integer tableau with a
 common denominator (fraction-free pivoting: each pivot divides exactly by
 the previous pivot element), so every comparison and every certificate is
-exact.
+exact.  With POLYDENSE_LP_CHECK set at import, every pivot division and
+every origin_in_conv certificate is verified exactly; a failure raises
+ArithmeticError.
 
 Certificate conventions:
 
-* ``strict_separation(S)``: Feasible means some h satisfies h·s > 0 for all
-  s in S; the witness is such an h.  Infeasible comes with nonnegative
-  multipliers lam, sum(lam) = 1, sum(lam_s s) = 0, which contradict any
-  candidate h exactly (0 = h·0 = sum lam_s h·s > 0).
 * ``origin_in_conv(S)``: Feasible means the origin lies in conv(S); the
   witness is the convex combination.  Infeasible carries a separating
   functional h with h·s >= 1 for every s.
+* ``strict_separation(S)``: Feasible means some h satisfies h·s > 0 for all
+  s in S.  By Gordan's theorem that holds iff the origin is not in conv(S),
+  so both certificates come from origin_in_conv: the witness is its
+  separator, with margin h·s >= 1 and not confined to any box.  Infeasible
+  comes with nonnegative multipliers lam, sum(lam) = 1, sum(lam_s s) = 0,
+  which contradict any candidate h exactly (0 = h·0 = sum lam_s h·s > 0).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .errors import DimensionMismatch
 __all__ = [
     "FEASIBLE",
     "INFEASIBLE",
-    "RationalVector",
     "FeasibilityResult",
     "strict_separation",
     "origin_in_conv",
@@ -43,12 +46,7 @@ __all__ = [
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
-# vectors are plain tuples of exact rationals; ints are accepted on input
-RationalVector = tuple[Fraction, ...]
-
-_CHECK_DIVISION = bool(os.environ.get("POLYDENSE_LP_CHECK"))
-
-_OPTIMAL, _UNBOUNDED, _EARLY_FEASIBLE = 0, 1, 2
+_CHECK = bool(os.environ.get("POLYDENSE_LP_CHECK"))
 
 
 @dataclass(frozen=True)
@@ -97,17 +95,9 @@ def _clear_denominators(values: Sequence) -> tuple[list[int], int]:
     return [x * mult if type(x) is int else int(x * mult) for x in values], mult
 
 
-def _exact_div(value: int, den: int) -> int:
-    if _CHECK_DIVISION:
-        q, rem = divmod(value, den)
-        if rem:
-            raise ArithmeticError("integer pivot division was not exact")
-        return q
-    return value // den
-
-
 class _Tableau:
-    """Integer simplex tableau: stored entries are true values times ``den``."""
+    """Integer phase-one simplex tableau: stored entries are true values
+    times ``den``.  Row ``m`` is the phase-one objective."""
 
     def __init__(self, rows: list[list[int]], rhs: list[int], nstruct: int):
         m = len(rows)
@@ -129,72 +119,54 @@ class _Tableau:
             data.append(row)
         for i in range(m):
             data[i][nstruct + i] = 1
-        self.rows = data
         self.rhs_col = nstruct + m
         self.basis = [nstruct + i for i in range(m)]
-        self.active = [True] * m
-        obj1 = [0] * (self.rhs_col + 1)
+        obj = [0] * (self.rhs_col + 1)
         for j in range(nstruct):
-            obj1[j] = -sum(data[i][j] for i in range(m))
-        obj1[self.rhs_col] = -sum(r[self.rhs_col] for r in data)
-        self.obj1 = obj1
-        self.obj2: list[int] | None = None
-
-    def set_cost(self, cost: Sequence[int]) -> None:
-        obj2 = [0] * (self.rhs_col + 1)
-        obj2[: len(cost)] = [int(c) for c in cost]
-        self.obj2 = obj2
+            obj[j] = -sum(data[i][j] for i in range(m))
+        obj[self.rhs_col] = -sum(r[self.rhs_col] for r in data)
+        data.append(obj)
+        self.rows = data
 
     def _pivot(self, r: int, c: int) -> None:
         rows = self.rows
         rowr = rows[r]
         den = self.den
         piv = rowr[c]
-        for i in range(self.m):
-            if i == r or not self.active[i]:
+        for i, row in enumerate(rows):
+            if i == r:
                 continue
-            row = rows[i]
             f = row[c]
             if f:
-                rows[i] = [_exact_div(piv * x - f * y, den) for x, y in zip(row, rowr)]
+                rows[i] = [(piv * x - f * y) // den for x, y in zip(row, rowr)]
             elif piv != den:
-                rows[i] = [_exact_div(piv * x, den) for x in row]
-        f = self.obj1[c]
-        if f:
-            self.obj1 = [_exact_div(piv * x - f * y, den) for x, y in zip(self.obj1, rowr)]
-        elif piv != den:
-            self.obj1 = [_exact_div(piv * x, den) for x in self.obj1]
-        if self.obj2 is not None:
-            f = self.obj2[c]
-            if f:
-                self.obj2 = [_exact_div(piv * x - f * y, den) for x, y in zip(self.obj2, rowr)]
-            elif piv != den:
-                self.obj2 = [_exact_div(piv * x, den) for x in self.obj2]
+                rows[i] = [piv * x // den for x in row]
         self.den = piv
         self.basis[r] = c
 
-    def _run(self, phase: int, ncols: int, early_zero: bool = False) -> int:
+    def phase_one(self) -> bool:
+        """Minimise the sum of the artificials; True iff the system is feasible."""
         rows = self.rows
+        m = self.m
         rhs = self.rhs_col
+        ncols = self.n + m
         iters = 0
         while True:
-            obj = self.obj1 if phase == 1 else self.obj2
+            obj = rows[m]
             iters += 1
             if iters > 200_000:
                 raise RuntimeError("simplex iteration cap exceeded")
-            if early_zero and obj[rhs] == 0:
-                return _EARLY_FEASIBLE
+            if obj[rhs] == 0:
+                return True
             enter = -1
             for j in range(ncols):
                 if obj[j] < 0:
                     enter = j
                     break
             if enter < 0:
-                return _OPTIMAL
+                return False
             leave = -1
-            for i in range(self.m):
-                if not self.active[i]:
-                    continue
+            for i in range(m):
                 a = rows[i][enter]
                 if a > 0:
                     if leave < 0:
@@ -205,96 +177,59 @@ class _Tableau:
                         if lhs < rhv or (lhs == rhv and self.basis[i] < self.basis[leave]):
                             leave = i
             if leave < 0:
-                return _UNBOUNDED
+                raise RuntimeError("phase-one objective cannot be unbounded")
             self._pivot(leave, enter)
-
-    def phase_one(self) -> bool:
-        """Run the feasibility phase; True iff the system is feasible."""
-        status = self._run(1, self.n + self.m, early_zero=True)
-        if status == _UNBOUNDED:
-            raise RuntimeError("phase-one objective cannot be unbounded")
-        return self.obj1[self.rhs_col] == 0
 
     def farkas(self) -> list[Fraction]:
         """Row multipliers proving infeasibility (after phase_one() is False)."""
         den = self.den
+        obj = self.rows[self.m]
         out = []
         for i in range(self.m):
-            y = 1 - Fraction(self.obj1[self.n + i], den)
+            y = 1 - Fraction(obj[self.n + i], den)
             out.append(self.flip[i] * y)
         return out
-
-    def drive_out_artificials(self) -> None:
-        for i in range(self.m):
-            if not self.active[i] or self.basis[i] < self.n:
-                continue
-            row = self.rows[i]
-            col = next((j for j in range(self.n) if row[j] != 0), None)
-            if col is None:
-                self.active[i] = False
-                continue
-            if row[col] < 0:
-                self.rows[i] = [-x for x in row]
-            self._pivot(i, col)
-
-    def phase_two(self) -> int:
-        self.drive_out_artificials()
-        return self._run(2, self.n)
 
     def solution(self) -> list[Fraction]:
         x = [Fraction(0)] * self.n
         den = self.den
         for i in range(self.m):
-            if self.active[i] and self.basis[i] < self.n:
+            if self.basis[i] < self.n:
                 x[self.basis[i]] = Fraction(self.rows[i][self.rhs_col], den)
         return x
+
+
+class _CheckedTableau(_Tableau):
+    """Tableau whose pivots raise ArithmeticError on any inexact division,
+    including rows that are only rescaled (f = 0)."""
+
+    def _pivot(self, r: int, c: int) -> None:
+        rowr = self.rows[r]
+        piv = rowr[c]
+        den = self.den
+        for i, row in enumerate(self.rows):
+            f = row[c]
+            if i != r and any((piv * x - f * y) % den for x, y in zip(row, rowr)):
+                raise ArithmeticError("integer pivot division was not exact")
+        super()._pivot(r, c)
+
+
+_TABLEAU = _CheckedTableau if _CHECK else _Tableau
 
 
 def strict_separation(S: Iterable[Sequence], dim: int | None = None) -> FeasibilityResult:
     """Decide whether some h has h·s > 0 for every s in S.
 
-    Strictness is handled by maximizing a slack t subject to h·s >= t with h
-    confined to the box [-1, 1]^dim; the strict system is solvable iff the
-    optimal slack is positive (an exact comparison).  An empty S is
-    vacuously feasible.
+    By Gordan's theorem such an h exists iff the origin is not in conv(S),
+    so this is origin_in_conv with the verdict swapped: a feasible witness
+    is its separator (h·s >= 1 for every s, not confined to any box), an
+    infeasible certificate its convex combination.  An empty S is
+    vacuously feasible, with witness h = 0.
     """
-    vecs, d = _coerce_config(S, dim)
-    if not vecs:
-        return FeasibilityResult(FEASIBLE, witness=tuple([Fraction(0)] * (d or 0)))
-    assert d is not None
-    m = len(vecs)
-    # variables: u_0..u_{d-1} (h = u - 1), t, w_0..w_{m-1}, v_0..v_{d-1}
-    nstruct = d + 1 + m + d
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for j, s in enumerate(vecs):
-        scaled, mult = _clear_denominators(list(s) + [sum(s)])
-        row = [0] * nstruct
-        row[:d] = scaled[:d]
-        row[d] = -mult
-        row[d + 1 + j] = -mult
-        rows.append(row)
-        rhs.append(scaled[d])
-    for i in range(d):
-        row = [0] * nstruct
-        row[i] = 1
-        row[d + 1 + m + i] = 1
-        rows.append(row)
-        rhs.append(2)
-    tab = _Tableau(rows, rhs, nstruct)
-    tab.set_cost([0] * d + [-1] + [0] * (m + d))
-    if not tab.phase_one():
-        raise RuntimeError("slack system is always feasible at h=0, t=0")
-    if tab.phase_two() == _UNBOUNDED:
-        raise RuntimeError("boxed slack objective cannot be unbounded")
-    x = tab.solution()
-    if x[d] > 0:
-        h = tuple(x[i] - 1 for i in range(d))
-        return FeasibilityResult(FEASIBLE, witness=h)
-    inner = origin_in_conv(vecs)
-    if not inner.feasible:
-        raise RuntimeError("separation and hull membership disagree")
-    return FeasibilityResult(INFEASIBLE, certificate=inner.witness)
+    inner = origin_in_conv(S, dim)
+    if inner.feasible:
+        return FeasibilityResult(INFEASIBLE, certificate=inner.witness)
+    return FeasibilityResult(FEASIBLE, witness=inner.certificate)
 
 
 def origin_in_conv(S: Iterable[Sequence], dim: int | None = None) -> FeasibilityResult:
@@ -318,15 +253,20 @@ def origin_in_conv(S: Iterable[Sequence], dim: int | None = None) -> Feasibility
         rhs.append(0)
     rows.append([1] * m)
     rhs.append(1)
-    tab = _Tableau(rows, rhs, m)
+    tab = _TABLEAU(rows, rhs, m)
     if tab.phase_one():
-        return FeasibilityResult(FEASIBLE, witness=tuple(tab.solution()))
-    y = tab.farkas()
-    margin = y[d]
-    if margin <= 0:
-        raise RuntimeError("Farkas multiplier of the convexity row must be positive")
-    h = tuple(-y[i] * scales[i] / margin for i in range(d))
-    return FeasibilityResult(INFEASIBLE, certificate=h)
+        res = FeasibilityResult(FEASIBLE, witness=tuple(tab.solution()))
+    else:
+        y = tab.farkas()
+        margin = y[d]
+        if margin <= 0:
+            raise RuntimeError("Farkas multiplier of the convexity row must be positive")
+        h = tuple(-y[i] * scales[i] / margin for i in range(d))
+        res = FeasibilityResult(INFEASIBLE, certificate=h)
+    if _CHECK and not (check_convex_combination(vecs, res.witness) if res.feasible
+                       else check_strict_witness(vecs, res.certificate, margin=1)):
+        raise ArithmeticError(f"origin_in_conv returned a false {res.status} certificate")
+    return res
 
 
 def segment_hull_intersect(a: Sequence, b: Sequence, S: Iterable[Sequence]) -> bool:
@@ -352,18 +292,21 @@ def segment_hull_intersect(a: Sequence, b: Sequence, S: Iterable[Sequence]) -> b
     rhs.append(1)
     rows.append([0] * m + [1, 1])
     rhs.append(1)
-    tab = _Tableau(rows, rhs, nstruct)
+    tab = _TABLEAU(rows, rhs, nstruct)
     return tab.phase_one()
 
 
-def check_strict_witness(S: Iterable[Sequence], h: Sequence) -> bool:
-    """Exact check that h·s > 0 for every s in S."""
+def check_strict_witness(S: Iterable[Sequence], h: Sequence,
+                         margin: int | Fraction | None = None) -> bool:
+    """Exact check that h·s > 0 for every s in S, or h·s >= margin for
+    every s when a margin is given."""
     hv = _coerce_vector(h)
     for s in S:
         sv = _coerce_vector(s)
         if len(sv) != len(hv):
             raise DimensionMismatch("witness dimension mismatch")
-        if sum(x * y for x, y in zip(hv, sv)) <= 0:
+        dot = sum(x * y for x, y in zip(hv, sv))
+        if (dot <= 0) if margin is None else (dot < margin):
             return False
     return True
 

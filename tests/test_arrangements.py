@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -19,6 +20,25 @@ def _random_config(rng, r, m):
         if any(x != 0 for x in v):
             vecs.append(v)
     return vecs
+
+
+def _det(rows):
+    """Exact determinant by Gaussian elimination over Fractions."""
+    a = [[F(x) for x in row] for row in rows]
+    n = len(a)
+    det = F(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
 
 
 class TestPhiProject:
@@ -149,6 +169,15 @@ class TestChamberCount:
             r = int(rng.integers(1, 5))
             m = int(rng.integers(1, r + 2))
             vecs = _random_config(rng, r, m)
+            assert chamber_count(vecs).count == harding_bound(r, m)
+        # m > r + 1 in general position (every r-subset independent, checked
+        # exactly): Cover's (1965) count, which uses no LP
+        for _ in range(30):
+            r = int(rng.integers(1, 5))
+            m = int(rng.integers(r + 2, 11))
+            vecs = _random_config(rng, r, m)
+            while any(_det(sub) == 0 for sub in combinations(vecs, r)):
+                vecs = _random_config(rng, r, m)
             assert chamber_count(vecs).count == harding_bound(r, m)
 
     def test_empty_config(self):

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import polydense
 from polydense import DimensionMismatch
 from polydense.exactlp import (FEASIBLE, INFEASIBLE, check_convex_combination,
                                check_strict_witness, origin_in_conv,
@@ -104,3 +109,55 @@ def test_duality_and_certificates_randomized():
         else:
             assert check_strict_witness(S, split.witness), (trial, S)
             assert check_strict_witness(S, inside.certificate), (trial, S)
+
+
+# Runs in this process and, with POLYDENSE_LP_CHECK=1, in a fresh one: the
+# checked mode is fixed when exactlp is imported.
+_CHECKED_LEG = """
+from fractions import Fraction as F
+
+from polydense.arrangements import chamber_count
+from polydense.estimators import tau_mc
+from polydense.exactlp import origin_in_conv, strict_separation
+from polydense.rng import stream
+
+
+def leg():
+    rng = stream(161803, "checked")
+    sweep = []
+    for _ in range(200):
+        r = int(rng.integers(1, 5))
+        m = int(rng.integers(0, 10))
+        S = [tuple(F(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+                   for _ in range(r)) for _ in range(m)]
+        inside = origin_in_conv(S, dim=r)
+        split = strict_separation(S, dim=r)
+        assert inside.feasible != split.feasible
+        sweep.append((inside.status, inside.witness, inside.certificate,
+                      split.witness, split.certificate))
+    counts = []
+    for r, m in ((2, 6), (3, 7), (4, 8)):
+        S = [tuple(F(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+                   for _ in range(r)) for _ in range(m)]
+        counts.append(chamber_count(S).count)
+    return repr((sweep, counts, tau_mc(6, 8, 200, 2718)))
+"""
+
+
+def test_checked_mode_matches_default():
+    """With POLYDENSE_LP_CHECK=1 the checked pivot is active, every pivot and
+    certificate is verified, and results equal the default mode's."""
+    namespace: dict = {}
+    exec(_CHECKED_LEG, namespace)
+    src = str(Path(polydense.__file__).resolve().parents[1])
+    env = dict(os.environ, POLYDENSE_LP_CHECK="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = _CHECKED_LEG + """
+from polydense import exactlp
+assert exactlp._TABLEAU is exactlp._CheckedTableau
+print(leg())
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == namespace["leg"]()
