@@ -142,8 +142,9 @@ def chamber_count(S: "VectorConfig | Iterable[Sequence]", max_m: int = 24) -> Ch
     separator, by depth-first search over sign prefixes: an infeasible
     prefix cannot become feasible, so the subtree is pruned.  Vectors that
     are nonzero multiples of one another define the same hyperplane and are
-    deduplicated first.  Rays and witnesses are scaled to integer vectors,
-    which keeps every sign and so every count.
+    deduplicated first.  Rays are scaled to integer vectors, which keeps
+    every sign and so every count; the separators strict_separation returns
+    as witnesses are integer already.
     """
     vecs, r = _dedupe(S)
     m = len(vecs)
@@ -173,7 +174,7 @@ def chamber_count(S: "VectorConfig | Iterable[Sequence]", max_m: int = 24) -> Ch
             res = strict_separation(prefix + [sv], dim=r)
             if res.feasible:
                 prefix.append(sv)
-                total += dfs(idx + 1, _integer_scaled(res.witness))
+                total += dfs(idx + 1, res.witness)
                 prefix.pop()
         return total
 

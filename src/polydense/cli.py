@@ -24,7 +24,7 @@ from .errors import PolydenseError
 from .estimators import (alpha_exact, alpha_mc, alpha_via_chambers, decompose_pi,
                          density_threshold_sweep, pi_mc, tau_cell,
                          tau_threshold_sweep)
-from .mc import Estimate, default_workers
+from .mc import Estimate, default_workers, parse_workers
 from .rng import sample_indices, stream
 
 __all__ = ["main"]
@@ -103,6 +103,12 @@ class _Params:
         return default
 
 
+def _workers(p: _Params) -> int:
+    """--workers, else the config file, else POLYDENSE_WORKERS, else 1."""
+    workers = p.get("workers", parse_workers, None)
+    return default_workers() if workers is None else workers
+
+
 def _emit(path: str | None, header: list[str], rows: list[list[str]]) -> None:
     if path:
         fh = open(path, "w", newline="", encoding="utf-8")
@@ -132,7 +138,7 @@ def cmd_density(ns: argparse.Namespace) -> int:
     bases = p.get("base", _parse_floats, [1.2, 1.7])
     samples = p.get("samples", int, 1000)
     seed = p.get("seed", int, DEFAULT_SEED)
-    workers = p.get("workers", int, default_workers())
+    workers = _workers(p)
     header = ["experiment", "d", "base", "n", "estimate", "stderr", "ci_lo",
               "ci_hi", "exact_value", "samples", "seed", "note", "wall_time_s"]
     rows = []
@@ -155,7 +161,7 @@ def cmd_tau(ns: argparse.Namespace) -> int:
     m_list = p.get("m", _parse_ints, None)
     samples = p.get("samples", int, 20_000)
     seed = p.get("seed", int, DEFAULT_SEED)
-    workers = p.get("workers", int, default_workers())
+    workers = _workers(p)
     method = p.get("method", str, "auto")
     exact_budget = p.get("exact-budget", int, 20_000)
     header = ["experiment", "k", "m", "ratio", "provenance", "estimate", "stderr",
@@ -191,7 +197,7 @@ def cmd_alpha(ns: argparse.Namespace) -> int:
     m_list = p.get("m", _parse_ints, None)
     samples = p.get("samples", int, 20_000)
     seed = p.get("seed", int, DEFAULT_SEED)
-    workers = p.get("workers", int, default_workers())
+    workers = _workers(p)
     method = p.get("method", str, "auto")
     exact_budget = p.get("exact-budget", int, 20_000)
     header = ["experiment", "k", "m", "method", "estimate", "stderr", "ci_lo",
@@ -224,7 +230,7 @@ def cmd_pi(ns: argparse.Namespace) -> int:
     samples = p.get("samples", int, 10_000)
     tau_samples = p.get("tau-samples", int, 3000)
     seed = p.get("seed", int, DEFAULT_SEED)
-    workers = p.get("workers", int, default_workers())
+    workers = _workers(p)
     method = p.get("method", str, "both")
     header = ["experiment", "d", "n", "k", "method", "estimate", "stderr",
               "ci_lo", "ci_hi", "exact_value", "samples", "seed", "wall_time_s"]
@@ -311,7 +317,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     p = _Params(ns)
     level = p.get("level", str, "quick")
     seed = p.get("seed", int, DEFAULT_SEED)
-    workers = p.get("workers", int, default_workers())
+    workers = _workers(p)
     return verify_mod.run(level=level, workers=workers, seed=seed)
 
 

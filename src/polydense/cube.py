@@ -90,9 +90,6 @@ class VertexSet:
     def __contains__(self, v: CubeVertex) -> bool:
         return v.dim == self.dim and v.bits in self._bitset
 
-    def bits_set(self) -> frozenset[int]:
-        return self._bitset
-
 
 @dataclass(frozen=True)
 class SubcubeFace:

@@ -1,25 +1,27 @@
 """Exact rational linear feasibility with certificates.
 
-This is the single geometric kernel behind edge tests, origin-in-hull tests
-and chamber sign-vector feasibility.  The solver is a dense phase-one
-simplex with Bland's anti-cycling rule, run on an integer tableau with a
-common denominator (fraction-free pivoting: each pivot divides exactly by
-the previous pivot element), so every comparison and every certificate is
-exact.  With POLYDENSE_LP_CHECK set at import, every pivot division and
-every origin_in_conv certificate is verified exactly; a failure raises
-ArithmeticError.
+One LP, origin_in_conv, is the single geometric kernel: the edge test's
+segment-vs-hull query and chamber sign-vector feasibility are both derived
+from it.  The solver is a dense phase-one simplex with Bland's anti-cycling
+rule, run on an integer tableau with a common denominator (fraction-free
+pivoting: each pivot divides exactly by the previous pivot element), so
+every comparison and every certificate is exact.  With POLYDENSE_LP_CHECK
+set at import, every pivot division and every origin_in_conv certificate
+(so every verdict of the functions below) is verified exactly; a failure
+raises ArithmeticError.
 
 Certificate conventions:
 
 * ``origin_in_conv(S)``: Feasible means the origin lies in conv(S); the
   witness is the convex combination.  Infeasible carries a separating
-  functional h with h·s >= 1 for every s.
+  functional h, an integer vector with h·s >= 1 for every s.
 * ``strict_separation(S)``: Feasible means some h satisfies h·s > 0 for all
   s in S.  By Gordan's theorem that holds iff the origin is not in conv(S),
   so both certificates come from origin_in_conv: the witness is its
-  separator, with margin h·s >= 1 and not confined to any box.  Infeasible
-  comes with nonnegative multipliers lam, sum(lam) = 1, sum(lam_s s) = 0,
-  which contradict any candidate h exactly (0 = h·0 = sum lam_s h·s > 0).
+  integer separator, with margin h·s >= 1 and not confined to any box.
+  Infeasible comes with nonnegative multipliers lam, sum(lam) = 1,
+  sum(lam_s s) = 0, which contradict any candidate h exactly
+  (0 = h·0 = sum lam_s h·s > 0).
 """
 
 from __future__ import annotations
@@ -55,12 +57,14 @@ class FeasibilityResult:
 
     ``witness`` is the solution vector when feasible; ``certificate`` is the
     refutation described in the module docstring when infeasible.  Both
-    substitute exactly, with no tolerances.
+    substitute exactly, with no tolerances.  Separators (the certificate of
+    origin_in_conv, the witness of strict_separation) are integer vectors
+    with h·s >= 1; convex combinations are Fractions.
     """
 
     status: str
-    witness: tuple[Fraction, ...] | None = None
-    certificate: tuple[Fraction, ...] | None = None
+    witness: tuple[int | Fraction, ...] | None = None
+    certificate: tuple[int | Fraction, ...] | None = None
 
     @property
     def feasible(self) -> bool:
@@ -96,35 +100,23 @@ def _clear_denominators(values: Sequence) -> tuple[list[int], int]:
 
 
 class _Tableau:
-    """Integer phase-one simplex tableau: stored entries are true values
-    times ``den``.  Row ``m`` is the phase-one objective."""
+    """Integer phase-one simplex tableau for A x = (0, ..., 0, 1), x >= 0,
+    whose last row is the convexity row.  Stored entries are true values
+    times ``den``; row ``m`` is the phase-one objective."""
 
-    def __init__(self, rows: list[list[int]], rhs: list[int], nstruct: int):
+    def __init__(self, rows: list[list[int]]):
         m = len(rows)
+        n = len(rows[0])
         self.m = m
-        self.n = nstruct
+        self.n = n
         self.den = 1
-        self.flip: list[int] = []
-        data: list[list[int]] = []
-        for row, b in zip(rows, rhs):
-            if b < 0:
-                row = [-x for x in row]
-                b = -b
-                self.flip.append(-1)
-            else:
-                row = list(row)
-                self.flip.append(1)
-            row.extend(0 for _ in range(m))
-            row.append(b)
-            data.append(row)
+        self.rhs_col = n + m
+        data = [row + [0] * m + [0] for row in rows]
         for i in range(m):
-            data[i][nstruct + i] = 1
-        self.rhs_col = nstruct + m
-        self.basis = [nstruct + i for i in range(m)]
-        obj = [0] * (self.rhs_col + 1)
-        for j in range(nstruct):
-            obj[j] = -sum(data[i][j] for i in range(m))
-        obj[self.rhs_col] = -sum(r[self.rhs_col] for r in data)
+            data[i][n + i] = 1
+        data[-1][-1] = 1
+        self.basis = [n + i for i in range(m)]
+        obj = [-sum(col) for col in zip(*rows)] + [0] * m + [-1]
         data.append(obj)
         self.rows = data
 
@@ -180,15 +172,13 @@ class _Tableau:
                 raise RuntimeError("phase-one objective cannot be unbounded")
             self._pivot(leave, enter)
 
-    def farkas(self) -> list[Fraction]:
-        """Row multipliers proving infeasibility (after phase_one() is False)."""
+    def farkas(self) -> list[int]:
+        """Row multipliers proving infeasibility (after phase_one() is False),
+        scaled by ``den``: every pivot element is positive, so ``den`` is, and
+        these integers are a positive multiple of the true multipliers."""
         den = self.den
         obj = self.rows[self.m]
-        out = []
-        for i in range(self.m):
-            y = 1 - Fraction(obj[self.n + i], den)
-            out.append(self.flip[i] * y)
-        return out
+        return [den - obj[self.n + i] for i in range(self.m)]
 
     def solution(self) -> list[Fraction]:
         x = [Fraction(0)] * self.n
@@ -222,8 +212,8 @@ def strict_separation(S: Iterable[Sequence], dim: int | None = None) -> Feasibil
 
     By Gordan's theorem such an h exists iff the origin is not in conv(S),
     so this is origin_in_conv with the verdict swapped: a feasible witness
-    is its separator (h·s >= 1 for every s, not confined to any box), an
-    infeasible certificate its convex combination.  An empty S is
+    is its integer separator (h·s >= 1 for every s, not confined to any
+    box), an infeasible certificate its convex combination.  An empty S is
     vacuously feasible, with witness h = 0.
     """
     inner = origin_in_conv(S, dim)
@@ -236,32 +226,30 @@ def origin_in_conv(S: Iterable[Sequence], dim: int | None = None) -> Feasibility
     """Decide whether the origin lies in the convex hull of the finite set S.
 
     Feasible status means it does (witness: the convex coefficients);
-    infeasible status carries a separating h with h·s >= 1 for all s.
+    infeasible status carries a separating integer vector h with h·s >= 1
+    for all s.  On integer input the infeasible path builds no Fraction.
     """
     vecs, d = _coerce_config(S, dim)
     if not vecs:
-        return FeasibilityResult(INFEASIBLE, certificate=tuple([Fraction(0)] * (d or 0)))
+        return FeasibilityResult(INFEASIBLE, certificate=(0,) * (d or 0))
     assert d is not None
-    m = len(vecs)
     rows = []
-    rhs = []
     scales = []
     for i in range(d):
         ints, mult = _clear_denominators([s[i] for s in vecs])
         scales.append(mult)
         rows.append(ints)
-        rhs.append(0)
-    rows.append([1] * m)
-    rhs.append(1)
-    tab = _TABLEAU(rows, rhs, m)
+    rows.append([1] * len(vecs))
+    tab = _TABLEAU(rows)
     if tab.phase_one():
         res = FeasibilityResult(FEASIBLE, witness=tuple(tab.solution()))
     else:
+        # y·A <= 0 column by column and y_d > 0: h = -(y_i scale_i) gives
+        # h·s >= y_d >= 1 for every s, in integers.
         y = tab.farkas()
-        margin = y[d]
-        if margin <= 0:
+        if y[d] <= 0:
             raise RuntimeError("Farkas multiplier of the convexity row must be positive")
-        h = tuple(-y[i] * scales[i] / margin for i in range(d))
+        h = tuple(-y[i] * scales[i] for i in range(d))
         res = FeasibilityResult(INFEASIBLE, certificate=h)
     if _CHECK and not (check_convex_combination(vecs, res.witness) if res.feasible
                        else check_strict_witness(vecs, res.certificate, margin=1)):
@@ -270,7 +258,14 @@ def origin_in_conv(S: Iterable[Sequence], dim: int | None = None) -> Feasibility
 
 
 def segment_hull_intersect(a: Sequence, b: Sequence, S: Iterable[Sequence]) -> bool:
-    """Whether the segment [a, b] meets conv(S); exact LP feasibility."""
+    """Whether the segment [a, b] meets conv(S).
+
+    conv(S) - conv{a, b} = conv{s - a, s - b}, so this is a lifted hull test:
+    0 is in conv({(-a, -1), (-b, -1)} ∪ {(s, 1)}) iff it is in that
+    difference, the last coordinate splitting the weights 1/2-1/2 between
+    segment and hull.  The endpoints come first, where Bland's rule enters
+    them first.  An empty S meets nothing.
+    """
     av = _coerce_vector(a)
     bv = _coerce_vector(b)
     if len(av) != len(bv):
@@ -278,22 +273,9 @@ def segment_hull_intersect(a: Sequence, b: Sequence, S: Iterable[Sequence]) -> b
     vecs, d = _coerce_config(S, len(av))
     if not vecs:
         return False
-    m = len(vecs)
-    # variables: lam_0..lam_{m-1}, t, u (slack of t <= 1)
-    nstruct = m + 2
-    rows = []
-    rhs = []
-    for i in range(d):
-        raw = [s[i] for s in vecs] + [av[i] - bv[i], av[i]]
-        ints, _ = _clear_denominators(raw)
-        rows.append(ints[:m] + [ints[m], 0])
-        rhs.append(ints[m + 1])
-    rows.append([1] * m + [0, 0])
-    rhs.append(1)
-    rows.append([0] * m + [1, 1])
-    rhs.append(1)
-    tab = _TABLEAU(rows, rhs, nstruct)
-    return tab.phase_one()
+    lifted = [tuple(-x for x in av) + (-1,), tuple(-x for x in bv) + (-1,)]
+    lifted.extend(s + (1,) for s in vecs)
+    return origin_in_conv(lifted, d + 1).feasible
 
 
 def check_strict_witness(S: Iterable[Sequence], h: Sequence,

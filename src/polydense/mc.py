@@ -26,6 +26,7 @@ __all__ = [
     "split_blocks",
     "parallel_map",
     "default_workers",
+    "parse_workers",
 ]
 
 Z95 = 1.959963984540054
@@ -108,15 +109,22 @@ def split_blocks(total: int, block: int = BLOCK_SAMPLES) -> list[tuple[int, int]
     return out
 
 
+def parse_workers(value, source: str = "worker count") -> int:
+    """A positive worker count; anything else raises ValueError naming it."""
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return n
+
+
 def default_workers() -> int:
-    """Worker count from POLYDENSE_WORKERS, else 1."""
+    """Worker count from POLYDENSE_WORKERS, else 1; ValueError if it is set
+    to anything but a positive integer."""
     env = os.environ.get("POLYDENSE_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    return parse_workers(env, "POLYDENSE_WORKERS") if env else 1
 
 
 def parallel_map(fn: Callable, tasks: Sequence, workers: int = 1) -> list:

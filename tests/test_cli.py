@@ -1,12 +1,15 @@
 import csv
 import io
+import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import polydense
 from polydense.cli import load_config, main
 
 
@@ -187,9 +190,13 @@ class TestVerifyCommand:
         assert any(l.startswith("FAIL") for l in text.splitlines())
 
     def test_installed_entry_point(self):
+        # the package the suite imports, installed or from the source tree
+        src = str(Path(polydense.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "polydense.cli", "moivre",
                                "--q", "64", "--mu", "0"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("experiment,")
 
@@ -201,3 +208,42 @@ def test_unknown_input_reports_error():
     code, _ = _run(["chambers", "--r", "2", "--m", "9", "--configs", "1",
                     "--source", "halfcube", "--seed", "1"])
     assert code == 2  # only 3 half-cube vectors exist at r=2
+
+
+class TestWorkerCount:
+    """A worker count that is not a positive integer is a typed error: the
+    CLI exits 2 with an error line naming the value."""
+
+    ARGV = ["tau", "--k", "3", "--m", "0", "--seed", "1"]
+
+    def _error(self, argv):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = _run(argv)
+        assert code == 2
+        assert out == ""
+        return err.getvalue()
+
+    def test_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("POLYDENSE_WORKERS", "abc")
+        assert "error: POLYDENSE_WORKERS must be a positive integer, got 'abc'" \
+            in self._error(self.ARGV)
+
+    def test_env_zero(self, monkeypatch):
+        monkeypatch.setenv("POLYDENSE_WORKERS", "0")
+        assert "error: POLYDENSE_WORKERS must be a positive integer, got '0'" \
+            in self._error(self.ARGV)
+
+    def test_flag_zero(self, monkeypatch):
+        monkeypatch.delenv("POLYDENSE_WORKERS", raising=False)
+        assert "got 0" in self._error(self.ARGV + ["--workers", "0"])
+
+    def test_flag_negative(self, monkeypatch):
+        monkeypatch.delenv("POLYDENSE_WORKERS", raising=False)
+        assert "got -3" in self._error(self.ARGV + ["--workers", "-3"])
+
+    def test_flag_beats_a_bad_env(self, monkeypatch):
+        monkeypatch.setenv("POLYDENSE_WORKERS", "abc")
+        code, text = _run(self.ARGV + ["--workers", "1"])
+        assert code == 0
+        assert text.startswith("experiment,")

@@ -2,12 +2,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import polydense
-from polydense import DimensionMismatch
+from polydense import DimensionMismatch, exactlp
 from polydense.exactlp import (FEASIBLE, INFEASIBLE, check_convex_combination,
                                check_strict_witness, origin_in_conv,
                                segment_hull_intersect, strict_separation)
@@ -57,6 +58,19 @@ class TestOriginInConv:
         S = [(F(1, 3), F(-2, 7)), (F(-1, 6), F(1, 7))]
         assert origin_in_conv(S).feasible
 
+    def test_integer_separator_builds_no_fraction(self, monkeypatch):
+        class NoFraction(F):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("Fraction built on the infeasible path")
+
+        monkeypatch.setattr(exactlp, "Fraction", NoFraction)
+        for S, d in (([(1, 0), (0, 1)], None), ([(3, -1, 2), (1, 4, 1), (2, 2, 5)], None),
+                     ([], 3)):
+            res = origin_in_conv(S, dim=d)
+            assert not res.feasible
+            assert all(type(h) is int for h in res.certificate)
+            assert check_strict_witness(S, res.certificate, margin=1)
+
 
 class TestSegmentHull:
     def test_empty(self):
@@ -90,6 +104,67 @@ class TestSegmentHull:
         with pytest.raises(DimensionMismatch):
             segment_hull_intersect((1, 0), (0, 1), [(1, 0, 0)])
 
+    def test_agrees_with_basic_solution_enumeration(self):
+        """segment_hull_intersect against an oracle with no LP, on random
+        rational instances; a == b on every tenth trial."""
+        rng = stream(57721, "seg-oracle")
+
+        def rand_point(d):
+            return tuple(F(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(d))
+
+        hits = 0
+        for trial in range(500):
+            d = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 6))
+            a = rand_point(d)
+            b = a if trial % 10 == 0 else rand_point(d)
+            S = [rand_point(d) for _ in range(m)]
+            expected = _segment_meets_hull_by_enumeration(a, b, S)
+            assert segment_hull_intersect(a, b, S) == expected, (trial, a, b, S)
+            hits += expected
+        assert 100 < hits < 400
+
+
+def _solve_exact(cols, rhs):
+    """The unique solution of sum_j x_j cols[j] = rhs by Fraction Gaussian
+    elimination, or None when the columns are dependent or it is inconsistent."""
+    n = len(cols)
+    rows = [[F(c[i]) for c in cols] + [F(rhs[i])] for i in range(len(rhs))]
+    rank = 0
+    for j in range(n):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j] != 0), None)
+        if piv is None:
+            return None
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank][j]
+        rows[rank] = [x / lead for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j] != 0:
+                f = rows[i][j]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    if any(row[n] != 0 for row in rows[rank:]):
+        return None
+    return [rows[j][n] for j in range(n)]
+
+
+def _segment_meets_hull_by_enumeration(a, b, S):
+    """Whether [a, b] meets conv(S), with no LP: the polyhedron
+    {lam >= 0, sum lam = 1, sum lam_s s - t (b - a) = a, t + r = 1, t, r >= 0}
+    is nonempty iff it has a basic solution, so try every support whose
+    columns are independent and check the solution is nonnegative."""
+    d = len(a)
+    cols = [tuple(s) + (1, 0) for s in S]
+    cols.append(tuple(ai - bi for ai, bi in zip(a, b)) + (0, 1))
+    cols.append((0,) * d + (0, 1))
+    rhs = tuple(a) + (1, 1)
+    for size in range(1, min(len(cols), len(rhs)) + 1):
+        for support in combinations(range(len(cols)), size):
+            x = _solve_exact([cols[j] for j in support], rhs)
+            if x is not None and all(v >= 0 for v in x):
+                return True
+    return False
+
 
 def test_duality_and_certificates_randomized():
     """Hull membership and strict separation are complementary, and their
@@ -118,7 +193,7 @@ from fractions import Fraction as F
 
 from polydense.arrangements import chamber_count
 from polydense.estimators import tau_mc
-from polydense.exactlp import origin_in_conv, strict_separation
+from polydense.exactlp import origin_in_conv, segment_hull_intersect, strict_separation
 from polydense.rng import stream
 
 
@@ -140,7 +215,14 @@ def leg():
         S = [tuple(F(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
                    for _ in range(r)) for _ in range(m)]
         counts.append(chamber_count(S).count)
-    return repr((sweep, counts, tau_mc(6, 8, 200, 2718)))
+    segments = []
+    for _ in range(200):
+        d = int(rng.integers(1, 5))
+        a, b, *S = [tuple(F(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+                          for _ in range(d)) for _ in range(int(rng.integers(2, 9)))]
+        segments.append(segment_hull_intersect(a, b, S))
+    assert 0 < sum(segments) < len(segments)
+    return repr((sweep, counts, segments, tau_mc(6, 8, 200, 2718)))
 """
 
 
