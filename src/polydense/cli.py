@@ -20,7 +20,7 @@ from . import verify as verify_mod
 from .arrangements import (build_config_plus, chamber_count,
                            chamber_count_bruteforce, harding_bound,
                            moivre_laplace_ratio, normal_cdf)
-from .errors import PolydenseError
+from .errors import BudgetExceeded, PolydenseError
 from .estimators import (alpha_exact, alpha_mc, alpha_via_chambers, decompose_pi,
                          density_threshold_sweep, pi_mc, tau_cell,
                          tau_threshold_sweep)
@@ -123,13 +123,20 @@ def _emit(path: str | None, header: list[str], rows: list[list[str]]) -> None:
             fh.close()
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, help="master seed (64-bit)")
-    sub.add_argument("--samples", type=int, help="Monte-Carlo sample budget")
-    sub.add_argument("--workers", type=int,
-                     help="worker processes (default: POLYDENSE_WORKERS or 1)")
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.add_argument("--config", help="flat key=value config file")
+_SHARED_FLAGS = {
+    "seed": dict(type=int, help="master seed (64-bit)"),
+    "samples": dict(type=int, help="Monte-Carlo sample budget"),
+    "workers": dict(type=int,
+                    help="worker processes (default: POLYDENSE_WORKERS or 1)"),
+    "out": dict(help="output CSV path (default: stdout)"),
+    "config": dict(help="flat key=value config file"),
+}
+
+
+def _shared_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named shared flags, and --config, to a subcommand that reads them."""
+    for name in names + ("config",):
+        sub.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def cmd_density(ns: argparse.Namespace) -> int:
@@ -208,12 +215,16 @@ def cmd_alpha(ns: argparse.Namespace) -> int:
         ms = m_list if m_list is not None else list(range(0, classes + 1))
         for m in ms:
             t0 = time.time()
+            size = math.comb(classes, m) * (1 << m)
             if method == "chambers":
                 estv, how = alpha_via_chambers(k, m, samples, seed,
                                                workers=workers), "chambers"
-            elif method in ("auto", "exact") and \
-                    math.comb(classes, m) * (1 << m) <= exact_budget:
+            elif method in ("auto", "exact") and size <= exact_budget:
                 estv, how = alpha_exact(k, m), "exhaustive"
+            elif method == "exact":
+                raise BudgetExceeded(
+                    f"alpha({k},{m}) enumeration exceeds exact budget",
+                    required=size)
             else:
                 estv, how = alpha_mc(k, m, samples, seed, workers=workers), \
                     "monte-carlo"
@@ -330,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("density", help="expected graph density over a (d, base) grid")
     sub.add_argument("--d", help="dimensions, e.g. 10,12,14")
     sub.add_argument("--base", help="growth bases, e.g. 1.2,1.7 (n = round(base^d))")
-    _common_flags(sub)
+    _shared_flags(sub, "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_density)
 
     sub = subs.add_parser("tau", help="long-edge probability tables and sweeps")
@@ -340,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--method", choices=["auto", "exact", "mc", "via-alpha"])
     sub.add_argument("--exact-budget", type=int,
                      help="max subsets for exhaustive cells")
-    _common_flags(sub)
+    _shared_flags(sub, "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_tau)
 
     sub = subs.add_parser("alpha", help="antipodal-free conditional probability")
@@ -348,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m", help="class counts, e.g. 0:7")
     sub.add_argument("--method", choices=["auto", "exact", "mc", "chambers"])
     sub.add_argument("--exact-budget", type=int)
-    _common_flags(sub)
+    _shared_flags(sub, "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_alpha)
 
     sub = subs.add_parser("pi", help="edge probability pi(d, n)")
@@ -357,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--method", choices=["mc", "decomp", "both"])
     sub.add_argument("--tau-samples", type=int,
                      help="Monte-Carlo budget per tau table cell")
-    _common_flags(sub)
+    _shared_flags(sub, "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_pi)
 
     sub = subs.add_parser("chambers", help="chamber counts of sampled arrangements")
@@ -367,18 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--source", choices=["random", "halfcube"])
     sub.add_argument("--crosscheck", action="store_const", const="true",
                      help="also run the brute-force count per config")
-    _common_flags(sub)
+    _shared_flags(sub, "seed", "out")
     sub.set_defaults(func=cmd_chambers)
 
     sub = subs.add_parser("moivre", help="binomial tail ratios vs the normal limit")
     sub.add_argument("--q", help="tail sizes, e.g. 100,400,1600")
     sub.add_argument("--mu", help="offsets, e.g. -0.5,0,0.5")
-    _common_flags(sub)
+    _shared_flags(sub, "out")
     sub.set_defaults(func=cmd_moivre)
 
     sub = subs.add_parser("verify", help="run the verification suite")
     sub.add_argument("--level", choices=["quick", "full"])
-    _common_flags(sub)
+    _shared_flags(sub, "seed", "workers")
     sub.set_defaults(func=cmd_verify)
 
     return parser

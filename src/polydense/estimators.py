@@ -277,11 +277,16 @@ def _pik_block(args) -> int:
     return hits
 
 
+def _run_blocks(block_fn, params: tuple, samples: int, seed: int,
+               workers: int) -> list:
+    """block_fn's result for each fixed block of the budget, in block order."""
+    tasks = [params + (count, seed, index) for index, count in split_blocks(samples)]
+    return parallel_map(block_fn, tasks, workers)
+
+
 def _run_binomial(block_fn, params: tuple, samples: int, seed: int,
                   workers: int) -> Estimate:
-    blocks = split_blocks(samples)
-    tasks = [params + (count, seed, index) for index, count in blocks]
-    hits = sum(parallel_map(block_fn, tasks, workers))
+    hits = sum(_run_blocks(block_fn, params, samples, seed, workers))
     return bernoulli_estimate(hits, samples, seed)
 
 
@@ -310,9 +315,7 @@ def alpha_via_chambers(k: int, m: int, samples: int, seed: int,
     classes = (1 << (k - 1)) - 1
     if not 0 <= m <= classes:
         raise ValueError(f"conditioning event is empty for m={m} > {classes}")
-    blocks = split_blocks(samples)
-    tasks = [(k, m, count, seed, index) for index, count in blocks]
-    parts = parallel_map(_alpha_chambers_block, tasks, workers)
+    parts = _run_blocks(_alpha_chambers_block, (k, m), samples, seed, workers)
     total = sum(p[0] for p in parts)
     totalsq = sum(p[1] for p in parts)
     mean_chi = total / samples

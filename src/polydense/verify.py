@@ -1,10 +1,15 @@
-"""Line-oriented verification suite behind ``polydense verify``.
+"""The twelve criteria behind ``polydense verify`` and the acceptance suite.
 
-Each check exercises one of the package's exact identities, bounds, or
-Monte-Carlo trend properties and reports a single PASS/FAIL line.  The
-quick level covers the exact identities and anchors; the full level adds
-the exact monotone decrease at d=3, the limit-ratio convergence, reduced
-trend sweeps, the cross-method consistency check, and byte determinism.
+Each criterion is one entry of ``CRITERIA``: a check that exercises one of
+the package's exact identities, bounds, or Monte-Carlo trend properties and
+returns ``(ok, detail)``, with two parameter sets stored as data.  The
+``verify`` parameters are the small budgets of ``polydense verify``; the
+``acceptance`` parameters are the larger ones of ``tests/test_acceptance.py``,
+which also asserts each criterion's ``budget_s``.  The quick level runs
+the exact criteria 1-7, the full level all twelve.
+
+Checks call the estimators through the ``est`` module, so a test that
+replaces an estimator there reaches every check.
 """
 
 from __future__ import annotations
@@ -12,7 +17,10 @@ from __future__ import annotations
 import io
 import math
 import time
+from contextlib import redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import estimators as est
 from .arrangements import (chamber_count, chamber_count_bruteforce, harding_bound,
@@ -22,26 +30,23 @@ from .graph import graph_density_exact
 from .mc import exact_estimate
 from .rng import stream
 
-__all__ = ["run", "QUICK_CHECKS", "FULL_EXTRA_CHECKS"]
+__all__ = ["Criterion", "CRITERIA", "run"]
 
 
-def _check_cube_anchor(workers: int, seed: int):
-    for d in (2, 3, 4):
-        rep = graph_density_exact(full_cube(d))
-        want = Fraction(d, (1 << d) - 1)
-        if rep.density != want:
-            return False, f"d={d}: got {rep.density}, want {want}"
-    return True, "density d/(2^d-1) exact for d=2,3,4"
+def _cube_anchor(workers: int, seed: int):
+    got = {d: graph_density_exact(full_cube(d)).density for d in (2, 3, 4)}
+    ok = all(v == Fraction(d, (1 << d) - 1) for d, v in got.items())
+    return ok, "density " + ", ".join(f"d={d}: {v}" for d, v in got.items())
 
 
-def _check_cut_polytope(workers: int, seed: int):
+def _cut_polytope(workers: int, seed: int):
     rep = graph_density_exact(cut_polytope_vertices(4))
-    if rep.density != 1:
-        return False, f"density {rep.density} != 1"
-    return True, "all 28 pairs of the 8 cut vectors are edges"
+    ok = rep.density == 1 and rep.edge_count == 28 and rep.n == 8
+    return ok, f"{rep.edge_count}/28 pairs are edges, density {rep.density}"
 
 
-def _check_tau_alpha_identity(workers: int, seed: int):
+def _tau_alpha_identity(workers: int, seed: int):
+    cells = 0
     for k in (2, 3, 4):
         classes = (1 << (k - 1)) - 1
         for m in range(0, (1 << k) - 1):
@@ -49,29 +54,32 @@ def _check_tau_alpha_identity(workers: int, seed: int):
             if m <= classes:
                 routed = est.tau_from_alpha(k, m, est.alpha_exact(k, m)).exact_value
             else:
-                routed = Fraction(0)
+                routed = Fraction(0)  # zero prefactor: every subset has an antipodal pair
+            cells += 1
             if direct != routed:
                 return False, f"k={k} m={m}: {direct} != {routed}"
-    return True, "prefactor * alpha equals tau exactly for k<=4, all m"
+    return True, f"exact equality at every feasible m ({cells} cells)"
 
 
-def _check_tau_monotone_and_bound(workers: int, seed: int):
+def _tau_monotone_and_bound(workers: int, seed: int):
     for k in (2, 3, 4):
         vals = [est.tau_exact(k, m).exact_value for m in range(0, (1 << k) - 1)]
         for m in range(len(vals) - 1):
             if vals[m] < vals[m + 1]:
-                return False, f"k={k}: tau increases at m={m}"
+                return False, f"k={k}: increase at m={m}"
         for m in range(1, len(vals)):
             if vals[m] > est.tau_upper_bound(k, m):
                 return False, f"k={k} m={m}: bound violated"
-    return True, "tau non-increasing in m and below the chamber-sum bound, k<=4"
+    return True, "tau non-increasing and below b(k-2,m-1)/2^(m-1), k<=4"
 
 
-def _check_chamber_oracles(workers: int, seed: int):
-    rng = stream(seed, "verify:chambers")
-    for trial in range(40):
-        r = int(rng.integers(1, 4)) if trial % 2 else 3
-        m = int(rng.integers(1, 9))
+def _chamber_oracles(workers: int, seed: int, label: str, trials: int,
+                     m_max: int):
+    rng = stream(seed, label)
+    max_chi = 0
+    for trial in range(trials):
+        r = int(rng.integers(1, 5))
+        m = int(rng.integers(1, m_max + 1))
         vecs = []
         while len(vecs) < m:
             v = tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
@@ -80,152 +88,201 @@ def _check_chamber_oracles(workers: int, seed: int):
                 vecs.append(v)
         a = chamber_count(vecs).count
         b = chamber_count_bruteforce(vecs).count
-        if a != b:
-            return False, f"trial {trial}: sign search {a} != brute force {b}"
-        if a > harding_bound(r, m):
-            return False, f"trial {trial}: chamber bound violated"
-    return True, "sign search equals brute force and respects the bound (40 configs)"
+        max_chi = max(max_chi, a)
+        if a != b or a > harding_bound(r, m):
+            return False, f"trial {trial} (r={r}, m={m}): search {a}, brute {b}"
+    return True, (f"{trials} configs agree exactly and respect the bound "
+                  f"(max chi {max_chi})")
 
 
-def _check_alpha_chamber_route(workers: int, seed: int):
+def _alpha_chamber_route(workers: int, seed: int):
     for k in (2, 3, 4):
         for m in range(0, min((1 << (k - 1)) - 1, 4) + 1):
             a = est.alpha_exact(k, m).exact_value
             b = est.alpha_via_chambers_exact(k, m).exact_value
             if a != b:
                 return False, f"k={k} m={m}: {a} != {b}"
-    return True, "alpha equals the chamber average exactly (k<=4, m<=4)"
+    return True, "double enumeration equality for r<=3, m<=4"
 
 
-def _check_distance_decomposition(workers: int, seed: int):
-    for n in range(3, 9):
-        direct = est.pi_exact(3, n).exact_value
-        pik = {k: est.pi_k_exact(3, n, k) for k in (1, 2, 3)}
-        rebuilt = est.pi_from_pk(3, n, pik).exact_value
-        if direct != rebuilt:
-            return False, f"n={n}: {direct} != {rebuilt}"
-    return True, "pi(3,n) equals its distance decomposition exactly, n=3..8"
-
-
-def _check_monotone_decrease(workers: int, seed: int):
+def _pi_decrease_and_reconstruction(workers: int, seed: int):
     rep = est.monotonicity_check(3)
     if not rep.strictly_decreasing:
         return False, f"violations at {rep.violations}"
-    tail = rep.values[8]
-    if tail != Fraction(3, 7):
-        return False, f"pi(3,8) = {tail} != 3/7"
-    return True, "pi(3,n) strictly decreasing for n=3..8, ending at 3/7"
+    if rep.values[8] != Fraction(3, 7):
+        return False, f"pi(3,8) = {rep.values[8]} != 3/7"
+    for n in range(3, 9):
+        pik = {k: est.pi_k_exact(3, n, k) for k in (1, 2, 3)}
+        if est.pi_from_pk(3, n, pik).exact_value != rep.values[n]:
+            return False, f"n={n}: distance reconstruction mismatch"
+    return True, " > ".join(str(rep.values[n]) for n in range(3, 9))
 
 
-def _check_moivre(workers: int, seed: int):
-    if abs(moivre_laplace_ratio(400, 0.0) - 0.5) > 0.05:
-        return False, "ratio at q=400, mu=0 is off by more than 0.05"
+def _cross_method(workers: int, seed: int, pi_samples: int, tau_samples: int):
+    direct = est.pi_mc(8, 32, pi_samples, seed, workers=workers)
+    dec = est.decompose_pi(8, 32, tau_samples=tau_samples, seed=seed,
+                           workers=workers)
+    diff = abs(direct.value - dec.combined.value)
+    bound = 3 * math.hypot(direct.stderr, dec.combined.stderr)
+    return diff <= bound, (
+        f"mc {direct.value:.5f}±{direct.stderr:.5f}, "
+        f"decomp {dec.combined.value:.5f}±{dec.combined.stderr:.5f}, "
+        f"|diff| {diff:.5f} <= {bound:.5f}")
+
+
+def _moivre(workers: int, seed: int):
+    center = moivre_laplace_ratio(400, 0.0)
+    ok = abs(center - 0.5) <= 0.05
+    details = [f"ratio(400,0)={center:.4f}"]
     for mu in (-0.5, 0.0, 0.5):
         target = normal_cdf(2 * mu)
-        if abs(moivre_laplace_ratio(1600, mu) - target) >= \
-           abs(moivre_laplace_ratio(100, mu) - target):
-            return False, f"no convergence improvement at mu={mu}"
-    return True, "binomial tail ratio approaches the normal limit"
+        d_small = abs(moivre_laplace_ratio(100, mu) - target)
+        d_large = abs(moivre_laplace_ratio(1600, mu) - target)
+        details.append(f"mu={mu}: {d_small:.4f}->{d_large:.4f}")
+        if d_large >= d_small:
+            ok = False
+    return ok, "; ".join(details)
 
 
-def _check_tau_trends(workers: int, seed: int):
-    # direction in m at fixed k (exactly the table monotonicity), and the
-    # sub-threshold growth of tau(k, 1.5k) in k
+def _tau_trends(workers: int, seed: int, low_samples: int, high_samples: int,
+                ceiling_sigmas: float):
+    # Either side of m/k = 2.  Sub-threshold: tau(k, 1.5k) grows in k beyond
+    # 2 sigma per step.  In m at k = 8: tau does not rise beyond a 0.05
+    # slack.  Super-threshold: tau <= P(no antipodal pair) * alpha
+    # <= prefactor * b(k-2, m-1) / 2^(m-1), and the chamber bound on alpha
+    # falls strictly in k.  tau(k, 3k) itself rises over these k, because
+    # the prefactor does (a birthday effect).  ceiling_sigmas = +2 asks the
+    # upper 2-sigma limit to lie under the ceiling; the verify budget uses
+    # -2 (fail only an estimate beyond 2 sigma above it), because 2000
+    # samples cannot put the upper limit under the k=6 ceiling (zero hits
+    # still give 0.00098 > 0.00072).
     ks = (6, 8, 10, 12)
-    low = [est.tau_mc(k, (3 * k) // 2, 3000, seed, workers=workers) for k in ks]
-    for a, b in zip(low, low[1:]):
-        gap = b.value - a.value
-        sig = 2 * math.hypot(a.stderr, b.stderr)
-        if gap <= sig:
-            return False, f"sub-threshold trend step {gap:.4f} <= 2 sigma {sig:.4f}"
-    k = 8
-    ratios = [est.tau_mc(k, m, 2000, seed, workers=workers).value
-              for m in (8, 12, 16, 24)]
-    if any(ratios[i] < ratios[i + 1] - 0.05 for i in range(len(ratios) - 1)):
-        return False, f"tau not decreasing in m at k={k}: {ratios}"
-    # super-threshold: tau(k, 3k) <= prefactor * b(k-2, m-1) / 2^(m-1), and
-    # the chamber bound b/2^(m-1) falls strictly in k.  tau(k, 3k) itself
-    # rises over these k because the antipodal-free prefactor does.  2000
-    # samples cannot put the upper 2-sigma limit under the k=6 ceiling (zero
-    # hits still give 0.00098 > 0.00072), so only an estimate beyond 2 sigma
-    # above its ceiling fails here; criterion 10 asserts the upper limit.
+    low = [est.tau_mc(k, (3 * k) // 2, low_samples, seed, workers=workers)
+           for k in ks]
+    in_m = [est.tau_mc(8, m, 2000, seed, workers=workers).value
+            for m in (8, 12, 16, 24)]
+    high = [est.tau_mc(k, 3 * k, high_samples, seed, workers=workers) for k in ks]
     bounds = [est.tau_upper_bound(k, 3 * k) for k in ks]
-    if not all(b < a for a, b in zip(bounds, bounds[1:])):
-        return False, "chamber bound on alpha(k, 3k) not strictly decreasing in k"
-    high = [est.tau_mc(k, 3 * k, 2000, seed, workers=workers) for k in ks]
-    ceilings = [est.tau_from_alpha(k, 3 * k, exact_estimate(b)).value
+    ceilings = [est.tau_from_alpha(k, 3 * k, exact_estimate(b)).exact_value
                 for k, b in zip(ks, bounds)]
+    problems = []
+    if any(e.stderr > 0.01 for e in low + high):
+        problems.append("stderr above 0.01")
+    for (ka, a), (kb, b) in zip(zip(ks, low), zip(ks[1:], low[1:])):
+        if not b.value - a.value > 2 * math.hypot(a.stderr, b.stderr):
+            problems.append(f"sub-threshold not increasing beyond 2sigma at {ka}->{kb}")
+    if any(a < b - 0.05 for a, b in zip(in_m, in_m[1:])):
+        problems.append(f"tau(8,m) not decreasing in m: {in_m}")
+    for ka, kb, a, b in zip(ks, ks[1:], bounds, bounds[1:]):
+        if not b < a:
+            problems.append(f"chamber bound not decreasing at {ka}->{kb} "
+                            f"({float(a):.5f} -> {float(b):.5f})")
     for k, e, ceiling in zip(ks, high, ceilings):
-        if e.value - 2 * e.stderr > ceiling:
-            return False, (f"tau({k},{3 * k}) = {e.value:.4f} beyond 2 sigma "
-                           f"above its chamber ceiling {ceiling:.5f}")
-    detail = ("tau(k,1.5k) rises " + "/".join(f"{e.value:.3f}" for e in low)
-              + "; tau(k,3k) " + "/".join(f"{e.value:.4f}" for e in high)
-              + " vs chamber ceilings " + "/".join(f"{c:.5f}" for c in ceilings))
-    return True, detail
+        if e.value + ceiling_sigmas * e.stderr > ceiling:
+            problems.append(f"tau({k},{3 * k}) = {e.value:.4f}±{e.stderr:.4f} "
+                            f"against its chamber ceiling {float(ceiling):.5f}")
+    details = [f"k={k}: tau({k},{(3 * k) // 2})={a.value:.4f}±{a.stderr:.4f}, "
+               f"tau({k},{3 * k})={e.value:.4f}±{e.stderr:.4f} "
+               f"(ceiling {float(c):.5f})"
+               for k, a, e, c in zip(ks, low, high, ceilings)]
+    details.append("tau(8,m) at m=8,12,16,24: " + "/".join(f"{v:.3f}" for v in in_m))
+    return not problems, "; ".join(problems + details)
 
 
-def _check_density_trend(workers: int, seed: int):
+def _density_trend(workers: int, seed: int, samples: int):
     gaps = []
+    problems = []
+    details = []
     for d in (10, 12, 14):
-        n_lo = math.floor(1.2 ** d)
-        n_hi = math.ceil(1.7 ** d)
-        lo = est.pi_mc(d, n_lo, 1200, seed, workers=workers)
-        hi = est.pi_mc(d, n_hi, 1200, seed, workers=workers)
+        lo = est.pi_mc(d, math.floor(1.2 ** d), samples, seed, workers=workers)
+        hi = est.pi_mc(d, math.ceil(1.7 ** d), samples, seed, workers=workers)
+        if lo.stderr > 0.02 or hi.stderr > 0.02:
+            problems.append(f"d={d}: stderr above 0.02")
         gaps.append(lo.value - hi.value)
+        details.append(f"d={d}: {lo.value:.3f} - {hi.value:.3f} = {gaps[-1]:.3f}")
         if gaps[-1] < 0.3:
-            return False, f"d={d}: gap {gaps[-1]:.3f} < 0.3"
-    if not all(gaps[i] <= gaps[i + 1] + 1e-12 for i in range(len(gaps) - 1)):
-        return False, f"gap not non-decreasing: {gaps}"
-    return True, "density gap between sub- and super-threshold n grows with d"
+            problems.append(f"d={d}: gap below 0.3")
+    if not all(a <= b + 1e-12 for a, b in zip(gaps, gaps[1:])):
+        problems.append("gap not non-decreasing in d")
+    return not problems, "; ".join(problems + details)
 
 
-def _check_cross_method(workers: int, seed: int):
-    dec = est.decompose_pi(8, 32, tau_samples=1500, seed=seed, workers=workers)
-    direct = est.pi_mc(8, 32, 4000, seed, workers=workers)
-    diff = abs(dec.combined.value - direct.value)
-    bound = 3 * math.hypot(dec.combined.stderr, direct.stderr)
-    if diff > bound:
-        return False, f"|{dec.combined.value:.4f} - {direct.value:.4f}| > {bound:.4f}"
-    return True, f"decomposed vs direct pi(8,32): diff {diff:.4f} <= {bound:.4f}"
+def _byte_determinism(workers: int, seed: int, commands: list[list[str]]):
+    from .cli import main as cli_main  # cli imports this module
 
+    def csv_without_wall_time(w: int) -> str:
+        lines = []
+        for argv in commands:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = cli_main(argv + ["--seed", str(seed), "--workers", str(w)])
+            if code != 0:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}")
+            lines += [line.rsplit(",", 1)[0] for line in buf.getvalue().splitlines()]
+        return "\n".join(lines)
 
-def _check_determinism(workers: int, seed: int):
-    def run_once(w):
-        rows = est.density_threshold_sweep([8], [1.3], samples=600, seed=seed,
-                                           workers=w)
-        buf = io.StringIO()
-        for r in rows:
-            e = r.estimate
-            buf.write(f"{r.d},{r.base},{r.n},{e.value!r},{e.stderr!r},{e.samples}\n")
-        return buf.getvalue()
-    one = run_once(1)
-    two = run_once(2)
-    if one != two:
+    outputs = [csv_without_wall_time(w) for w in (1, 2, 1)]
+    if outputs[0] != outputs[1]:
         return False, "worker count changed the output bytes"
-    if one != run_once(1):
+    if outputs[0] != outputs[2]:
         return False, "rerun changed the output bytes"
-    return True, "identical output for reruns and any worker count"
+    return True, (f"{len(outputs[0].splitlines())} lines identical for reruns "
+                  "and any worker count")
 
 
-QUICK_CHECKS = [
-    ("cube-density anchor (d=2..4, exact)", _check_cube_anchor),
-    ("cut-polytope completeness (k=4, exact)", _check_cut_polytope),
-    ("tau-alpha prefactor identity (k<=4, exact)", _check_tau_alpha_identity),
-    ("tau monotone in m + chamber-sum bound (k<=4, exact)", _check_tau_monotone_and_bound),
-    ("chamber count: sign search vs brute force", _check_chamber_oracles),
-    ("alpha via chamber averages (double enumeration)", _check_alpha_chamber_route),
-    ("distance decomposition of pi (d=3, exact)", _check_distance_decomposition),
-]
+@dataclass(frozen=True)
+class Criterion:
+    """One acceptance criterion: ``check(workers, seed, **params)`` returns
+    ``(ok, detail)``; ``verify`` and ``acceptance`` are its parameters at the
+    two levels; ``budget_s`` bounds the acceptance run's wall time."""
 
-FULL_EXTRA_CHECKS = [
-    ("pi strictly decreasing in n (d=3, exact)", _check_monotone_decrease),
-    ("binomial tail vs normal limit", _check_moivre),
-    ("long-edge threshold trends (Monte Carlo)", _check_tau_trends),
-    ("graph-density threshold gap (Monte Carlo)", _check_density_trend),
-    ("cross-method consistency pi(8,32)", _check_cross_method),
-    ("byte determinism across workers", _check_determinism),
-]
+    number: int
+    name: str
+    check: Callable[..., tuple[bool, str]]
+    quick: bool
+    verify: dict
+    acceptance: dict
+    budget_s: float
+
+
+CRITERIA = (
+    Criterion(1, "cube density anchor (d=2..4, exact)", _cube_anchor,
+              True, {}, {}, 10),
+    Criterion(2, "cut-polytope completeness (k=4, exact)", _cut_polytope,
+              True, {}, {}, 10),
+    Criterion(3, "tau equals prefactor times alpha (k<=4, exact)",
+              _tau_alpha_identity, True, {}, {}, 300),
+    Criterion(4, "tau monotone in m + chamber-sum bound (k<=4, exact)",
+              _tau_monotone_and_bound, True, {}, {}, 300),
+    Criterion(5, "chamber count: sign search vs brute force", _chamber_oracles,
+              True,
+              {"label": "verify:chambers", "trials": 40, "m_max": 8},
+              {"label": "acc:chambers", "trials": 200, "m_max": 12},
+              300),
+    Criterion(6, "alpha via chamber averages (double enumeration)",
+              _alpha_chamber_route, True, {}, {}, 120),
+    Criterion(7, "pi(3,n) strictly decreasing + distance decomposition (exact)",
+              _pi_decrease_and_reconstruction, True, {}, {}, 600),
+    Criterion(8, "cross-method consistency pi(8,32)", _cross_method, False,
+              {"pi_samples": 4000, "tau_samples": 1500},
+              {"pi_samples": 10_000, "tau_samples": 3000}, 600),
+    Criterion(9, "binomial tail vs normal limit", _moivre, False, {}, {}, 60),
+    Criterion(10, "long-edge threshold trends (Monte Carlo)", _tau_trends, False,
+              {"low_samples": 3000, "high_samples": 2000, "ceiling_sigmas": -2},
+              {"low_samples": 20_000, "high_samples": 20_000, "ceiling_sigmas": 2},
+              1200),
+    Criterion(11, "graph-density threshold gap (Monte Carlo)", _density_trend,
+              False, {"samples": 1200}, {"samples": 2500}, 3600),
+    Criterion(12, "byte-identical CSV across reruns and workers",
+              _byte_determinism, False,
+              {"commands": [["density", "--d", "8", "--base", "1.3",
+                             "--samples", "600"]]},
+              {"commands": [["density", "--d", "7,8", "--base", "1.25",
+                             "--samples", "400"],
+                            ["tau", "--k", "5", "--ratio", "1.5,2.5",
+                             "--samples", "500"]]},
+              300),
+)
 
 
 def run(level: str = "quick", workers: int = 1, seed: int = 20250809,
@@ -235,22 +292,20 @@ def run(level: str = "quick", workers: int = 1, seed: int = 20250809,
     out = out or sys.stdout
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
-    checks = list(QUICK_CHECKS)
-    if level == "full":
-        checks += FULL_EXTRA_CHECKS
+    criteria = [c for c in CRITERIA if c.quick or level == "full"]
     failures = 0
     t_start = time.time()
-    for name, fn in checks:
+    for c in criteria:
         t0 = time.time()
         try:
-            ok, detail = fn(workers, seed)
+            ok, detail = c.check(workers, seed, **c.verify)
         except Exception as exc:  # a crash counts as a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
-        print(f"{status}  {name}  [{time.time() - t0:.1f}s]  {detail}", file=out)
-    total = len(checks)
+        print(f"{status}  {c.name}  [{time.time() - t0:.1f}s]  {detail}", file=out)
+    total = len(criteria)
     print(f"{total - failures}/{total} checks passed in {time.time() - t_start:.1f}s",
           file=out)
     return 1 if failures else 0

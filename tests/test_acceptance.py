@@ -1,34 +1,16 @@
 """Acceptance suite: the package's exit criteria.
 
-Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them on
-success).  All tolerances are fixed here; nothing is calibrated at runtime.
-Criterion 10 checks the long-edge columns on either side of m/k = 2: the
-ratio-1.5 column tau(k, 3k/2) must grow in k beyond 2 sigma per step, and the
-ratio-3 column tau(k, 3k) must sit under the paper's vanishing envelope.  That
-envelope is the chamber bound b(k-2, m-1) / 2^(m-1) on alpha, which must fall
-strictly in k (exact), times the antipodal-free prefactor; each estimate plus
-2 sigma must lie below it.  tau(k, 3k) itself is not monotone at k = 6..12:
-the prefactor P(no antipodal pair) rises from 0.03 to 0.86 there (a birthday
-effect) faster than the bound falls, so the estimates rise with k.
+Every criterion is an entry of ``polydense.verify.CRITERIA``; this module
+runs each at its ``acceptance`` parameters, prints one line per criterion
+(run with ``pytest -s`` to see them on success) and asserts the check and
+the criterion's time budget.  ``pytest tests/test_acceptance.py -k crit10``
+selects one criterion.
 """
 
-import io
-import math
 import os
 import time
-from contextlib import redirect_stdout
-from fractions import Fraction as F
 
-from polydense import (cut_polytope_vertices, full_cube, graph_density_exact,
-                       harding_bound, moivre_laplace_ratio, normal_cdf)
-from polydense.arrangements import chamber_count, chamber_count_bruteforce
-from polydense.cli import main as cli_main
-from polydense.estimators import (alpha_exact, alpha_via_chambers_exact,
-                                  decompose_pi, monotonicity_check, pi_from_pk,
-                                  pi_k_exact, pi_mc, tau_exact, tau_from_alpha,
-                                  tau_mc, tau_upper_bound)
-from polydense.mc import exact_estimate
-from polydense.rng import stream
+from polydense.verify import CRITERIA
 
 SEED = 99
 WORKERS = int(os.environ.get("POLYDENSE_TEST_WORKERS",
@@ -44,231 +26,29 @@ def _report(number: int, name: str, ok: bool, detail: str, t0: float,
     assert ok, f"criterion {number} failed: {detail}"
 
 
-def test_01_cube_density_anchor():
-    t0 = time.time()
-    got = {}
-    for d in (2, 3, 4):
-        got[d] = graph_density_exact(full_cube(d)).density
-    ok = all(got[d] == F(d, 2 ** d - 1) for d in got)
-    _report(1, "cube density anchor", ok,
-            f"density {', '.join(f'd={d}: {v}' for d, v in got.items())}",
-            t0, 10)
+def _criterion_test(number: int):
+    criterion = CRITERIA[number - 1]
+    assert criterion.number == number
+
+    def test():
+        t0 = time.time()
+        ok, detail = criterion.check(WORKERS, SEED, **criterion.acceptance)
+        _report(number, criterion.name, ok, detail, t0, criterion.budget_s)
+
+    # pytest -k also matches names set on the test function
+    setattr(test, f"crit{number:02d}", True)
+    return test
 
 
-def test_02_cut_polytope_anchor():
-    t0 = time.time()
-    rep = graph_density_exact(cut_polytope_vertices(4))
-    ok = rep.density == 1 and rep.edge_count == 28 and rep.n == 8
-    _report(2, "cut polytope completeness", ok,
-            f"{rep.edge_count}/28 pairs are edges, density {rep.density}", t0, 10)
-
-
-def test_03_tau_alpha_identity():
-    t0 = time.time()
-    checked = 0
-    ok = True
-    detail = "exact equality at every feasible m"
-    for k in (2, 3, 4):
-        classes = 2 ** (k - 1) - 1
-        for m in range(0, 2 ** k - 1):
-            direct = tau_exact(k, m).exact_value
-            if m <= classes:
-                routed = tau_from_alpha(k, m, alpha_exact(k, m)).exact_value
-            else:
-                routed = F(0)  # zero prefactor: every subset has an antipodal pair
-            checked += 1
-            if direct != routed:
-                ok = False
-                detail = f"k={k} m={m}: {direct} != {routed}"
-                break
-    _report(3, "tau equals prefactor times alpha", ok,
-            f"{detail} ({checked} cells)", t0, 300)
-
-
-def test_04_tau_monotone_and_upper_bound():
-    t0 = time.time()
-    ok = True
-    detail = "tau non-increasing and below b(k-2,m-1)/2^(m-1), k<=4"
-    for k in (2, 3, 4):
-        vals = [tau_exact(k, m).exact_value for m in range(2 ** k - 1)]
-        for m in range(len(vals) - 1):
-            if vals[m] < vals[m + 1]:
-                ok, detail = False, f"k={k}: increase at m={m}"
-        for m in range(1, len(vals)):
-            if vals[m] > tau_upper_bound(k, m):
-                ok, detail = False, f"k={k} m={m}: bound violated"
-    _report(4, "tau monotonicity and bound", ok, detail, t0, 300)
-
-
-def test_05_chamber_count_oracle_equivalence():
-    t0 = time.time()
-    rng = stream(SEED, "acc:chambers")
-    ok = True
-    detail = ""
-    max_chi = 0
-    for trial in range(200):
-        r = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 13))
-        vecs = []
-        while len(vecs) < m:
-            v = tuple(F(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
-                      for _ in range(r))
-            if any(x != 0 for x in v):
-                vecs.append(v)
-        a = chamber_count(vecs).count
-        b = chamber_count_bruteforce(vecs).count
-        max_chi = max(max_chi, a)
-        if a != b or a > harding_bound(r, m):
-            ok = False
-            detail = f"trial {trial} (r={r}, m={m}): search {a}, brute {b}"
-            break
-    if ok:
-        detail = f"200 configs agree exactly and respect the bound (max chi {max_chi})"
-    _report(5, "chamber count oracle equivalence", ok, detail, t0, 300)
-
-
-def test_06_alpha_equals_chamber_average():
-    t0 = time.time()
-    ok = True
-    detail = "double enumeration equality for r<=3, m<=4"
-    for r in (1, 2, 3):
-        k = r + 1
-        for m in range(0, min(2 ** r - 1, 4) + 1):
-            lhs = alpha_exact(k, m).exact_value
-            rhs = alpha_via_chambers_exact(k, m).exact_value
-            if lhs != rhs:
-                ok, detail = False, f"k={k} m={m}: {lhs} != {rhs}"
-    _report(6, "alpha equals expected chambers over 2^m", ok, detail, t0, 120)
-
-
-def test_07_exact_monotone_decrease_and_reconstruction_d3():
-    t0 = time.time()
-    rep = monotonicity_check(3)
-    ok = rep.strictly_decreasing and rep.values[8] == F(3, 7)
-    detail = " > ".join(str(rep.values[n]) for n in range(3, 9))
-    for n in range(3, 9):
-        pik = {k: pi_k_exact(3, n, k) for k in (1, 2, 3)}
-        if pi_from_pk(3, n, pik).exact_value != rep.values[n]:
-            ok = False
-            detail = f"n={n}: distance reconstruction mismatch"
-            break
-    _report(7, "exact pi(3,n) decrease and reconstruction", ok, detail, t0, 600)
-
-
-def test_08_cross_method_consistency():
-    t0 = time.time()
-    direct = pi_mc(8, 32, samples=10_000, seed=SEED, workers=WORKERS)
-    dec = decompose_pi(8, 32, tau_samples=3000, seed=SEED, workers=WORKERS)
-    diff = abs(direct.value - dec.combined.value)
-    bound = 3 * math.hypot(direct.stderr, dec.combined.stderr)
-    ok = diff <= bound
-    _report(8, "pi(8,32): direct vs decomposition", ok,
-            f"mc {direct.value:.5f}±{direct.stderr:.5f}, "
-            f"decomp {dec.combined.value:.5f}±{dec.combined.stderr:.5f}, "
-            f"|diff| {diff:.5f} <= {bound:.5f}", t0, 600)
-
-
-def test_09_binomial_tail_limit():
-    t0 = time.time()
-    center = moivre_laplace_ratio(400, 0.0)
-    ok = abs(center - 0.5) <= 0.05
-    details = [f"ratio(400,0)={center:.4f}"]
-    for mu in (-0.5, 0.0, 0.5):
-        target = normal_cdf(2 * mu)
-        d_small = abs(moivre_laplace_ratio(100, mu) - target)
-        d_large = abs(moivre_laplace_ratio(1600, mu) - target)
-        details.append(f"mu={mu}: {d_small:.4f}->{d_large:.4f}")
-        if d_large >= d_small:
-            ok = False
-    _report(9, "binomial tails approach the normal limit", ok,
-            "; ".join(details), t0, 60)
-
-
-def test_10_long_edge_threshold_trend():
-    t0 = time.time()
-    ks = (6, 8, 10, 12)
-    high = {k: tau_mc(k, 3 * k, samples=20_000, seed=SEED, workers=WORKERS)
-            for k in ks}
-    low = {k: tau_mc(k, (3 * k) // 2, samples=20_000, seed=SEED, workers=WORKERS)
-           for k in ks}
-    # tau <= P(no antipodal pair) * alpha <= prefactor * b(k-2, m-1) / 2^(m-1)
-    bound = {k: tau_upper_bound(k, 3 * k) for k in ks}
-    prefactor = {k: tau_from_alpha(k, 3 * k, exact_estimate(F(1))).exact_value
-                 for k in ks}
-    ceiling = {k: prefactor[k] * bound[k] for k in ks}
-    lines = [f"k={k}: tau(k,{3*k})={high[k].value:.4f}±{high[k].stderr:.4f} "
-             f"(prefactor {float(prefactor[k]):.4f}, ceiling "
-             f"{float(ceiling[k]):.5f}), "
-             f"tau(k,{(3*k)//2})={low[k].value:.4f}±{low[k].stderr:.4f}"
-             for k in ks]
-    print("\n".join(lines))
-    ok = all(e.stderr <= 0.01 for e in list(high.values()) + list(low.values()))
-    detail = []
-    for a, b in zip(ks, ks[1:]):
-        if not bound[b] < bound[a]:
-            ok = False
-            detail.append(f"chamber bound not decreasing at {a}->{b} "
-                          f"({float(bound[a]):.5f} -> {float(bound[b]):.5f})")
-        step_sigma = 2 * math.hypot(low[a].stderr, low[b].stderr)
-        if not low[b].value >= low[a].value + step_sigma:
-            ok = False
-            detail.append(f"sub-threshold not increasing beyond 2sigma at {a}->{b}")
-    for k in ks:
-        if not high[k].value + 2 * high[k].stderr <= ceiling[k]:
-            ok = False
-            detail.append(f"super-threshold above the chamber ceiling at k={k} "
-                          f"({high[k].value:.4f} + 2sigma > {float(ceiling[k]):.5f})")
-    _report(10, "long-edge trend at ratios 3 and 1.5", ok,
-            "; ".join(detail) or "both columns move as required", t0, 1200)
-
-
-def test_11_density_threshold_trend():
-    t0 = time.time()
-    gaps = {}
-    ok = True
-    details = []
-    for d in (10, 12, 14):
-        n_lo = math.floor(1.2 ** d)
-        n_hi = math.ceil(1.7 ** d)
-        lo = pi_mc(d, n_lo, samples=2500, seed=SEED, workers=WORKERS)
-        hi = pi_mc(d, n_hi, samples=2500, seed=SEED, workers=WORKERS)
-        if lo.stderr > 0.02 or hi.stderr > 0.02:
-            ok = False
-            details.append(f"d={d}: stderr above 0.02")
-        gaps[d] = lo.value - hi.value
-        details.append(f"d={d}: {lo.value:.3f} - {hi.value:.3f} = {gaps[d]:.3f}")
-        if gaps[d] < 0.3:
-            ok = False
-    ds = sorted(gaps)
-    if not all(gaps[a] <= gaps[b] + 1e-12 for a, b in zip(ds, ds[1:])):
-        ok = False
-        details.append("gap not non-decreasing in d")
-    _report(11, "density gap across the threshold", ok, "; ".join(details),
-            t0, 3600)
-
-
-def test_12_byte_determinism(tmp_path):
-    t0 = time.time()
-
-    def run_cli(argv):
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = cli_main(argv)
-        assert code == 0
-
-    def strip_wall(path):
-        return "\n".join(line.rsplit(",", 1)[0]
-                         for line in path.read_text().strip().splitlines())
-
-    outputs = []
-    for tag, workers in (("a", "1"), ("b", "2"), ("c", "1")):
-        dens = tmp_path / f"dens_{tag}.csv"
-        taus = tmp_path / f"tau_{tag}.csv"
-        run_cli(["density", "--d", "7,8", "--base", "1.25", "--samples", "400",
-                 "--seed", str(SEED), "--workers", workers, "--out", str(dens)])
-        run_cli(["tau", "--k", "5", "--ratio", "1.5,2.5", "--samples", "500",
-                 "--seed", str(SEED), "--workers", workers, "--out", str(taus)])
-        outputs.append(strip_wall(dens) + "\n" + strip_wall(taus))
-    ok = outputs[0] == outputs[1] == outputs[2]
-    _report(12, "byte-identical CSV for reruns and any worker count", ok,
-            f"{len(outputs[0].splitlines())} lines compared", t0, 300)
+test_01_cube_density_anchor = _criterion_test(1)
+test_02_cut_polytope_anchor = _criterion_test(2)
+test_03_tau_alpha_identity = _criterion_test(3)
+test_04_tau_monotone_and_upper_bound = _criterion_test(4)
+test_05_chamber_count_oracle_equivalence = _criterion_test(5)
+test_06_alpha_equals_chamber_average = _criterion_test(6)
+test_07_exact_monotone_decrease_and_reconstruction_d3 = _criterion_test(7)
+test_08_cross_method_consistency = _criterion_test(8)
+test_09_binomial_tail_limit = _criterion_test(9)
+test_10_long_edge_threshold_trend = _criterion_test(10)
+test_11_density_threshold_trend = _criterion_test(11)
+test_12_byte_determinism = _criterion_test(12)

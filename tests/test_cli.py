@@ -11,6 +11,7 @@ import pytest
 
 import polydense
 from polydense.cli import load_config, main
+from polydense.verify import CRITERIA
 
 
 def _run(argv, tmp_path=None):
@@ -93,6 +94,16 @@ class TestAlphaCommand:
         rows = list(csv.DictReader(io.StringIO(text)))
         assert rows[0]["method"] == "chambers"
 
+    def test_exact_over_budget_is_an_error(self):
+        # as for tau: --method exact never falls back to Monte Carlo
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = _run(["alpha", "--k", "6", "--m", "10", "--method",
+                              "exact", "--exact-budget", "10"])
+        assert code == 2
+        assert out == ""
+        assert "alpha(6,10) enumeration exceeds exact budget" in err.getvalue()
+
 
 class TestPiCommand:
     def test_both_methods_small_case(self):
@@ -169,6 +180,15 @@ class TestVerifyCommand:
         lines = [l for l in text.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 7
         assert all(l.startswith("PASS") for l in lines)
+        assert [l.split("  ")[1] for l in lines] == \
+            [c.name for c in CRITERIA if c.quick]
+
+    def test_registry_covers_each_criterion_once(self):
+        assert [c.number for c in CRITERIA] == list(range(1, 13))
+        assert [c.number for c in CRITERIA if c.quick] == list(range(1, 8))
+        for c in CRITERIA:
+            assert isinstance(c.verify, dict) and isinstance(c.acceptance, dict)
+            assert c.budget_s > 0
 
     def test_suite_detects_a_tampered_value(self, monkeypatch):
         # corrupting a single probability must flip the suite to failure
@@ -199,6 +219,15 @@ class TestVerifyCommand:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("experiment,")
+
+
+@pytest.mark.parametrize("argv", [["moivre", "--seed", "5"],
+                                  ["chambers", "--samples", "5"],
+                                  ["verify", "--out", "x"]])
+def test_flags_a_command_does_not_read_are_rejected(argv):
+    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_unknown_input_reports_error():
