@@ -11,10 +11,8 @@ from .arrangements import (BRUTE_FORCE, SIGN_SEARCH, ChamberCount, VectorConfig,
                            chamber_count_bruteforce, harding_bound,
                            moivre_laplace_ratio, normal_cdf, partial_binomial_sum,
                            phi_project)
-from .cube import (CubeVertex, SubcubeFace, VertexSet, antipode,
-                   cut_polytope_vertices, enumerate_face, from_01, full_cube,
-                   hamming_distance, sample_pair, sample_vertex_bits,
-                   sample_vertex_set, subcube_face)
+from .cube import (CubeVertex, VertexSet, cut_polytope_vertices, full_cube,
+                   sample_vertex_bits)
 from .errors import (BudgetExceeded, DegenerateInput, DimensionMismatch,
                      PolydenseError)
 from .estimators import (DensitySweepRow, MonotonicityReport, PiDecomposition,
@@ -28,8 +26,8 @@ from .estimators import (DensitySweepRow, MonotonicityReport, PiDecomposition,
 from .exactlp import (FEASIBLE, INFEASIBLE, FeasibilityResult,
                       check_convex_combination, check_strict_witness,
                       origin_in_conv, segment_hull_intersect, strict_separation)
-from .graph import (DensityReport, edge_kernel, graph_density_exact,
-                    graph_density_sampled, is_edge, long_edge_survives)
+from .graph import (DensityReport, edge_kernel, graph_density_exact, is_edge,
+                    long_edge_survives)
 from .mc import Estimate, bernoulli_estimate, exact_estimate, wilson_interval
 from .rng import stream
 

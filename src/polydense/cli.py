@@ -171,6 +171,12 @@ def cmd_tau(ns: argparse.Namespace) -> int:
     workers = _workers(p)
     method = p.get("method", str, "auto")
     exact_budget = p.get("exact-budget", int, 20_000)
+    if ratios is not None:
+        given = [f"--{key}" for key in ("m", "method", "exact-budget")
+                 if p.get(key, str, None) is not None]
+        if given:
+            raise ValueError("--ratio runs Monte Carlo at m = ceil(ratio * k) "
+                             f"and takes no {', '.join(given)}")
     header = ["experiment", "k", "m", "ratio", "provenance", "estimate", "stderr",
               "ci_lo", "ci_hi", "exact_value", "samples", "seed", "note",
               "wall_time_s"]

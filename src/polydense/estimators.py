@@ -245,15 +245,11 @@ def _alpha_chambers_block(args) -> tuple[int, int]:
 def _pi_block(args) -> int:
     d, n, count, seed, block = args
     rng = stream(seed, f"pi:d={d}:n={n}", block)
-    mask = (1 << d) - 1
     hits = 0
     for _ in range(count):
         bits = sample_vertex_bits(d, n, rng)
         i, j = sample_indices(rng, n, 2)
-        v, w = bits[i], bits[j]
-        notfree = mask & ~(v ^ w)
-        obst = [u for u in bits if u != v and u != w and not (u ^ v) & notfree]
-        if edge_kernel(d, v, w, obst):
+        if edge_kernel(d, bits[i], bits[j], bits):
             hits += 1
     return hits
 
@@ -391,15 +387,6 @@ class TauTable:
             m += 1
         return m
 
-    def monotonicity_violations(self) -> list[int]:
-        """Indices m where the table increases beyond joint CI overlap."""
-        out = []
-        for m in range(self.max_m):
-            a, b = self.entries[m], self.entries[m + 1]
-            if b.ci95[0] > a.ci95[1]:
-                out.append(m)
-        return out
-
 
 def tau_cell(k: int, m: int, samples: int, seed: int, exact_budget: int = 20_000,
              method: str = "auto", workers: int = 1) -> tuple[Estimate, str]:
@@ -507,7 +494,6 @@ class PiDecomposition:
     d: int
     n: int
     pi_k: dict[int, Estimate]
-    xi: dict[tuple[int, int], Fraction]
     combined: Estimate
 
 
@@ -517,17 +503,14 @@ def decompose_pi(d: int, n: int, tau_samples: int, seed: int, workers: int = 1,
     cutoff_factor * k, tail bracketed by monotonicity) combined through the
     exact hypergeometric weights and the distance distribution."""
     pik: dict[int, Estimate] = {}
-    xi: dict[tuple[int, int], Fraction] = {}
     for k in range(1, d + 1):
         m_target = min((1 << k) - 2, n - 2)
         m_cut = min(m_target, cutoff_factor * k)
         table = build_tau_table(k, m_cut, samples=tau_samples, seed=seed,
                                 exact_budget=exact_budget, workers=workers)
         pik[k] = pi_k_semianalytic(d, n, k, table)
-        for m in range(min(table.max_m, m_target) + 1):
-            xi[(k, m)] = xi_exact(d, n, k, m)
     combined = pi_from_pk(d, n, pik)
-    return PiDecomposition(d=d, n=n, pi_k=pik, xi=xi, combined=combined)
+    return PiDecomposition(d=d, n=n, pi_k=pik, combined=combined)
 
 
 # ---------------------------------------------------------------------------
@@ -543,16 +526,11 @@ def pi_exact(d: int, n: int, max_work: int = 400_000) -> Estimate:
     if work > max_work:
         raise BudgetExceeded(f"{work} edge tests exceed max_work={max_work}",
                              required=work)
-    mask = size - 1
     hits = 0
     for X in combinations(range(size), n):
         for i in range(n):
-            v = X[i]
             for j in range(i + 1, n):
-                w = X[j]
-                notfree = mask & ~(v ^ w)
-                obst = [u for u in X if u != v and u != w and not (u ^ v) & notfree]
-                if edge_kernel(d, v, w, obst, cached=True):
+                if edge_kernel(d, X[i], X[j], X, cached=True):
                     hits += 1
     return exact_estimate(Fraction(hits, work), samples=work)
 

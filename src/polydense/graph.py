@@ -17,44 +17,30 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable
 
-import numpy as np
-
-from .cube import CubeVertex, VertexSet, sample_pair
+from .cube import CubeVertex, VertexSet
 from .errors import BudgetExceeded, DegenerateInput
 from .exactlp import segment_hull_intersect
-from .mc import wilson_interval
 
 __all__ = [
-    "EXACT",
-    "SAMPLED",
     "DensityReport",
     "long_edge_survives",
     "edge_kernel",
     "is_edge",
     "graph_density_exact",
-    "graph_density_sampled",
 ]
-
-EXACT = "exact"
-SAMPLED = "sampled"
 
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Graph density |E| / C(n, 2), exact or estimated from sampled pairs."""
+    """Exact graph density |E| / C(n, 2)."""
 
     n: int
     edge_count: int
     density: Fraction
-    mode: str
-    ci: tuple[float, float] | None = None
-    samples: int | None = None
 
     def __post_init__(self):
         if not 0 <= self.density <= 1:
             raise ValueError("density out of [0, 1]")
-        if self.mode == EXACT and self.ci is not None:
-            raise ValueError("exact reports carry no confidence interval")
 
 
 def long_edge_survives(k: int, face_points: Iterable[int]) -> bool:
@@ -86,16 +72,23 @@ def _long_edge_survives_cached(k: int, face_points: frozenset[int]) -> bool:
     return long_edge_survives(k, face_points)
 
 
-def edge_kernel(d: int, v_bits: int, w_bits: int, obstruction_bits: Iterable[int],
+def edge_kernel(d: int, v_bits: int, w_bits: int, points: Iterable[int],
                 cached: bool = False) -> bool:
-    """Edge test for a vertex pair given the obstructions already filtered
-    to the open face; inputs are raw bitmasks."""
+    """Whether {v, w} is an edge of the hull of ``points``; all raw bitmasks.
+
+    Only the points that agree with v wherever v and w agree, other than v
+    and w themselves, can obstruct the edge; the rest are dropped here, so a
+    list already filtered this way gives the same verdict.
+    """
     if v_bits == w_bits:
         raise DegenerateInput("v == w has no connecting edge")
     free = v_bits ^ w_bits
+    agree = ((1 << d) - 1) & ~free
+    obstructions = [u for u in points
+                    if u != v_bits and u != w_bits and not (u ^ v_bits) & agree]
     positions = [i for i in range(d) if free >> i & 1]
     compressed = []
-    for u in obstruction_bits:
+    for u in obstructions:
         rel = u ^ v_bits
         compressed.append(sum((rel >> pos & 1) << j for j, pos in enumerate(positions)))
     k = len(positions)
@@ -108,14 +101,7 @@ def is_edge(X: VertexSet, v: CubeVertex, w: CubeVertex, cached: bool = False) ->
     """Whether {v, w} is an edge of conv(X); exact."""
     if v not in X or w not in X:
         raise ValueError("v and w must belong to X")
-    if v.bits == w.bits:
-        raise DegenerateInput("v == w")
-    vb, wb = v.bits, w.bits
-    free = vb ^ wb
-    notfree = ((1 << X.dim) - 1) & ~free
-    obst = [u.bits for u in X.members
-            if u.bits != vb and u.bits != wb and not (u.bits ^ vb) & notfree]
-    return edge_kernel(X.dim, vb, wb, obst, cached=cached)
+    return edge_kernel(X.dim, v.bits, w.bits, [u.bits for u in X], cached=cached)
 
 
 def graph_density_exact(X: VertexSet, max_pairs: int = 200_000) -> DensityReport:
@@ -133,23 +119,5 @@ def graph_density_exact(X: VertexSet, max_pairs: int = 200_000) -> DensityReport
         for j in range(i + 1, n):
             if is_edge(X, members[i], members[j], cached=True):
                 edges += 1
-    return DensityReport(n=n, edge_count=edges, density=Fraction(edges, pairs),
-                         mode=EXACT)
+    return DensityReport(n=n, edge_count=edges, density=Fraction(edges, pairs))
 
-
-def graph_density_sampled(X: VertexSet, pair_budget: int,
-                          rng: np.random.Generator) -> DensityReport:
-    """Density estimated from uniformly sampled pairs (with replacement),
-    with a 95% Wilson interval."""
-    if len(X) < 2:
-        raise ValueError("density needs at least two vertices")
-    if pair_budget < 1:
-        raise ValueError("pair budget must be positive")
-    hits = 0
-    for _ in range(pair_budget):
-        v, w = sample_pair(X, rng)
-        if is_edge(X, v, w):
-            hits += 1
-    return DensityReport(n=len(X), edge_count=hits,
-                         density=Fraction(hits, pair_budget), mode=SAMPLED,
-                         ci=wilson_interval(hits, pair_budget), samples=pair_budget)

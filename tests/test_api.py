@@ -1,0 +1,41 @@
+"""Names that other code looks up by string must exist.
+
+``__all__`` is read by star imports, and the benchmark's span recorder
+rebinds the functions in ``perfbench/spans.py``'s ``WRAP`` with a bare
+``getattr``, so a deleted or renamed name there breaks every traced run.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import polydense
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(polydense.__path__))
+
+
+def _load_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"polydense.{name}")
+    missing = [attr for attr in getattr(module, "__all__", [])
+               if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_benchmark_wrap_names_exist():
+    missing = [f"{namespace}.{attr}"
+               for namespace, names in _load_spans().WRAP.items()
+               for attr in names
+               if not hasattr(importlib.import_module(f"polydense.{namespace}"), attr)]
+    assert not missing

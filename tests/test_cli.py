@@ -48,6 +48,18 @@ class TestTauCommand:
         assert [r["m"] for r in rows] == ["8", "15"]
         assert all(r["provenance"] == "monte-carlo" for r in rows)
 
+    @pytest.mark.parametrize("flag", [["--method", "exact"],
+                                      ["--exact-budget", "1"], ["--m", "0"]],
+                             ids=["method", "exact-budget", "m"])
+    def test_ratio_rejects_flags_it_does_not_read(self, flag):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = _run(["tau", "--k", "3", "--ratio", "1.5", "--samples",
+                              "100", "--seed", "1"] + flag)
+        assert code == 2
+        assert out == ""
+        assert flag[0] in err.getvalue()
+
     def test_m_range_spec(self):
         code, text = _run(["tau", "--k", "4", "--m", "0:2", "--seed", "3"])
         assert code == 0

@@ -2,10 +2,7 @@ import math
 
 import pytest
 
-from polydense import (CubeVertex, DegenerateInput, DimensionMismatch, VertexSet,
-                       antipode, cut_polytope_vertices, enumerate_face, from_01,
-                       full_cube, hamming_distance, sample_pair, sample_vertex_set,
-                       subcube_face)
+from polydense import CubeVertex, cut_polytope_vertices, sample_vertex_bits
 from polydense.rng import stream
 
 
@@ -13,103 +10,33 @@ def V(d, bits):
     return CubeVertex(d, bits)
 
 
-class TestHamming:
-    def test_identity(self):
-        v = V(5, 0b10110)
-        assert hamming_distance(v, v) == 0
-
-    def test_direct_count(self):
-        # (-1,-1,-1) vs (+1,+1,-1)
-        assert hamming_distance(V(3, 0b000), V(3, 0b011)) == 2
-
-    def test_antipode_distance(self):
-        v = V(7, 0b1010011)
-        assert hamming_distance(v, antipode(v)) == 7
-
-    def test_symmetric(self):
-        a, b = V(4, 0b0110), V(4, 0b1010)
-        assert hamming_distance(a, b) == hamming_distance(b, a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            hamming_distance(V(3, 0), V(4, 0))
-
-
 def test_antipode_involution():
     for bits in range(16):
         v = V(4, bits)
-        assert antipode(antipode(v)) == v
-
-
-class TestEnumerateFace:
-    def test_square_diagonal(self):
-        got = {u.bits for u in enumerate_face(V(2, 0b00), V(2, 0b11))}
-        assert got == {0b01, 0b10}
-
-    def test_distance_one_is_empty(self):
-        assert list(enumerate_face(V(3, 0b000), V(3, 0b001))) == []
-
-    def test_full_diagonal_d3(self):
-        got = list(enumerate_face(V(3, 0b000), V(3, 0b111)))
-        assert len(got) == 6
-        # oracle: all cube points that agree with both endpoints where they agree
-        brute = [u for u in full_cube(3)
-                 if u.bits not in (0b000, 0b111)]
-        assert {u.bits for u in got} == {u.bits for u in brute}
-
-    def test_counts_exhaustive_small_d(self):
-        # brute-force oracle: filter the whole cube by coordinate agreement
-        for d in (2, 3, 4):
-            cube = list(full_cube(d))
-            for v in cube:
-                for w in cube:
-                    if v.bits == w.bits:
-                        continue
-                    k = hamming_distance(v, w)
-                    agree = ((1 << d) - 1) & ~(v.bits ^ w.bits)
-                    brute = {u.bits for u in cube
-                             if (u.bits ^ v.bits) & agree == 0} - {v.bits, w.bits}
-                    got = {u.bits for u in enumerate_face(v, w)}
-                    assert got == brute
-                    assert len(got) == 2 ** k - 2
-
-    def test_include_endpoints(self):
-        got = list(enumerate_face(V(2, 0b00), V(2, 0b11), include_endpoints=True))
-        assert len(got) == 4
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateInput):
-            list(enumerate_face(V(3, 0b101), V(3, 0b101)))
-
-
-def test_subcube_face_mask():
-    face = subcube_face(V(4, 0b0001), V(4, 0b0111))
-    assert face.k == 2
-    assert face.free_coords == 0b0110
-    assert face.contains_bits(0b0011)
-    assert not face.contains_bits(0b1001)
+        assert v.antipode().antipode() == v
+        assert v.antipode().coords() == tuple(-c for c in v.coords())
 
 
 class TestSampling:
     def test_full_cube_is_the_only_choice(self):
-        X = sample_vertex_set(3, 8, stream(1, "t"))
-        assert {v.bits for v in X} == set(range(8))
+        assert set(sample_vertex_bits(3, 8, stream(1, "t"))) == set(range(8))
 
     def test_seed_determinism(self):
-        a = sample_vertex_set(3, 7, stream(42, "t"))
-        b = sample_vertex_set(3, 7, stream(42, "t"))
-        assert [v.bits for v in a] == [v.bits for v in b]
+        a = sample_vertex_bits(3, 7, stream(42, "t"))
+        b = sample_vertex_bits(3, 7, stream(42, "t"))
+        assert a == b
 
     def test_sizes_and_distinctness(self):
         rng = stream(3, "t")
         for n in (2, 5, 11, 30):
-            X = sample_vertex_set(5, n, rng)
+            X = sample_vertex_bits(5, n, rng)
             assert len(X) == n
-            assert len({v.bits for v in X}) == n
+            assert len(set(X)) == n
+            assert all(0 <= b < 32 for b in X)
 
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
-            sample_vertex_set(3, 9, stream(0, "t"))
+            sample_vertex_bits(3, 9, stream(0, "t"))
 
     def test_pair_frequencies_uniform(self):
         # frequency oracle: each of the C(8,2)=28 two-element subsets of the
@@ -118,8 +45,7 @@ class TestSampling:
         counts = {}
         trials = 100_000
         for _ in range(trials):
-            X = sample_vertex_set(3, 2, rng)
-            key = frozenset(v.bits for v in X)
+            key = frozenset(sample_vertex_bits(3, 2, rng))
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 28
         p = 1 / 28
@@ -133,8 +59,7 @@ class TestSampling:
         counts = {}
         trials = 20_000
         for _ in range(trials):
-            X = sample_vertex_set(2, 3, rng)
-            key = frozenset(v.bits for v in X)
+            key = frozenset(sample_vertex_bits(2, 3, rng))
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 4
         p = 1 / 4
@@ -142,39 +67,13 @@ class TestSampling:
         for c in counts.values():
             assert abs(c - trials * p) <= 3 * sigma
 
-
-class TestSamplePair:
-    def test_two_element_set(self):
-        X = VertexSet(3, (V(3, 1), V(3, 6)))
-        v, w = sample_pair(X, stream(5, "p"))
-        assert {v.bits, w.bits} == {1, 6}
-
-    def test_members_distinct_and_contained(self):
-        X = sample_vertex_set(4, 9, stream(8, "p"))
-        rng = stream(9, "p")
-        for _ in range(200):
-            v, w = sample_pair(X, rng)
-            assert v.bits != w.bits
-            assert v in X and w in X
-
-    def test_pair_frequencies(self):
-        X = sample_vertex_set(4, 5, stream(10, "p"))
-        rng = stream(11, "p")
-        counts = {}
-        trials = 30_000
-        for _ in range(trials):
-            v, w = sample_pair(X, rng)
-            key = frozenset((v.bits, w.bits))
-            counts[key] = counts.get(key, 0) + 1
-        assert len(counts) == 10
-        p = 1 / 10
-        sigma = math.sqrt(trials * p * (1 - p))
-        for c in counts.values():
-            assert abs(c - trials * p) <= 3 * sigma
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            sample_pair(VertexSet(2, (V(2, 0),)), stream(0, "p"))
+    def test_words_wider_than_63_bits(self):
+        # d >= 64 draws whole words with rand_bits instead of indices
+        X = sample_vertex_bits(70, 40, stream(6, "wide"))
+        assert len(set(X)) == 40
+        assert all(0 <= b < 1 << 70 for b in X)
+        assert any(b >> 64 for b in X)
+        assert sample_vertex_bits(70, 40, stream(6, "wide")) == X
 
 
 class TestCutPolytope:
@@ -204,21 +103,3 @@ class TestCutPolytope:
             cut_polytope_vertices(2)
         with pytest.raises(ValueError):
             cut_polytope_vertices(8)
-
-
-class TestFrom01:
-    def test_all_zero(self):
-        assert from_01([0, 0, 0]).coords() == (-1, -1, -1)
-
-    def test_mixed(self):
-        assert from_01([1, 0, 1]).coords() == (1, -1, 1)
-
-    def test_roundtrip(self):
-        for bits in range(16):
-            v = V(4, bits)
-            back = from_01([(c + 1) // 2 for c in v.coords()])
-            assert back == v
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            from_01([0, 2, 1])

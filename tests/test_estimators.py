@@ -209,10 +209,6 @@ class TestTauTable:
         table = build_tau_table(4, 6, samples=100, seed=1)
         assert table.entries[0].exact_value == 1
 
-    def test_monotonicity_violations_empty_for_exact(self):
-        table = build_tau_table(4, 14, samples=100, seed=1, exact_budget=10_000)
-        assert table.monotonicity_violations() == []
-
 
 class TestPiKSemianalytic:
     def test_d3_n8_cases(self):

@@ -2,15 +2,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from polydense import (BudgetExceeded, CubeVertex, VertexSet, cut_polytope_vertices,
-                       full_cube, graph_density_exact, graph_density_sampled,
-                       is_edge, sample_vertex_set)
-from polydense.graph import EXACT, SAMPLED, long_edge_survives
+from polydense import (BudgetExceeded, CubeVertex, DegenerateInput, VertexSet,
+                       cut_polytope_vertices, edge_kernel, full_cube,
+                       graph_density_exact, is_edge, long_edge_survives,
+                       sample_vertex_bits)
 from polydense.rng import stream
 
 
 def V(d, bits):
     return CubeVertex(d, bits)
+
+
+def random_set(d, n, rng):
+    return VertexSet(d, tuple(V(d, b) for b in sample_vertex_bits(d, n, rng)))
 
 
 class TestIsEdge:
@@ -44,7 +48,7 @@ class TestIsEdge:
             is_edge(small, V(3, 0), V(3, 1))
 
     def test_symmetry(self):
-        X = sample_vertex_set(4, 9, stream(31, "g"))
+        X = random_set(4, 9, stream(31, "g"))
         mem = X.members
         for i in range(len(mem)):
             for j in range(i + 1, len(mem)):
@@ -55,7 +59,7 @@ class TestIsEdge:
         # cube, so they cannot change any edge relation
         rng = stream(57, "sym")
         for _ in range(12):
-            X = sample_vertex_set(4, 8, rng)
+            X = random_set(4, 8, rng)
             perm = list(rng.permutation(4))
             flips = int(rng.integers(0, 16))
 
@@ -76,7 +80,7 @@ class TestIsEdge:
     def test_points_off_face_are_irrelevant(self):
         rng = stream(58, "drop")
         for _ in range(10):
-            X = sample_vertex_set(4, 9, rng)
+            X = random_set(4, 9, rng)
             v, w = X.members[0], X.members[1]
             free = v.bits ^ w.bits
             agree = 0b1111 & ~free
@@ -87,6 +91,37 @@ class TestIsEdge:
             before = is_edge(X, v, w)
             reduced = VertexSet(4, tuple(u for u in X.members if u != off_face[0]))
             assert is_edge(reduced, v, w) == before
+
+
+class TestEdgeKernel:
+    def test_face_filter_matches_brute_force_oracle(self):
+        # oracle: the open face of {v, w} is every point that agrees with v
+        # wherever v and w agree, minus v and w; in face coordinates a point
+        # is the mask of the free coordinates where it differs from v
+        rng = stream(5, "face")
+        for d in (2, 3, 4):
+            cube = list(range(1 << d))
+            for X in (cube, sample_vertex_bits(d, 3, rng),
+                      sample_vertex_bits(d, 1 << (d - 1), rng)):
+                for v in X:
+                    for w in X:
+                        if v == w:
+                            continue
+                        free = [i for i in range(d) if (v ^ w) >> i & 1]
+                        face = [u for u in X if u not in (v, w) and all(
+                            u >> i & 1 == v >> i & 1
+                            for i in range(d) if i not in free)]
+                        if X is cube:
+                            assert len(face) == 2 ** len(free) - 2
+                        local = [sum(1 << j for j, i in enumerate(free)
+                                     if (u ^ v) >> i & 1) for u in face]
+                        want = long_edge_survives(len(free), local)
+                        assert edge_kernel(d, v, w, X) == want
+                        assert edge_kernel(d, v, w, face) == want
+
+    def test_degenerate_pair(self):
+        with pytest.raises(DegenerateInput):
+            edge_kernel(3, 0b101, 0b101, range(8))
 
 
 def test_long_edge_survives_validates_interior():
@@ -104,8 +139,6 @@ class TestDensityExact:
         for d in (2, 3, 4):
             rep = graph_density_exact(full_cube(d))
             assert rep.density == F(d, 2 ** d - 1)
-            assert rep.mode == EXACT
-            assert rep.ci is None
 
     def test_two_points_are_an_edge(self):
         X = VertexSet(5, (V(5, 3), V(5, 28)))
@@ -123,32 +156,3 @@ class TestDensityExact:
         with pytest.raises(BudgetExceeded) as err:
             graph_density_exact(X, max_pairs=10)
         assert err.value.required == 120
-
-
-class TestDensitySampled:
-    def test_all_edges_hits_one(self):
-        X = cut_polytope_vertices(4)
-        rep = graph_density_sampled(X, 300, stream(1, "ds"))
-        assert rep.density == 1
-        assert rep.ci[1] == 1.0
-        assert rep.mode == SAMPLED
-
-    def test_cube_d3_within_3_sigma(self):
-        rep = graph_density_sampled(full_cube(3), 10_000, stream(2, "ds"))
-        target = 3 / 7
-        halfwidth = (rep.ci[1] - rep.ci[0]) / 2
-        assert abs(float(rep.density) - target) <= 3 * halfwidth
-
-    def test_seed_determinism(self):
-        a = graph_density_sampled(full_cube(3), 500, stream(9, "ds"))
-        b = graph_density_sampled(full_cube(3), 500, stream(9, "ds"))
-        assert a.density == b.density
-
-    def test_converges_to_exact_density_small_sets(self):
-        rng = stream(12, "cover")
-        for n in (3, 4, 5, 6, 7, 8):
-            X = sample_vertex_set(3, n, rng)
-            exact = graph_density_exact(X).density
-            rep = graph_density_sampled(X, 3000, stream(13, "cover", n))
-            sigma = (rep.ci[1] - rep.ci[0]) / (2 * 1.959963984540054)
-            assert abs(float(rep.density) - float(exact)) <= 3.5 * sigma
