@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from polydense import CubeVertex, cut_polytope_vertices, sample_vertex_bits
+from polydense import (CubeVertex, cut_polytope_vertices, edge_kernel, full_cube,
+                       sample_vertex_bits)
 from polydense.rng import stream
 
 
@@ -10,11 +11,67 @@ def V(d, bits):
     return CubeVertex(d, bits)
 
 
+class TestHamming:
+    def test_antipode_distance(self):
+        v = V(7, 0b1010011)
+        assert (v.bits ^ v.antipode().bits).bit_count() == 7
+        assert all(a != b for a, b in zip(v.coords(), v.antipode().coords()))
+
+
 def test_antipode_involution():
     for bits in range(16):
         v = V(4, bits)
         assert v.antipode().antipode() == v
         assert v.antipode().coords() == tuple(-c for c in v.coords())
+
+
+class TestEnumerateFace:
+    # the face of {v, w} is no longer listed on its own: edge_kernel keeps the
+    # points of that face as obstructions and drops every other point, so
+    # these cases check which points its filter keeps through its verdicts
+
+    def test_square_diagonal(self):
+        # the open face of 00 and 11 is {01, 10}; both together block the edge
+        assert not edge_kernel(2, 0b00, 0b11, [0b01, 0b10])
+        assert edge_kernel(2, 0b00, 0b11, [0b01])
+        assert edge_kernel(2, 0b00, 0b11, [0b10])
+        # lifted into the 3-cube, the points with x3 = +1 leave that face
+        assert edge_kernel(3, 0b000, 0b011, [0b101, 0b110])
+        assert not edge_kernel(3, 0b000, 0b011, [0b001, 0b010, 0b101, 0b110])
+
+    def test_distance_one_is_empty(self):
+        # a cube edge has no interior face points, so nothing can block it
+        for d in (2, 3, 4):
+            for v in range(1 << d):
+                for i in range(d):
+                    assert edge_kernel(d, v, v ^ 1 << i, range(1 << d))
+
+    def test_full_diagonal_d3(self):
+        # the face of 000 and 111 is the whole cube; each of its 6 interior
+        # points is kept, as an antipodal pair of them blocks the diagonal
+        interior = [u for u in range(8) if u not in (0b000, 0b111)]
+        assert len(interior) == 6
+        assert not edge_kernel(3, 0b000, 0b111, range(8))
+        for p in interior:
+            assert not edge_kernel(3, 0b000, 0b111, [p, p ^ 0b111])
+            assert edge_kernel(3, 0b000, 0b111, [p])
+
+    def test_counts_exhaustive_small_d(self):
+        # brute-force oracle: filter the whole cube by coordinate agreement
+        for d in (2, 3, 4):
+            cube = [u.bits for u in full_cube(d)]
+            for v in cube:
+                for w in cube:
+                    if v == w:
+                        continue
+                    k = (v ^ w).bit_count()
+                    agree = ((1 << d) - 1) & ~(v ^ w)
+                    face = [u for u in cube
+                            if (u ^ v) & agree == 0 and u not in (v, w)]
+                    assert len(face) == 2 ** k - 2
+                    # in the full cube only the cube edges are edges
+                    assert edge_kernel(d, v, w, cube) == (k == 1)
+                    assert edge_kernel(d, v, w, face) == (k == 1)
 
 
 class TestSampling:
