@@ -31,6 +31,14 @@ __all__ = ["main"]
 
 DEFAULT_SEED = 20250809
 
+# --method choices per subcommand; argparse checks the flag, _method the
+# value a config file supplies.
+_METHODS = {
+    "tau": ("auto", "exact", "mc", "via-alpha"),
+    "alpha": ("auto", "exact", "mc", "chambers"),
+    "pi": ("mc", "decomp", "both"),
+}
+
 
 def _fmt(x) -> str:
     if x is None:
@@ -60,8 +68,10 @@ def _parse_ints(text: str) -> list[int]:
         if not part:
             continue
         if ":" in part:
-            lo, hi = part.split(":", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in part.split(":", 1))
+            if lo > hi:
+                raise ValueError(f"range {part!r} is descending")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return out
@@ -101,6 +111,15 @@ class _Params:
         if key in self.config:
             return parse(self.config[key])
         return default
+
+
+def _method(p: _Params, command: str, default: str) -> str:
+    """--method, else the config file, else the default; one of _METHODS[command]."""
+    method = p.get("method", str, default)
+    if method not in _METHODS[command]:
+        raise ValueError(f"method must be one of {', '.join(_METHODS[command])}, "
+                         f"got {method!r}")
+    return method
 
 
 def _workers(p: _Params) -> int:
@@ -169,7 +188,7 @@ def cmd_tau(ns: argparse.Namespace) -> int:
     samples = p.get("samples", int, 20_000)
     seed = p.get("seed", int, DEFAULT_SEED)
     workers = _workers(p)
-    method = p.get("method", str, "auto")
+    method = _method(p, "tau", "auto")
     exact_budget = p.get("exact-budget", int, 20_000)
     if ratios is not None:
         given = [f"--{key}" for key in ("m", "method", "exact-budget")
@@ -211,8 +230,10 @@ def cmd_alpha(ns: argparse.Namespace) -> int:
     samples = p.get("samples", int, 20_000)
     seed = p.get("seed", int, DEFAULT_SEED)
     workers = _workers(p)
-    method = p.get("method", str, "auto")
+    method = _method(p, "alpha", "auto")
     exact_budget = p.get("exact-budget", int, 20_000)
+    if method == "chambers" and p.get("exact-budget", str, None) is not None:
+        raise ValueError("--method chambers takes no --exact-budget")
     header = ["experiment", "k", "m", "method", "estimate", "stderr", "ci_lo",
               "ci_hi", "exact_value", "samples", "seed", "wall_time_s"]
     rows = []
@@ -248,7 +269,7 @@ def cmd_pi(ns: argparse.Namespace) -> int:
     tau_samples = p.get("tau-samples", int, 3000)
     seed = p.get("seed", int, DEFAULT_SEED)
     workers = _workers(p)
-    method = p.get("method", str, "both")
+    method = _method(p, "pi", "both")
     header = ["experiment", "d", "n", "k", "method", "estimate", "stderr",
               "ci_lo", "ci_hi", "exact_value", "samples", "seed", "wall_time_s"]
     rows = []
@@ -354,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", help="face dimensions, e.g. 3 or 6,8,10,12")
     sub.add_argument("--m", help="obstruction counts, e.g. 0:6 (default: all)")
     sub.add_argument("--ratio", help="m = ceil(ratio*k) sweep, e.g. 1.5,2,2.5,3")
-    sub.add_argument("--method", choices=["auto", "exact", "mc", "via-alpha"])
+    sub.add_argument("--method", choices=_METHODS["tau"])
     sub.add_argument("--exact-budget", type=int,
                      help="max subsets for exhaustive cells")
     _shared_flags(sub, "seed", "samples", "workers", "out")
@@ -363,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("alpha", help="antipodal-free conditional probability")
     sub.add_argument("--k", help="face dimensions")
     sub.add_argument("--m", help="class counts, e.g. 0:7")
-    sub.add_argument("--method", choices=["auto", "exact", "mc", "chambers"])
+    sub.add_argument("--method", choices=_METHODS["alpha"])
     sub.add_argument("--exact-budget", type=int)
     _shared_flags(sub, "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_alpha)
@@ -371,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("pi", help="edge probability pi(d, n)")
     sub.add_argument("--d", type=int)
     sub.add_argument("--n", type=int)
-    sub.add_argument("--method", choices=["mc", "decomp", "both"])
+    sub.add_argument("--method", choices=_METHODS["pi"])
     sub.add_argument("--tau-samples", type=int,
                      help="Monte-Carlo budget per tau table cell")
     _shared_flags(sub, "seed", "samples", "workers", "out")

@@ -2,13 +2,13 @@
 
 One LP, origin_in_conv, is the single geometric kernel: the edge test's
 segment-vs-hull query and chamber sign-vector feasibility are both derived
-from it.  The solver is a dense phase-one simplex with Bland's anti-cycling
-rule, run on an integer tableau with a common denominator (fraction-free
-pivoting: each pivot divides exactly by the previous pivot element), so
-every comparison and every certificate is exact.  With POLYDENSE_LP_CHECK
-set at import, every pivot division and every origin_in_conv certificate
-(so every verdict of the functions below) is verified exactly; a failure
-raises ArithmeticError.
+from it.  The solver is a dense phase-one simplex with Dantzig pricing and
+the lexicographic ratio test, run on an integer tableau with a common
+denominator (fraction-free pivoting: each pivot divides exactly by the
+previous pivot element), so every comparison and every certificate is
+exact.  With POLYDENSE_LP_CHECK set at import, every pivot division and
+every origin_in_conv certificate (so every verdict of the functions below)
+is verified exactly; a failure raises ArithmeticError.
 
 Certificate conventions:
 
@@ -137,11 +137,22 @@ class _Tableau:
         self.basis[r] = c
 
     def phase_one(self) -> bool:
-        """Minimise the sum of the artificials; True iff the system is feasible."""
+        """Minimise the sum of the artificials; True iff the system is feasible.
+
+        Dantzig pricing enters the most negative reduced cost (lowest index on
+        ties).  The leaving row is the lexicographic minimum of
+        (rhs, B^-1 row) / pivot-column entry over the rows with a positive
+        entry, compared by integer cross-multiplication; B^-1 occupies the
+        artificial columns and is nonsingular, so the minimum is unique.  The
+        initial rows (rhs_i, e_i) are lexicographically positive and the rule
+        keeps them so, so no basis repeats and the method cannot cycle
+        (Dantzig, Orden and Wolfe, 1955).
+        """
         rows = self.rows
         m = self.m
         rhs = self.rhs_col
         ncols = self.n + m
+        lex_cols = [rhs] + list(range(self.n, ncols))
         iters = 0
         while True:
             obj = rows[m]
@@ -150,24 +161,24 @@ class _Tableau:
                 raise RuntimeError("simplex iteration cap exceeded")
             if obj[rhs] == 0:
                 return True
-            enter = -1
-            for j in range(ncols):
-                if obj[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
+            price = min(obj[:ncols])
+            if price >= 0:
                 return False
+            enter = obj.index(price)
             leave = -1
             for i in range(m):
-                a = rows[i][enter]
+                row = rows[i]
+                a = row[enter]
                 if a > 0:
                     if leave < 0:
-                        leave = i
-                    else:
-                        lhs = rows[i][rhs] * rows[leave][enter]
-                        rhv = rows[leave][rhs] * a
-                        if lhs < rhv or (lhs == rhv and self.basis[i] < self.basis[leave]):
-                            leave = i
+                        leave, best, b = i, row, a
+                        continue
+                    for j in lex_cols:
+                        diff = row[j] * b - best[j] * a
+                        if diff:
+                            if diff < 0:
+                                leave, best, b = i, row, a
+                            break
             if leave < 0:
                 raise RuntimeError("phase-one objective cannot be unbounded")
             self._pivot(leave, enter)
@@ -263,8 +274,11 @@ def segment_hull_intersect(a: Sequence, b: Sequence, S: Iterable[Sequence]) -> b
     conv(S) - conv{a, b} = conv{s - a, s - b}, so this is a lifted hull test:
     0 is in conv({(-a, -1), (-b, -1)} ∪ {(s, 1)}) iff it is in that
     difference, the last coordinate splitting the weights 1/2-1/2 between
-    segment and hull.  The endpoints come first, where Bland's rule enters
-    them first.  An empty S meets nothing.
+    segment and hull.  The endpoints come first: on the diagonal queries of
+    the edge test (a = -1, b = 1) the lifted a has the most negative reduced
+    cost and enters first, winning its ties by index, and this order took
+    slightly fewer pivots than endpoints last on sampled k = 12 faces.  An
+    empty S meets nothing.
     """
     av = _coerce_vector(a)
     bv = _coerce_vector(b)

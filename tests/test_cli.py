@@ -21,6 +21,16 @@ def _run(argv, tmp_path=None):
     return code, buf.getvalue()
 
 
+def _error(argv):
+    """Run argv expecting exit 2 with no output; return the error text."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = _run(argv)
+    assert code == 2
+    assert out == ""
+    return err.getvalue()
+
+
 def _strip_wall_time(text: str) -> str:
     lines = []
     for line in text.strip().splitlines():
@@ -52,13 +62,8 @@ class TestTauCommand:
                                       ["--exact-budget", "1"], ["--m", "0"]],
                              ids=["method", "exact-budget", "m"])
     def test_ratio_rejects_flags_it_does_not_read(self, flag):
-        err = io.StringIO()
-        with redirect_stderr(err):
-            code, out = _run(["tau", "--k", "3", "--ratio", "1.5", "--samples",
-                              "100", "--seed", "1"] + flag)
-        assert code == 2
-        assert out == ""
-        assert flag[0] in err.getvalue()
+        assert flag[0] in _error(["tau", "--k", "3", "--ratio", "1.5", "--samples",
+                                  "100", "--seed", "1"] + flag)
 
     def test_m_range_spec(self):
         code, text = _run(["tau", "--k", "4", "--m", "0:2", "--seed", "3"])
@@ -78,6 +83,10 @@ class TestDensityCommand:
         assert rows[0]["estimate"] != ""
         assert rows[1]["estimate"] == ""
         assert rows[1]["note"] == "n out of range"
+
+    def test_descending_range_is_an_error(self):
+        assert "range '6:4' is descending" in _error(
+            ["density", "--d", "6:4", "--samples", "10"])
 
     def test_byte_determinism_across_workers_and_reruns(self, tmp_path):
         args = ["density", "--d", "6", "--base", "1.25", "--samples", "400",
@@ -106,15 +115,19 @@ class TestAlphaCommand:
         rows = list(csv.DictReader(io.StringIO(text)))
         assert rows[0]["method"] == "chambers"
 
+    def test_chamber_method_takes_no_exact_budget(self, tmp_path):
+        argv = ["alpha", "--k", "3", "--m", "2", "--method", "chambers",
+                "--samples", "20"]
+        assert "--exact-budget" in _error(argv + ["--exact-budget", "5"])
+        cfg = tmp_path / "budget.conf"
+        cfg.write_text("exact-budget=5\n")
+        assert "--exact-budget" in _error(argv + ["--config", str(cfg)])
+
     def test_exact_over_budget_is_an_error(self):
         # as for tau: --method exact never falls back to Monte Carlo
-        err = io.StringIO()
-        with redirect_stderr(err):
-            code, out = _run(["alpha", "--k", "6", "--m", "10", "--method",
-                              "exact", "--exact-budget", "10"])
-        assert code == 2
-        assert out == ""
-        assert "alpha(6,10) enumeration exceeds exact budget" in err.getvalue()
+        assert "alpha(6,10) enumeration exceeds exact budget" in _error(
+            ["alpha", "--k", "6", "--m", "10", "--method", "exact",
+             "--exact-budget", "10"])
 
 
 class TestPiCommand:
@@ -176,6 +189,17 @@ class TestConfigFile:
         code, text = _run(["tau", "--m", "2", "--k", "3", "--config", str(cfg)])
         rows = list(csv.DictReader(io.StringIO(text)))
         assert rows[0]["k"] == "3"
+
+    @pytest.mark.parametrize("argv", [
+        ["pi", "--d", "3", "--n", "4", "--samples", "10"],
+        ["alpha", "--k", "3", "--m", "2"],
+        ["tau", "--k", "4", "--m", "5", "--exact-budget", "1"],
+    ], ids=["pi", "alpha", "tau"])
+    def test_method_from_config_is_checked(self, tmp_path, argv):
+        # argparse checks only the --method flag's choices
+        cfg = tmp_path / "method.conf"
+        cfg.write_text("method=bogus\n")
+        assert "got 'bogus'" in _error(argv + ["--config", str(cfg)])
 
     def test_parse_errors(self, tmp_path):
         cfg = tmp_path / "bad.conf"
@@ -257,31 +281,23 @@ class TestWorkerCount:
 
     ARGV = ["tau", "--k", "3", "--m", "0", "--seed", "1"]
 
-    def _error(self, argv):
-        err = io.StringIO()
-        with redirect_stderr(err):
-            code, out = _run(argv)
-        assert code == 2
-        assert out == ""
-        return err.getvalue()
-
     def test_env_not_an_integer(self, monkeypatch):
         monkeypatch.setenv("POLYDENSE_WORKERS", "abc")
         assert "error: POLYDENSE_WORKERS must be a positive integer, got 'abc'" \
-            in self._error(self.ARGV)
+            in _error(self.ARGV)
 
     def test_env_zero(self, monkeypatch):
         monkeypatch.setenv("POLYDENSE_WORKERS", "0")
         assert "error: POLYDENSE_WORKERS must be a positive integer, got '0'" \
-            in self._error(self.ARGV)
+            in _error(self.ARGV)
 
     def test_flag_zero(self, monkeypatch):
         monkeypatch.delenv("POLYDENSE_WORKERS", raising=False)
-        assert "got 0" in self._error(self.ARGV + ["--workers", "0"])
+        assert "got 0" in _error(self.ARGV + ["--workers", "0"])
 
     def test_flag_negative(self, monkeypatch):
         monkeypatch.delenv("POLYDENSE_WORKERS", raising=False)
-        assert "got -3" in self._error(self.ARGV + ["--workers", "-3"])
+        assert "got -3" in _error(self.ARGV + ["--workers", "-3"])
 
     def test_flag_beats_a_bad_env(self, monkeypatch):
         monkeypatch.setenv("POLYDENSE_WORKERS", "abc")

@@ -6,9 +6,12 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polydense
 from polydense import DimensionMismatch, exactlp
+from polydense.estimators import _sample_star_subset
 from polydense.exactlp import (FEASIBLE, INFEASIBLE, check_convex_combination,
                                check_strict_witness, origin_in_conv,
                                segment_hull_intersect, strict_separation)
@@ -222,7 +225,8 @@ def leg():
                           for _ in range(d)) for _ in range(int(rng.integers(2, 9)))]
         segments.append(segment_hull_intersect(a, b, S))
     assert 0 < sum(segments) < len(segments)
-    return repr((sweep, counts, segments, tau_mc(6, 8, 200, 2718)))
+    return repr((sweep, counts, segments, tau_mc(6, 8, 200, 2718),
+                 tau_mc(12, 36, 40, 2718)))
 """
 
 
@@ -243,3 +247,88 @@ print(leg())
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == namespace["leg"]()
+
+
+@pytest.mark.parametrize("k, m", [(12, 36), (16, 160)])
+def test_pivots_per_solve_stay_linear_in_k(monkeypatch, k, m):
+    """A machine-independent cost guard on the edge test's own shape: mean
+    pivots per diagonal-vs-hull solve over sampled face subsets, sorted and
+    antipode-free as long_edge_survives hands them on, is at most 3k.
+    These instances take 20.3 and 31.7 pivots; Bland's rule took 39.2
+    and 263."""
+    pivots = 0
+    real = exactlp._Tableau._pivot
+
+    def counted(self, r, c):
+        nonlocal pivots
+        pivots += 1
+        real(self, r, c)
+
+    monkeypatch.setattr(exactlp._Tableau, "_pivot", counted)
+    rng = stream(4142, f"pivot-guard:k={k}:m={m}")
+    mask = (1 << k) - 1
+    solves = 0
+    while solves < 15:
+        pts = sorted(_sample_star_subset(rng, k, m))
+        if any(p ^ mask in pts for p in pts):
+            continue  # long_edge_survives answers these with no LP
+        S = [tuple(1 if p >> i & 1 else -1 for i in range(k)) for p in pts]
+        segment_hull_intersect((-1,) * k, (1,) * k, S)
+        solves += 1
+    assert pivots / solves <= 3 * k
+
+
+@st.composite
+def _degenerate_configs(draw):
+    """Small integer configurations with forced duplicates, zero vectors and
+    points on a line through two others."""
+    d = draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 5))):
+        if len(pts) >= 10:
+            break
+        kind = draw(st.sampled_from(["duplicate", "zero", "collinear"]))
+        p = draw(st.sampled_from(pts))
+        if kind == "duplicate":
+            pts.append(p)
+        elif kind == "zero":
+            pts.append((0,) * d)
+        else:
+            q = draw(st.sampled_from(pts))
+            t = draw(st.integers(-2, 3))
+            pts.append(tuple(x + t * (y - x) for x, y in zip(p, q)))
+    return draw(st.permutations(pts)), d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_degenerate_configs())
+def test_degenerate_input_terminates_with_certificates(config):
+    S, d = config
+    inside = origin_in_conv(S, dim=d)
+    if inside.feasible:
+        assert check_convex_combination(S, inside.witness)
+    else:
+        assert check_strict_witness(S, inside.certificate, margin=1)
+    split = strict_separation(S, dim=d)
+    assert split.feasible != inside.feasible
+
+
+@pytest.mark.parametrize("keep, meets", [(lambda p: True, True),
+                                         (lambda p: p & 1, False)],
+                         ids=["all-62", "facet-31"])
+def test_six_cube_interior_points(keep, meets):
+    """All 62 interior points of the 6-cube, a maximally degenerate input
+    (31 antipodal pairs, ties in the ratio tests), meet the diagonal; the 31
+    on the facet x_0 = +1 miss it."""
+    k = 6
+    S = [tuple(1 if p >> i & 1 else -1 for i in range(k))
+         for p in range(1, (1 << k) - 1) if keep(p)]
+    assert segment_hull_intersect((-1,) * k, (1,) * k, S) is meets
+    lifted = [(1,) * k + (-1,), (-1,) * k + (-1,)] + [s + (1,) for s in S]
+    res = origin_in_conv(lifted)
+    assert res.feasible is meets
+    if meets:
+        assert check_convex_combination(lifted, res.witness)
+    else:
+        assert check_strict_witness(lifted, res.certificate, margin=1)
