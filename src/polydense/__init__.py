@@ -6,8 +6,8 @@ and seeded threshold experiments around the square-root-of-2 density
 transition.
 """
 
-from .arrangements import (BRUTE_FORCE, SIGN_SEARCH, ChamberCount, VectorConfig,
-                           build_config_plus, chamber_count,
+from .arrangements import (BRUTE_FORCE, DELETION_RESTRICTION, ChamberCount,
+                           VectorConfig, build_config_plus, chamber_count,
                            chamber_count_bruteforce, harding_bound,
                            moivre_laplace_ratio, normal_cdf, partial_binomial_sum,
                            phi_project)

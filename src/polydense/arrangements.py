@@ -2,8 +2,9 @@
 
 Covers the orthogonal projection of ±1-cube vertices onto the hyperplane
 orthogonal to the all-one direction, the derived vector configurations,
-chamber counting via sign vectors, partial binomial sums, the Harding
-chamber bound, and the normal CDF limit of scaled binomial tails.
+chamber counting by deletion–restriction (Zaslavsky 1975) in integer
+arithmetic with a brute-force LP oracle twin, partial binomial sums, the
+Harding chamber bound, and the normal CDF limit of scaled binomial tails.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from typing import Iterable, Sequence
 
 from .cube import CubeVertex
 from .errors import BudgetExceeded, DegenerateInput
-from .exactlp import origin_in_conv, strict_separation
+from .exactlp import _clear_denominators, _coerce_config, origin_in_conv
+# Not called here: perfbench/spans.py wraps arrangements.strict_separation
+# by name and fails to install without it.
+from .exactlp import strict_separation  # noqa: F401
 
 __all__ = [
     "VectorConfig",
     "ChamberCount",
-    "SIGN_SEARCH",
+    "DELETION_RESTRICTION",
     "BRUTE_FORCE",
     "phi_project",
     "build_config_plus",
@@ -34,7 +38,7 @@ __all__ = [
     "moivre_laplace_ratio",
 ]
 
-SIGN_SEARCH = "sign-search"
+DELETION_RESTRICTION = "deletion-restriction"
 BRUTE_FORCE = "brute-force"
 
 
@@ -107,92 +111,73 @@ def build_config_plus(r: int, max_vectors: int = 1_000_000) -> VectorConfig:
     return _config_plus_cached(r)
 
 
-def _canonical_ray(vec: Sequence) -> tuple[Fraction, ...]:
-    """Representative of {c * vec : c != 0}: first nonzero entry becomes 1."""
-    v = tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec)
-    lead = next((x for x in v if x != 0), None)
-    if lead is None:
+def _primitive(v: Sequence) -> tuple[int, ...]:
+    """The primitive integer vector on the line through v (int or Fraction
+    entries): denominators cleared, divided by the gcd, first nonzero entry
+    positive.  Nonzero vectors give one hyperplane iff these agree."""
+    ints, _ = _clear_denominators(v)
+    g = math.gcd(*ints)
+    if g == 0:
         raise ValueError("configuration vectors must be nonzero")
-    return tuple(Fraction(x) / lead for x in v)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
-def _integer_scaled(v: Sequence) -> tuple[int, ...]:
-    """The least positive multiple of a rational vector with integer entries;
-    it spans the same ray and has the same signs under every functional."""
-    mult = math.lcm(*(x.denominator for x in v))
-    return tuple(int(x * mult) for x in v)
+def _dedupe(S, max_m: int) -> tuple[list[tuple[int, ...]], int | None]:
+    """One primitive vector per distinct hyperplane of S, sorted, at most
+    max_m of them, and the dimension r of S (None for an empty S that is
+    not a VectorConfig)."""
+    vectors, r = (S.vectors, S.r) if isinstance(S, VectorConfig) else (S, None)
+    vecs, r = _coerce_config(vectors, r)
+    lines = sorted({_primitive(v) for v in vecs})
+    if len(lines) > max_m:
+        raise BudgetExceeded(f"{len(lines)} hyperplanes exceed max_m={max_m}",
+                             required=len(lines))
+    return lines, r
 
 
-def _dedupe(S) -> tuple[list[tuple[int, ...]], int | None]:
-    """One integer vector per distinct ray of S, in canonical-ray order."""
-    if isinstance(S, VectorConfig):
-        vectors, r = S.vectors, S.r
-    else:
-        vectors = [tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v)
-                   for v in S]
-        r = len(vectors[0]) if vectors else None
-    canon = sorted({_canonical_ray(v) for v in vectors})
-    return [_integer_scaled(v) for v in canon], r
+def _chambers(lines: list[tuple[int, ...]], dim: int) -> int:
+    """Chambers of the hyperplanes v^⊥, v in lines, inside a dim-dimensional
+    subspace that contains every v; lines are distinct primitive vectors.
+
+    Deletion–restriction on the first line v: the chambers without v, plus
+    those of the arrangement restricted to v^⊥, whose normals are the
+    projections (v·v)u - (u·v)v of the other lines.  No projection is zero,
+    since the lines are distinct; parallel projections merge into one.
+    """
+    if not lines:
+        return 1
+    if dim <= 2:
+        # distinct lines through the origin of a plane (a line: at most one)
+        return 2 * len(lines)
+    v, rest = lines[0], lines[1:]
+    vv = sum(x * x for x in v)
+    uvs = [sum(a * b for a, b in zip(u, v)) for u in rest]
+    restricted = {_primitive([vv * a - uv * b for a, b in zip(u, v)])
+                  for u, uv in zip(rest, uvs)}
+    return _chambers(rest, dim) + _chambers(list(restricted), dim - 1)
 
 
 def chamber_count(S: "VectorConfig | Iterable[Sequence]", max_m: int = 24) -> ChamberCount:
     """Number of chambers of the central arrangement defined by S.
 
-    Counts sign assignments whose signed configuration admits a strict
-    separator, by depth-first search over sign prefixes: an infeasible
-    prefix cannot become feasible, so the subtree is pruned.  Vectors that
-    are nonzero multiples of one another define the same hyperplane and are
-    deduplicated first.  Rays are scaled to integer vectors, which keeps
-    every sign and so every count; the separators strict_separation returns
-    as witnesses are integer already.
+    Vectors that are nonzero multiples of one another define the same
+    hyperplane and are merged first.  The count then follows Zaslavsky's
+    (1975) deletion–restriction identity r(A) = r(A - H) + r(A^H) in exact
+    integer arithmetic, with no LP.
     """
-    vecs, r = _dedupe(S)
-    m = len(vecs)
-    if m > max_m:
-        raise BudgetExceeded(f"sign search over {m} vectors exceeds max_m={max_m}",
-                             required=m)
-    if m == 0:
-        return ChamberCount(count=1, method=SIGN_SEARCH)
-
-    def dot(h, s):
-        return sum(a * b for a, b in zip(h, s))
-
-    prefix: list[tuple[int, ...]] = []
-
-    def dfs(idx: int, witness) -> int:
-        if idx == m:
-            return 1
-        total = 0
-        base = vecs[idx]
-        for sign in (1, -1):
-            sv = base if sign == 1 else tuple(-x for x in base)
-            if witness is not None and dot(witness, sv) > 0:
-                prefix.append(sv)
-                total += dfs(idx + 1, witness)
-                prefix.pop()
-                continue
-            res = strict_separation(prefix + [sv], dim=r)
-            if res.feasible:
-                prefix.append(sv)
-                total += dfs(idx + 1, res.witness)
-                prefix.pop()
-        return total
-
-    return ChamberCount(count=dfs(0, None), method=SIGN_SEARCH)
+    lines, r = _dedupe(S, max_m)
+    return ChamberCount(count=_chambers(lines, r or 0), method=DELETION_RESTRICTION)
 
 
 def chamber_count_bruteforce(S: "VectorConfig | Iterable[Sequence]",
                              max_m: int = 14) -> ChamberCount:
     """Oracle twin of chamber_count: iterate all 2**m sign vectors and count
     those whose signed set misses the origin in its convex hull."""
-    vecs, _ = _dedupe(S)
-    m = len(vecs)
-    if m > max_m:
-        raise BudgetExceeded(f"2^{m} sign vectors exceed max_m={max_m}", required=m)
-    if m == 0:
-        return ChamberCount(count=1, method=BRUTE_FORCE)
+    vecs, _ = _dedupe(S, max_m)
     count = 0
-    for signs in product((1, -1), repeat=m):
+    for signs in product((1, -1), repeat=len(vecs)):
         signed = [v if s == 1 else tuple(-x for x in v) for v, s in zip(vecs, signs)]
         if not origin_in_conv(signed).feasible:
             count += 1

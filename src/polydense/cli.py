@@ -60,13 +60,18 @@ def _est_fields(e: Estimate | None) -> list[str]:
             _fmt_exact(e), str(e.samples)]
 
 
+def _fields(text: str) -> list[str]:
+    """The nonempty comma-separated fields of text; ValueError if none."""
+    fields = [part.strip() for part in str(text).split(",") if part.strip()]
+    if not fields:
+        raise ValueError(f"no values in {text!r}")
+    return fields
+
+
 def _parse_ints(text: str) -> list[int]:
     """Comma list and inclusive a:b ranges: "3,5,7" or "0:6" or "1,4:6"."""
     out: list[int] = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _fields(text):
         if ":" in part:
             lo, hi = (int(x) for x in part.split(":", 1))
             if lo > hi:
@@ -78,7 +83,14 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in str(text).split(",") if p.strip()]
+    return [float(part) for part in _fields(text)]
+
+
+def _parse_bool(text: str) -> bool:
+    value = str(text).lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+    return value in ("1", "true", "yes")
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -297,10 +309,11 @@ def cmd_chambers(ns: argparse.Namespace) -> int:
     r = p.get("r", int, 3)
     m = p.get("m", int, 8)
     n_configs = p.get("configs", int, 100)
+    if n_configs < 0:
+        raise ValueError(f"configs must be nonnegative, got {n_configs}")
     source = p.get("source", str, "random")
     seed = p.get("seed", int, DEFAULT_SEED)
-    crosscheck = p.get("crosscheck", lambda v: str(v).lower() in ("1", "true", "yes"),
-                       False)
+    crosscheck = p.get("crosscheck", _parse_bool, False)
     header = ["experiment", "config_id", "source", "r", "m", "chambers", "method",
               "harding_bound", "bound_ok", "bruteforce", "seed", "wall_time_s"]
     if source not in ("random", "halfcube"):

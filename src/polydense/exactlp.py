@@ -1,8 +1,8 @@
 """Exact rational linear feasibility with certificates.
 
 One LP, origin_in_conv, is the single geometric kernel: the edge test's
-segment-vs-hull query and chamber sign-vector feasibility are both derived
-from it.  The solver is a dense phase-one simplex with Dantzig pricing and
+segment-vs-hull query and the brute-force chamber oracle are derived from
+it.  The solver is a dense phase-one simplex with Dantzig pricing and
 the lexicographic ratio test, run on an integer tableau with a common
 denominator (fraction-free pivoting: each pivot divides exactly by the
 previous pivot element), so every comparison and every certificate is

@@ -90,7 +90,7 @@ def _chamber_oracles(workers: int, seed: int, label: str, trials: int,
         b = chamber_count_bruteforce(vecs).count
         max_chi = max(max_chi, a)
         if a != b or a > harding_bound(r, m):
-            return False, f"trial {trial} (r={r}, m={m}): search {a}, brute {b}"
+            return False, f"trial {trial} (r={r}, m={m}): count {a}, brute {b}"
     return True, (f"{trials} configs agree exactly and respect the bound "
                   f"(max chi {max_chi})")
 
@@ -254,7 +254,7 @@ CRITERIA = (
               _tau_alpha_identity, True, {}, {}, 300),
     Criterion(4, "tau monotone in m + chamber-sum bound (k<=4, exact)",
               _tau_monotone_and_bound, True, {}, {}, 300),
-    Criterion(5, "chamber count: sign search vs brute force", _chamber_oracles,
+    Criterion(5, "chamber count: deletion–restriction vs brute force", _chamber_oracles,
               True,
               {"label": "verify:chambers", "trials": 40, "m_max": 8},
               {"label": "acc:chambers", "trials": 200, "m_max": 12},

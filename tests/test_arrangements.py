@@ -3,12 +3,14 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polydense import (BudgetExceeded, CubeVertex, DegenerateInput, build_config_plus,
-                       chamber_count, chamber_count_bruteforce, harding_bound,
-                       moivre_laplace_ratio, normal_cdf, partial_binomial_sum,
-                       phi_project)
-from polydense.arrangements import BRUTE_FORCE, SIGN_SEARCH, VectorConfig
+from polydense import (BudgetExceeded, CubeVertex, DegenerateInput, DimensionMismatch,
+                       arrangements, build_config_plus, chamber_count,
+                       chamber_count_bruteforce, harding_bound, moivre_laplace_ratio,
+                       normal_cdf, partial_binomial_sum, phi_project)
+from polydense.arrangements import BRUTE_FORCE, DELETION_RESTRICTION, VectorConfig
 from polydense.rng import stream
 
 
@@ -39,6 +41,50 @@ def _det(rows):
             f = a[i][c] / a[c][c]
             a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return det
+
+
+def _general_position_config(rng, r, m):
+    """Random config whose every r-subset is independent (checked exactly)."""
+    vecs = _random_config(rng, r, m)
+    while any(_det(sub) == 0 for sub in combinations(vecs, r)):
+        vecs = _random_config(rng, r, m)
+    return vecs
+
+
+_small_int = st.integers(-3, 3)
+_scale = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def _parallel_configs(draw):
+    """A few base vectors in R^r, each repeated and rescaled (sign flips too)."""
+    r = draw(st.integers(1, 4))
+    bases = draw(st.lists(st.tuples(*[_small_int] * r).filter(any),
+                          min_size=1, max_size=5))
+    vecs = [tuple(c * x for x in draw(st.sampled_from(bases)))
+            for c in draw(st.lists(_scale, min_size=1, max_size=10))]
+    return draw(st.permutations(bases + vecs))
+
+
+@st.composite
+def _rank_deficient_configs(draw):
+    """Vectors in R^r, r <= 5, spanning a subspace of dimension below r."""
+    r = draw(st.integers(2, 5))
+    basis = draw(st.lists(st.tuples(*[_small_int] * r), min_size=1, max_size=r - 1))
+    vecs = []
+    for coeffs in draw(st.lists(st.tuples(*[_small_int] * len(basis)),
+                                min_size=1, max_size=10)):
+        v = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(r))
+        if any(v):
+            vecs.append(tuple(F(x, draw(st.integers(1, 3))) for x in v))
+    return vecs or [(1,) + (0,) * (r - 1)]
+
+
+@st.composite
+def _halfcube_configs(draw):
+    """Subsets of the projected half configuration for k <= 6 (r = k - 1)."""
+    vectors = build_config_plus(draw(st.integers(1, 5))).vectors
+    return draw(st.lists(st.sampled_from(vectors), max_size=8, unique=True))
 
 
 class TestPhiProject:
@@ -160,8 +206,25 @@ class TestChamberCount:
             a = chamber_count(vecs)
             b = chamber_count_bruteforce(vecs)
             assert a.count == b.count
-            assert a.method == SIGN_SEARCH and b.method == BRUTE_FORCE
+            assert a.method == DELETION_RESTRICTION and b.method == BRUTE_FORCE
             assert a.count <= min(2 ** m, harding_bound(r, m))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_parallel_configs(), _rank_deficient_configs(),
+                     _halfcube_configs()))
+    def test_agrees_with_bruteforce_on_degenerate_configs(self, vecs):
+        assert chamber_count(vecs).count == chamber_count_bruteforce(vecs).count
+
+    def test_counts_with_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("chamber_count called an LP")
+
+        monkeypatch.setattr(arrangements, "origin_in_conv", no_lp)
+        monkeypatch.setattr(arrangements, "strict_separation", no_lp)
+        rng = stream(2024, "no-lp")
+        for r, m in ((2, 7), (3, 9), (4, 12), (5, 13)):
+            vecs = _general_position_config(rng, r, m)
+            assert chamber_count(vecs).count == harding_bound(r, m)
 
     def test_harding_equality_generic_up_to_r_plus_one(self):
         rng = stream(321, "generic")
@@ -175,13 +238,28 @@ class TestChamberCount:
         for _ in range(30):
             r = int(rng.integers(1, 5))
             m = int(rng.integers(r + 2, 11))
-            vecs = _random_config(rng, r, m)
-            while any(_det(sub) == 0 for sub in combinations(vecs, r)):
-                vecs = _random_config(rng, r, m)
+            vecs = _general_position_config(rng, r, m)
             assert chamber_count(vecs).count == harding_bound(r, m)
 
     def test_empty_config(self):
         assert chamber_count(VectorConfig(r=2, vectors=())).count == 1
+
+    def test_mixed_lengths_raise(self):
+        for count in (chamber_count, chamber_count_bruteforce):
+            with pytest.raises(DimensionMismatch):
+                count([(1, 2), (1, 2, 3)])
+
+    def test_zero_vector_raises(self):
+        for count in (chamber_count, chamber_count_bruteforce):
+            with pytest.raises(ValueError):
+                count([(1, 2), (0, 0)])
+
+    def test_budget(self):
+        lines = [(1, i) for i in range(25)]
+        assert chamber_count(lines[:24]).count == 48
+        with pytest.raises(BudgetExceeded) as exc:
+            chamber_count(lines)
+        assert exc.value.required == 25
 
     def test_bruteforce_budget(self):
         rng = stream(5, "bud")

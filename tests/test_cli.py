@@ -165,6 +165,28 @@ class TestChambersCommand:
         rows = list(csv.DictReader(io.StringIO(text)))
         assert all(r["source"] == "halfcube" for r in rows)
 
+    @pytest.mark.parametrize("value, brute", [("TRUE", True), ("No", False),
+                                              ("0", False)])
+    def test_crosscheck_from_config(self, tmp_path, value, brute):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"crosscheck={value}\n")
+        code, text = _run(["chambers", "--r", "2", "--m", "4", "--configs", "2",
+                           "--seed", "1", "--config", str(cfg)])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == 2
+        for r in rows:
+            assert r["bruteforce"] == (r["chambers"] if brute else "")
+
+    def test_misspelt_crosscheck_is_an_error(self, tmp_path):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("crosscheck=ture\n")
+        assert "got 'ture'" in _error(["chambers", "--r", "2", "--m", "4", "--configs",
+                                       "2", "--seed", "1", "--config", str(cfg)])
+
+    def test_negative_configs_is_an_error(self):
+        assert "got -3" in _error(["chambers", "--configs", "-3"])
+
 
 class TestMoivreCommand:
     def test_values(self):
@@ -264,6 +286,16 @@ def test_flags_a_command_does_not_read_are_rejected(argv):
     with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--d", ",", "--samples", "10"],
+    ["density", "--d", "6", "--base", ",", "--samples", "10"],
+    ["tau", "--k", ",", "--m", "1"],
+    ["moivre", "--q", ","],
+], ids=["density-d", "density-base", "tau-k", "moivre-q"])
+def test_empty_list_is_an_error(argv):
+    assert "no values in ','" in _error(argv)
 
 
 def test_unknown_input_reports_error():

@@ -194,7 +194,7 @@ def test_duality_and_certificates_randomized():
 _CHECKED_LEG = """
 from fractions import Fraction as F
 
-from polydense.arrangements import chamber_count
+from polydense.arrangements import chamber_count, chamber_count_bruteforce
 from polydense.estimators import tau_mc
 from polydense.exactlp import origin_in_conv, segment_hull_intersect, strict_separation
 from polydense.rng import stream
@@ -217,7 +217,8 @@ def leg():
     for r, m in ((2, 6), (3, 7), (4, 8)):
         S = [tuple(F(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
                    for _ in range(r)) for _ in range(m)]
-        counts.append(chamber_count(S).count)
+        counts.append(chamber_count_bruteforce(S).count)
+        assert chamber_count(S).count == counts[-1]
     segments = []
     for _ in range(200):
         d = int(rng.integers(1, 5))
