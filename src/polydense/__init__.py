@@ -25,9 +25,10 @@ from .estimators import (DensitySweepRow, MonotonicityReport, PiDecomposition,
                          tau_upper_bound, xi_exact)
 from .exactlp import (FEASIBLE, INFEASIBLE, FeasibilityResult,
                       check_convex_combination, check_strict_witness,
-                      origin_in_conv, segment_hull_intersect, strict_separation)
+                      origin_in_conv, origin_in_conv_batch,
+                      segment_hull_intersect, strict_separation)
 from .graph import (DensityReport, edge_kernel, graph_density_exact, is_edge,
-                    long_edge_survives)
+                    long_edge_survives, long_edges_survive)
 from .mc import Estimate, bernoulli_estimate, exact_estimate, wilson_interval
 from .rng import stream
 

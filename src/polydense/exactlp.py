@@ -10,6 +10,21 @@ exact.  With POLYDENSE_LP_CHECK set at import, every pivot division and
 every origin_in_conv certificate (so every verdict of the functions below)
 is verified exactly; a failure raises ArithmeticError.
 
+origin_in_conv_batch gives the verdicts of many same-shape integer
+instances at once, pivoting all their tableaus together in a numpy int64
+array by the same rules.  Fixed-width integers are exact here because
+every stored entry of a fraction-free tableau is a minor of the initial
+integer tableau (Bareiss, 1968), so entries stay small on the edge test's
+±1 input (up to 24 bits at k = 12 and 33 bits at k = 16 on sampled
+faces).  Exactness does not
+rest on that bound, though: before each pivot, an instance holding an
+entry of magnitude 2**31 or more leaves the batch and is solved again from
+the start by origin_in_conv.  Below that limit a pivot's products
+piv·x − f·y and the ratio test's cross-products stay under 2**63, and the
+division by the previous pivot is exact, as in the scalar tableau.  With
+POLYDENSE_LP_CHECK set, every batched verdict is compared with the checked
+origin_in_conv.
+
 Certificate conventions:
 
 * ``origin_in_conv(S)``: Feasible means the origin lies in conv(S); the
@@ -32,6 +47,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -40,6 +57,7 @@ __all__ = [
     "FeasibilityResult",
     "strict_separation",
     "origin_in_conv",
+    "origin_in_conv_batch",
     "segment_hull_intersect",
     "check_strict_witness",
     "check_convex_combination",
@@ -49,6 +67,14 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 _CHECK = bool(os.environ.get("POLYDENSE_LP_CHECK"))
+_ITERATION_CAP = 200_000
+# int64 bytes of the tableaus of one batched phase-one solve; larger batches
+# are split into solves of about this size.
+_BATCH_BYTES = 1 << 20
+# An instance holding an entry of this magnitude leaves the batch for the
+# scalar solver: below it, every product a pivot or a ratio comparison forms
+# is under 2**62, so the difference of two of them fits in int64.
+_INT64_SAFE = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -157,7 +183,7 @@ class _Tableau:
         while True:
             obj = rows[m]
             iters += 1
-            if iters > 200_000:
+            if iters > _ITERATION_CAP:
                 raise RuntimeError("simplex iteration cap exceeded")
             if obj[rhs] == 0:
                 return True
@@ -266,6 +292,101 @@ def origin_in_conv(S: Iterable[Sequence], dim: int | None = None) -> Feasibility
                        else check_strict_witness(vecs, res.certificate, margin=1)):
         raise ArithmeticError(f"origin_in_conv returned a false {res.status} certificate")
     return res
+
+
+def origin_in_conv_batch(points) -> list[bool]:
+    """origin_in_conv(S).feasible for each configuration S of a batch.
+
+    ``points`` is an integer array shaped (B, N, d): B configurations of N
+    points in R^d.  The B phase-one tableaus are pivoted together in int64
+    by the rules of _Tableau.phase_one, so each instance takes the scalar
+    solver's pivots to its exact verdict; an instance that holds an entry of
+    magnitude 2**31 or more before a pivot is finished by origin_in_conv
+    instead (see the module docstring).  No certificates are returned.
+    """
+    pts = np.asarray(points)
+    if pts.ndim != 3 or not np.issubdtype(pts.dtype, np.integer):
+        raise TypeError("points must be an integer array shaped (B, N, d)")
+    count, n, d = pts.shape
+    if n == 0:
+        return [False] * count
+    step = max(1, _BATCH_BYTES // (8 * (d + 2) * (n + d + 2)))
+    out: list[bool] = []
+    for start in range(0, count, step):
+        out.extend(_phase_one_batch(pts[start:start + step]))
+    if _CHECK:
+        for S, verdict in zip(pts, out):
+            if origin_in_conv(S.tolist(), d).feasible != verdict:
+                raise ArithmeticError("batched origin_in_conv disagrees with the scalar solver")
+    return out
+
+
+def _phase_one_batch(pts: np.ndarray) -> list[bool]:
+    """_Tableau.phase_one on every configuration of ``pts`` at once."""
+    count, n, d = pts.shape
+    m = d + 1  # constraint rows, the convexity row last; row m is the objective
+    ncols = n + m  # structural, then artificial columns; the rhs follows
+    verdicts: list[bool] = [False] * count
+    big = ((pts >= _INT64_SAFE) | (pts <= -_INT64_SAFE)).any(axis=(1, 2))
+    scalar = np.flatnonzero(big).tolist()
+    ids = np.flatnonzero(~big)
+    T = np.zeros((len(ids), m + 1, ncols + 1), dtype=np.int64)
+    T[:, :d, :n] = pts[ids].transpose(0, 2, 1)
+    T[:, d, :n] = 1
+    T[:, range(m), range(n, ncols)] = 1
+    T[:, d, ncols] = 1
+    T[:, m, :n] = -T[:, :m, :n].sum(axis=1)
+    T[:, m, ncols] = -1
+    den = np.ones(len(ids), dtype=np.int64)
+    lex = [ncols] + list(range(n, ncols))
+    iters = 0
+    while len(ids):
+        iters += 1
+        if iters > _ITERATION_CAP:
+            raise RuntimeError("simplex iteration cap exceeded")
+        obj = T[:, m]
+        enter = obj[:, :ncols].argmin(axis=1)
+        feasible = obj[:, ncols] == 0
+        finished = feasible | (obj[np.arange(len(ids)), enter] >= 0)
+        large = ~finished & (np.abs(T).max(axis=(1, 2)) >= _INT64_SAFE)
+        for i in ids[feasible].tolist():
+            verdicts[i] = True
+        scalar.extend(ids[large].tolist())
+        go = ~(finished | large)
+        if not go.all():
+            ids, T, den, enter = ids[go], T[go], den[go], enter[go]
+            if not len(ids):
+                break
+        rows = np.arange(len(ids))
+        # lexicographic ratio test as a running minimum over the rows, by
+        # integer cross-multiplication; the first row wins a full tie
+        col = T[rows, :m, enter]
+        keys = T[:, :m, lex]
+        leave = np.full(len(ids), -1)
+        best_a = np.ones(len(ids), dtype=np.int64)
+        best_key = np.zeros((len(ids), len(lex)), dtype=np.int64)
+        for i in range(m):
+            a = col[:, i]
+            key = keys[:, i]
+            diff = key * best_a[:, None] - best_key * a[:, None]
+            first = (diff != 0).argmax(axis=1)
+            take = (a > 0) & ((leave < 0) | (diff[rows, first] < 0))
+            leave[take] = i
+            best_a[take] = a[take]
+            best_key[take] = key[take]
+        if (leave < 0).any():
+            raise RuntimeError("phase-one objective cannot be unbounded")
+        pivot_rows = T[rows, leave]
+        piv = pivot_rows[rows, enter]
+        f = T[rows, :, enter]
+        T *= piv[:, None, None]
+        T -= f[:, :, None] * pivot_rows[:, None, :]
+        T //= den[:, None, None]
+        T[rows, leave] = pivot_rows
+        den = piv
+    for i in scalar:
+        verdicts[i] = origin_in_conv(pts[i].tolist(), d).feasible
+    return verdicts
 
 
 def segment_hull_intersect(a: Sequence, b: Sequence, S: Iterable[Sequence]) -> bool:

@@ -14,16 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb
 from typing import Iterable
 
+import numpy as np
+
 from .cube import CubeVertex, VertexSet
 from .errors import BudgetExceeded, DegenerateInput
-from .exactlp import segment_hull_intersect
+from .exactlp import origin_in_conv_batch, segment_hull_intersect
 
 __all__ = [
     "DensityReport",
     "long_edge_survives",
+    "long_edges_survive",
     "edge_kernel",
     "is_edge",
     "graph_density_exact",
@@ -53,18 +57,66 @@ def long_edge_survives(k: int, face_points: Iterable[int]) -> bool:
     case short-circuits the feasibility solve.
     """
     pts = set(face_points)
-    if not pts:
-        return True
+    verdict = _verdict_without_lp(k, pts)
+    if verdict is not None:
+        return verdict
+    a = (-1,) * k
+    b = (1,) * k
+    S = [tuple(1 if p >> i & 1 else -1 for i in range(k)) for p in sorted(pts)]
+    return not segment_hull_intersect(a, b, S)
+
+
+def _verdict_without_lp(k: int, pts: set[int]) -> bool | None:
+    """True for no points, False for an antipodal pair, None when an LP must
+    decide; raises ValueError on a point that is not interior to the face."""
     mask = (1 << k) - 1
     for p in pts:
         if not 0 < p < mask:
             raise ValueError(f"face point 0x{p:x} is not interior to the {k}-face")
         if p ^ mask in pts:
             return False
-    a = (-1,) * k
-    b = (1,) * k
-    S = [tuple(1 if p >> i & 1 else -1 for i in range(k)) for p in sorted(pts)]
-    return not segment_hull_intersect(a, b, S)
+    return None if pts else True
+
+
+# subsets read from the input at a time by long_edges_survive, which bounds
+# the memory an exhaustive enumeration holds
+_SUBSETS_PER_PASS = 4096
+
+
+def long_edges_survive(k: int, subsets: Iterable[Iterable[int]]) -> list[bool]:
+    """long_edge_survives(k, Y) for each subset Y, in order.
+
+    Empty subsets, antipodal pairs and points that are not interior are
+    answered as there, with no LP.  The other subsets are grouped by size
+    and each group's lifted diagonal tests, points sorted as in
+    long_edge_survives, are solved as one exact batch by
+    origin_in_conv_batch.
+    """
+    bits = np.arange(k)
+    word = np.int64 if k < 64 else object  # object arrays shift Python ints
+    out: list[bool] = []
+    it = iter(subsets)
+    while chunk := list(islice(it, _SUBSETS_PER_PASS)):
+        by_size: dict[int, tuple[list[int], list[list[int]]]] = {}
+        for face_points in chunk:
+            pts = set(face_points)
+            verdict = _verdict_without_lp(k, pts)
+            if verdict is None:
+                where, rows = by_size.setdefault(len(pts), ([], []))
+                where.append(len(out))
+                rows.append(sorted(pts))
+            out.append(verdict)
+        for m, (where, rows) in by_size.items():
+            # the lifted points of segment_hull_intersect((-1,)*k, (1,)*k, S)
+            lifted = np.empty((len(rows), m + 2, k + 1), dtype=np.int8)
+            lifted[:, 0, :k] = 1
+            lifted[:, 1, :k] = -1
+            lifted[:, :2, k] = -1
+            lifted[:, 2:, :k] = 2 * (np.array(rows, dtype=word)[:, :, None] >> bits & 1) - 1
+            lifted[:, 2:, k] = 1
+            for pos, meets in zip(where, origin_in_conv_batch(lifted)):
+                out[pos] = not meets
+    return out
 
 
 @lru_cache(maxsize=200_000)

@@ -64,8 +64,7 @@ def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[in
         out: list[int] = []
         while len(out) < k:
             batch = rng.integers(0, population, size=max(64, k - len(out)))
-            for idx in batch:
-                idx = int(idx)
+            for idx in batch.tolist():
                 if idx not in seen:
                     seen.add(idx)
                     out.append(idx)

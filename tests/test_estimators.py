@@ -11,8 +11,11 @@ from polydense.estimators import (PROV_EXHAUSTIVE, PROV_MONTE_CARLO,
                                   pi_k_exact, pi_k_mc, pi_k_semianalytic, pi_mc,
                                   tau_exact, tau_from_alpha, tau_mc,
                                   tau_threshold_sweep, tau_upper_bound, xi_exact)
+from polydense.estimators import (_alpha_block, _pik_block, _sample_star_subset,
+                                  _tau_block)
+from polydense.graph import long_edge_survives
 from polydense.mc import exact_estimate
-from polydense.rng import sample_indices, stream
+from polydense.rng import rand_bits, sample_indices, stream
 
 SEED = 20250809
 
@@ -381,3 +384,49 @@ class TestSweeps:
         lo = pi_mc(6, 8, samples=1500, seed=SEED, workers=2)
         hi = pi_mc(6, 40, samples=1500, seed=SEED, workers=2)
         assert hi.value < lo.value
+
+
+# Reference loops for the Monte-Carlo blocks: the same streams and draws,
+# with one long_edge_survives verdict per draw instead of one batch.
+
+
+def _tau_block_one_by_one(k, m, count, seed, block):
+    rng = stream(seed, f"tau:k={k}:m={m}", block)
+    return sum(long_edge_survives(k, _sample_star_subset(rng, k, m))
+               for _ in range(count))
+
+
+def _alpha_block_one_by_one(k, m, count, seed, block):
+    rng = stream(seed, f"alpha:k={k}:m={m}", block)
+    base = 1 << (k - 1)
+    mask = (1 << k) - 1
+    hits = 0
+    for _ in range(count):
+        idxs = sample_indices(rng, base - 1, m)
+        orient = rand_bits(rng, m) if m else 0
+        hits += long_edge_survives(k, [(base + idx) ^ (mask if orient >> j & 1 else 0)
+                                       for j, idx in enumerate(idxs)])
+    return hits
+
+
+def _pik_block_one_by_one(d, n, k, count, seed, block):
+    rng = stream(seed, f"pik:d={d}:n={n}:k={k}", block)
+    wb = (1 << k) - 1
+    hits = 0
+    for _ in range(count):
+        ps = [idx + 1 + (idx + 1 >= wb) for idx in sample_indices(rng, (1 << d) - 2, n - 2)]
+        hits += long_edge_survives(k, [p for p in ps if not p & ~wb])
+    return hits
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("batched, one_by_one, params", [
+    (_tau_block, _tau_block_one_by_one, (8, 12)),
+    (_alpha_block, _alpha_block_one_by_one, (8, 12)),
+    (_pik_block, _pik_block_one_by_one, (8, 32, 6)),
+], ids=["tau", "alpha", "pik"])
+def test_blocks_count_the_hits_of_one_by_one_verdicts(seed, batched, one_by_one, params):
+    args = params + (300, seed, 2)
+    hits = one_by_one(*args)
+    assert 0 < hits < 300
+    assert batched(args) == hits

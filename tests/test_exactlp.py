@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,8 @@ from polydense import DimensionMismatch, exactlp
 from polydense.estimators import _sample_star_subset
 from polydense.exactlp import (FEASIBLE, INFEASIBLE, check_convex_combination,
                                check_strict_witness, origin_in_conv,
-                               segment_hull_intersect, strict_separation)
+                               origin_in_conv_batch, segment_hull_intersect,
+                               strict_separation)
 from polydense.rng import stream
 
 
@@ -195,7 +197,7 @@ _CHECKED_LEG = """
 from fractions import Fraction as F
 
 from polydense.arrangements import chamber_count, chamber_count_bruteforce
-from polydense.estimators import tau_mc
+from polydense.estimators import alpha_mc, pi_k_mc, tau_exact, tau_mc
 from polydense.exactlp import origin_in_conv, segment_hull_intersect, strict_separation
 from polydense.rng import stream
 
@@ -227,7 +229,8 @@ def leg():
         segments.append(segment_hull_intersect(a, b, S))
     assert 0 < sum(segments) < len(segments)
     return repr((sweep, counts, segments, tau_mc(6, 8, 200, 2718),
-                 tau_mc(12, 36, 40, 2718)))
+                 tau_mc(12, 36, 40, 2718), alpha_mc(8, 12, 200, 2718),
+                 tau_exact(5, 4), pi_k_mc(8, 32, 6, 200, 2718)))
 """
 
 
@@ -329,7 +332,139 @@ def test_six_cube_interior_points(keep, meets):
     lifted = [(1,) * k + (-1,), (-1,) * k + (-1,)] + [s + (1,) for s in S]
     res = origin_in_conv(lifted)
     assert res.feasible is meets
+    # as batch input: the instance, and again with its points reversed
+    assert origin_in_conv_batch(np.array([lifted, lifted[::-1]])) == [meets] * 2
     if meets:
         assert check_convex_combination(lifted, res.witness)
     else:
         assert check_strict_witness(lifted, res.certificate, margin=1)
+
+
+def _diagonal_instances(k, m, count, seed):
+    """Lifted diagonal-vs-hull configurations, shaped (count, m + 2, k + 1),
+    from sampled face subsets, sorted and antipode-free as
+    long_edge_survives hands them on."""
+    rng = stream(seed, f"batch:k={k}:m={m}")
+    mask = (1 << k) - 1
+    out = []
+    while len(out) < count:
+        pts = sorted(_sample_star_subset(rng, k, m))
+        if any(p ^ mask in pts for p in pts):
+            continue
+        out.append([(1,) * k + (-1,), (-1,) * k + (-1,)]
+                   + [tuple(1 if p >> i & 1 else -1 for i in range(k)) + (1,)
+                      for p in pts])
+    return np.array(out, dtype=np.int64)
+
+
+def _scalar_verdicts(points):
+    return [origin_in_conv(S.tolist()).feasible for S in points]
+
+
+@st.composite
+def _degenerate_groups(draw):
+    """Same-shape groups of small integer configurations with forced
+    duplicates, zero vectors and points on a line through two others."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    coord = st.integers(-3, 3)
+    group = []
+    for _ in range(draw(st.integers(1, 6))):
+        pts = draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
+        for _ in range(draw(st.integers(0, n - 1))):
+            kind = draw(st.sampled_from(["duplicate", "zero", "collinear"]))
+            i = draw(st.integers(0, n - 1))
+            p = draw(st.sampled_from(pts))
+            if kind == "duplicate":
+                pts[i] = p
+            elif kind == "zero":
+                pts[i] = (0,) * d
+            else:
+                q = draw(st.sampled_from(pts))
+                t = draw(st.integers(-2, 3))
+                pts[i] = tuple(x + t * (y - x) for x, y in zip(p, q))
+        group.append(pts)
+    return np.array(group, dtype=np.int64).reshape(len(group), n, d)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_degenerate_groups())
+def test_batch_agrees_with_scalar_on_degenerate_groups(points):
+    assert origin_in_conv_batch(points) == _scalar_verdicts(points)
+
+
+def test_batch_of_empty_configurations():
+    assert origin_in_conv_batch(np.zeros((3, 0, 2), dtype=np.int64)) == [False] * 3
+    assert origin_in_conv_batch(np.zeros((0, 4, 2), dtype=np.int64)) == []
+    with pytest.raises(TypeError):
+        origin_in_conv_batch(np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(TypeError):
+        origin_in_conv_batch(np.zeros((2, 3, 1)))
+
+
+def _count_scalar_solves(monkeypatch):
+    """Record each origin_in_conv call; checked mode, which would add one
+    per instance, is switched off."""
+    monkeypatch.setattr(exactlp, "_CHECK", False)
+    calls = []
+    real = exactlp.origin_in_conv
+
+    def counted(S, dim=None):
+        calls.append(dim)
+        return real(S, dim)
+
+    monkeypatch.setattr(exactlp, "origin_in_conv", counted)
+    return calls
+
+
+def test_forced_fallback_gives_the_scalar_verdicts(monkeypatch):
+    """With the int64 limit lowered to 4, instances leave the batch after a
+    pivot or two and the scalar solver finishes them."""
+    points = np.concatenate([_diagonal_instances(6, 12, 30, 1),
+                             _diagonal_instances(6, 12, 30, 2)])
+    want = _scalar_verdicts(points)
+    assert 0 < sum(want) < len(want)
+    calls = _count_scalar_solves(monkeypatch)
+    monkeypatch.setattr(exactlp, "_INT64_SAFE", 4)
+    assert origin_in_conv_batch(points) == want
+    assert 0 < len(calls) <= len(points)
+    calls.clear()
+    # entries already at the limit leave before the first pivot
+    assert origin_in_conv_batch(4 * points) == want
+    assert len(calls) == len(points)
+
+
+def test_natural_fallback_at_k16(monkeypatch):
+    """At (k, m) = (16, 48) some tableaus outgrow 2**31 and finish in the
+    scalar solver; the verdicts are the scalar ones either way."""
+    points = _diagonal_instances(16, 48, 20, 4142)
+    want = _scalar_verdicts(points)
+    calls = _count_scalar_solves(monkeypatch)
+    assert origin_in_conv_batch(points) == want
+    assert 0 < len(calls) < len(points)
+
+
+def test_batches_are_split_by_tableau_bytes(monkeypatch):
+    points = _diagonal_instances(4, 6, 40, 7)
+    want = _scalar_verdicts(points)
+    sizes = []
+    real = exactlp._phase_one_batch
+
+    def recorded(pts):
+        sizes.append(len(pts))
+        return real(pts)
+
+    monkeypatch.setattr(exactlp, "_phase_one_batch", recorded)
+    monkeypatch.setattr(exactlp, "_BATCH_BYTES", 8 * 7 * 15 * 16)
+    assert origin_in_conv_batch(points) == want
+    assert sizes == [16, 16, 8]
+
+
+def test_checked_batch_rejects_a_wrong_verdict(monkeypatch):
+    points = _diagonal_instances(4, 6, 10, 8)
+    monkeypatch.setattr(exactlp, "_CHECK", True)
+    assert origin_in_conv_batch(points) == _scalar_verdicts(points)
+    monkeypatch.setattr(exactlp, "_phase_one_batch",
+                        lambda pts: [not v for v in _scalar_verdicts(pts)])
+    with pytest.raises(ArithmeticError):
+        origin_in_conv_batch(points)

@@ -5,7 +5,7 @@ import pytest
 from polydense import (BudgetExceeded, CubeVertex, DegenerateInput, VertexSet,
                        cut_polytope_vertices, edge_kernel, full_cube,
                        graph_density_exact, is_edge, long_edge_survives,
-                       sample_vertex_bits)
+                       long_edges_survive, sample_vertex_bits)
 from polydense.rng import stream
 
 
@@ -132,6 +132,47 @@ def test_long_edge_survives_validates_interior():
     assert long_edge_survives(3, [])
     assert long_edge_survives(3, [0b001])
     assert not long_edge_survives(2, [0b01, 0b10])  # antipodal pair in the face
+
+
+class TestLongEdgesSurvive:
+    def test_short_circuits_and_validation(self):
+        assert long_edges_survive(3, []) == []
+        assert long_edges_survive(3, [[], (), set()]) == [True] * 3
+        assert long_edges_survive(2, [[0b01, 0b10]]) == [False]
+        assert long_edges_survive(4, [[0b0011, 0b0101, 0b1100]]) == [False]
+        for bad in ([0], [7], [0b011, 0]):
+            with pytest.raises(ValueError):
+                long_edges_survive(3, [[0b001], bad])
+
+    def test_matches_the_single_test_on_mixed_sizes(self):
+        """Sizes 0..7 in one call, duplicates and unsorted points included,
+        against long_edge_survives one subset at a time."""
+        rng = stream(2024, "batched-edges")
+        k = 5
+        subsets = []
+        for _ in range(300):
+            m = int(rng.integers(0, 8))
+            pts = [int(p) for p in rng.integers(1, (1 << k) - 1, size=m)]
+            subsets.append(pts + pts[:1])
+        want = [long_edge_survives(k, Y) for Y in subsets]
+        assert 0 < sum(want) < len(want)
+        assert long_edges_survive(k, subsets) == want
+        assert long_edges_survive(k, iter(subsets)) == want
+
+    def test_input_is_read_in_passes(self, monkeypatch):
+        from polydense import graph
+
+        monkeypatch.setattr(graph, "_SUBSETS_PER_PASS", 7)
+        subsets = [[p, q] for p in range(1, 15) for q in range(p + 1, 15)]
+        assert long_edges_survive(4, subsets) == [long_edge_survives(4, Y)
+                                                  for Y in subsets]
+
+    def test_words_wider_than_63_bits(self):
+        k = 65
+        mask = (1 << k) - 1
+        a, b = 1 | 1 << 64, 0b110
+        assert long_edges_survive(k, [[a, b], [a, a ^ mask], []]) == [
+            long_edge_survives(k, [a, b]), False, True]
 
 
 class TestDensityExact:

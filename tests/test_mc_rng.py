@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -138,3 +139,12 @@ class TestSampleIndices:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_indices(stream(0, "z"), 4, 5)
+
+    def test_draws_and_stream_state_are_pinned(self):
+        """The rejection path's draws, and the draw after them, as the
+        sampler has always produced them at this seed."""
+        rng = stream(20250809, "pin")
+        got = sample_indices(rng, 16384, 1684)
+        digest = hashlib.blake2b(repr(got).encode(), digest_size=16).hexdigest()
+        assert digest == "3bcf81216cad1fdf870d0a8a23535a0f"
+        assert int(rng.integers(0, 1 << 62)) == 2055610829105496260
