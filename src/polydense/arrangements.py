@@ -32,6 +32,7 @@ __all__ = [
     "build_config_plus",
     "chamber_count",
     "chamber_count_bruteforce",
+    "random_rational_config",
     "partial_binomial_sum",
     "harding_bound",
     "normal_cdf",
@@ -182,6 +183,19 @@ def chamber_count_bruteforce(S: "VectorConfig | Iterable[Sequence]",
         if not origin_in_conv(signed).feasible:
             count += 1
     return ChamberCount(count=count, method=BRUTE_FORCE)
+
+
+def random_rational_config(rng, r: int, m: int) -> list[tuple[Fraction, ...]]:
+    """m nonzero vectors of R^r drawn from the numpy Generator rng, each
+    coordinate p/q with p uniform on -9..9 and q on 1..9; an all-zero draw
+    is drawn again."""
+    vecs: list[tuple[Fraction, ...]] = []
+    while len(vecs) < m:
+        v = tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+                  for _ in range(r))
+        if any(x != 0 for x in v):
+            vecs.append(v)
+    return vecs
 
 
 def partial_binomial_sum(p: int, q: int) -> int:

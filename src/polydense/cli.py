@@ -5,6 +5,11 @@ numeric fields, exact rationals duplicated as "p/q" strings, and a trailing
 wall-time column that is informational only (strip it before comparing
 outputs byte for byte).  Identical configuration and seed produce identical
 bytes for any worker count.
+
+A --config file is read through the same parser as the command line: each
+``key=value`` line becomes the flag ``--key=value``, placed ahead of the
+command line's own flags, so argparse checks both sources alike and an
+explicit flag wins.
 """
 
 from __future__ import annotations
@@ -14,12 +19,11 @@ import csv
 import math
 import sys
 import time
-from fractions import Fraction
 
 from . import verify as verify_mod
 from .arrangements import (build_config_plus, chamber_count,
                            chamber_count_bruteforce, harding_bound,
-                           moivre_laplace_ratio, normal_cdf)
+                           moivre_laplace_ratio, normal_cdf, random_rational_config)
 from .errors import BudgetExceeded, PolydenseError
 from .estimators import (alpha_exact, alpha_mc, alpha_via_chambers, decompose_pi,
                          density_threshold_sweep, pi_mc, tau_cell,
@@ -30,14 +34,8 @@ from .rng import sample_indices, stream
 __all__ = ["main"]
 
 DEFAULT_SEED = 20250809
-
-# --method choices per subcommand; argparse checks the flag, _method the
-# value a config file supplies.
-_METHODS = {
-    "tau": ("auto", "exact", "mc", "via-alpha"),
-    "alpha": ("auto", "exact", "mc", "chambers"),
-    "pi": ("mc", "decomp", "both"),
-}
+# tau_cell's and alpha's enumeration budget when --exact-budget is not given
+EXACT_BUDGET = 20_000
 
 
 def _fmt(x) -> str:
@@ -60,11 +58,14 @@ def _est_fields(e: Estimate | None) -> list[str]:
             _fmt_exact(e), str(e.samples)]
 
 
+# argparse types.  An ArgumentTypeError's message is printed after the flag's
+# name; a ValueError (from int or float) is reported as an invalid value.
+
 def _fields(text: str) -> list[str]:
-    """The nonempty comma-separated fields of text; ValueError if none."""
-    fields = [part.strip() for part in str(text).split(",") if part.strip()]
+    """The nonempty comma-separated fields of text; an error if none."""
+    fields = [part.strip() for part in text.split(",") if part.strip()]
     if not fields:
-        raise ValueError(f"no values in {text!r}")
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
     return fields
 
 
@@ -75,7 +76,7 @@ def _parse_ints(text: str) -> list[int]:
         if ":" in part:
             lo, hi = (int(x) for x in part.split(":", 1))
             if lo > hi:
-                raise ValueError(f"range {part!r} is descending")
+                raise argparse.ArgumentTypeError(f"range {part!r} is descending")
             out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
@@ -87,10 +88,25 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_bool(text: str) -> bool:
-    value = str(text).lower()
+    value = text.lower()
     if value not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected 1/true/yes or 0/false/no, got {text!r}")
     return value in ("1", "true", "yes")
+
+
+def _nonnegative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
+def _worker_count(text: str) -> int:
+    try:
+        return parse_workers(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -108,38 +124,6 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-class _Params:
-    """Flag/config/default resolution: explicit flags win, then the config
-    file, then hard defaults."""
-
-    def __init__(self, ns: argparse.Namespace):
-        self.ns = ns
-        self.config = load_config(ns.config) if getattr(ns, "config", None) else {}
-
-    def get(self, key: str, parse, default):
-        cli_val = getattr(self.ns, key.replace("-", "_"), None)
-        if cli_val is not None:
-            return parse(cli_val)
-        if key in self.config:
-            return parse(self.config[key])
-        return default
-
-
-def _method(p: _Params, command: str, default: str) -> str:
-    """--method, else the config file, else the default; one of _METHODS[command]."""
-    method = p.get("method", str, default)
-    if method not in _METHODS[command]:
-        raise ValueError(f"method must be one of {', '.join(_METHODS[command])}, "
-                         f"got {method!r}")
-    return method
-
-
-def _workers(p: _Params) -> int:
-    """--workers, else the config file, else POLYDENSE_WORKERS, else 1."""
-    workers = p.get("workers", parse_workers, None)
-    return default_workers() if workers is None else workers
-
-
 def _emit(path: str | None, header: list[str], rows: list[list[str]]) -> None:
     if path:
         fh = open(path, "w", newline="", encoding="utf-8")
@@ -155,12 +139,13 @@ def _emit(path: str | None, header: list[str], rows: list[list[str]]) -> None:
 
 
 _SHARED_FLAGS = {
-    "seed": dict(type=int, help="master seed (64-bit)"),
+    "seed": dict(type=int, default=DEFAULT_SEED, help="master seed (64-bit)"),
     "samples": dict(type=int, help="Monte-Carlo sample budget"),
-    "workers": dict(type=int,
+    "workers": dict(type=_worker_count,
                     help="worker processes (default: POLYDENSE_WORKERS or 1)"),
     "out": dict(help="output CSV path (default: stdout)"),
-    "config": dict(help="flat key=value config file"),
+    "config": dict(help="flat key=value file; each line is read as --key=value "
+                        "ahead of the command line's flags"),
 }
 
 
@@ -171,128 +156,105 @@ def _shared_flags(sub: argparse.ArgumentParser, *names: str) -> None:
 
 
 def cmd_density(ns: argparse.Namespace) -> int:
-    p = _Params(ns)
-    d_list = p.get("d", _parse_ints, [10, 12, 14])
-    bases = p.get("base", _parse_floats, [1.2, 1.7])
-    samples = p.get("samples", int, 1000)
-    seed = p.get("seed", int, DEFAULT_SEED)
-    workers = _workers(p)
+    workers = ns.workers or default_workers()
     header = ["experiment", "d", "base", "n", "estimate", "stderr", "ci_lo",
               "ci_hi", "exact_value", "samples", "seed", "note", "wall_time_s"]
     rows = []
-    for d in d_list:
-        for base in bases:
+    for d in ns.d:
+        for base in ns.base:
             t0 = time.time()
-            row = density_threshold_sweep([d], [base], samples=samples, seed=seed,
-                                          workers=workers)[0]
+            row = density_threshold_sweep([d], [base], samples=ns.samples,
+                                          seed=ns.seed, workers=workers)[0]
             rows.append(["density", str(d), _fmt(base), str(row.n)]
                         + _est_fields(row.estimate)
-                        + [str(seed), row.note, f"{time.time() - t0:.3f}"])
-    _emit(p.get("out", str, None), header, rows)
+                        + [str(ns.seed), row.note, f"{time.time() - t0:.3f}"])
+    _emit(ns.out, header, rows)
     return 0
 
 
 def cmd_tau(ns: argparse.Namespace) -> int:
-    p = _Params(ns)
-    k_list = p.get("k", _parse_ints, [3])
-    ratios = p.get("ratio", _parse_floats, None)
-    m_list = p.get("m", _parse_ints, None)
-    samples = p.get("samples", int, 20_000)
-    seed = p.get("seed", int, DEFAULT_SEED)
-    workers = _workers(p)
-    method = _method(p, "tau", "auto")
-    exact_budget = p.get("exact-budget", int, 20_000)
-    if ratios is not None:
-        given = [f"--{key}" for key in ("m", "method", "exact-budget")
-                 if p.get(key, str, None) is not None]
+    workers = ns.workers or default_workers()
+    if ns.ratio is not None:
+        given = [flag for flag, value in (("--m", ns.m), ("--method", ns.method),
+                                          ("--exact-budget", ns.exact_budget))
+                 if value is not None]
         if given:
             raise ValueError("--ratio runs Monte Carlo at m = ceil(ratio * k) "
                              f"and takes no {', '.join(given)}")
+    exact_budget = EXACT_BUDGET if ns.exact_budget is None else ns.exact_budget
     header = ["experiment", "k", "m", "ratio", "provenance", "estimate", "stderr",
               "ci_lo", "ci_hi", "exact_value", "samples", "seed", "note",
               "wall_time_s"]
     rows = []
-    for k in k_list:
-        if ratios is not None:
-            for ratio in ratios:
+    for k in ns.k:
+        if ns.ratio is not None:
+            for ratio in ns.ratio:
                 t0 = time.time()
-                row = tau_threshold_sweep([k], [ratio], samples=samples, seed=seed,
-                                          workers=workers)[0]
+                row = tau_threshold_sweep([k], [ratio], samples=ns.samples,
+                                          seed=ns.seed, workers=workers)[0]
                 prov = "monte-carlo" if row.estimate is not None else ""
                 rows.append(["tau", str(k), str(row.m), _fmt(ratio), prov]
                             + _est_fields(row.estimate)
-                            + [str(seed), row.note, f"{time.time() - t0:.3f}"])
+                            + [str(ns.seed), row.note, f"{time.time() - t0:.3f}"])
         else:
-            ms = m_list if m_list is not None else list(range(0, (1 << k) - 1))
+            ms = ns.m if ns.m is not None else list(range(0, (1 << k) - 1))
             for m in ms:
                 t0 = time.time()
-                estv, prov = tau_cell(k, m, samples=samples, seed=seed,
-                                      exact_budget=exact_budget, method=method,
-                                      workers=workers)
+                estv, prov = tau_cell(k, m, samples=ns.samples, seed=ns.seed,
+                                      exact_budget=exact_budget,
+                                      method=ns.method or "auto", workers=workers)
                 rows.append(["tau", str(k), str(m), "", prov] + _est_fields(estv)
-                            + [str(seed), "", f"{time.time() - t0:.3f}"])
-    _emit(p.get("out", str, None), header, rows)
+                            + [str(ns.seed), "", f"{time.time() - t0:.3f}"])
+    _emit(ns.out, header, rows)
     return 0
 
 
 def cmd_alpha(ns: argparse.Namespace) -> int:
-    p = _Params(ns)
-    k_list = p.get("k", _parse_ints, [3])
-    m_list = p.get("m", _parse_ints, None)
-    samples = p.get("samples", int, 20_000)
-    seed = p.get("seed", int, DEFAULT_SEED)
-    workers = _workers(p)
-    method = _method(p, "alpha", "auto")
-    exact_budget = p.get("exact-budget", int, 20_000)
-    if method == "chambers" and p.get("exact-budget", str, None) is not None:
+    workers = ns.workers or default_workers()
+    if ns.method == "chambers" and ns.exact_budget is not None:
         raise ValueError("--method chambers takes no --exact-budget")
+    exact_budget = EXACT_BUDGET if ns.exact_budget is None else ns.exact_budget
     header = ["experiment", "k", "m", "method", "estimate", "stderr", "ci_lo",
               "ci_hi", "exact_value", "samples", "seed", "wall_time_s"]
     rows = []
-    for k in k_list:
+    for k in ns.k:
         classes = (1 << (k - 1)) - 1
-        ms = m_list if m_list is not None else list(range(0, classes + 1))
+        ms = ns.m if ns.m is not None else list(range(0, classes + 1))
         for m in ms:
             t0 = time.time()
             size = math.comb(classes, m) * (1 << m)
-            if method == "chambers":
-                estv, how = alpha_via_chambers(k, m, samples, seed,
+            if ns.method == "chambers":
+                estv, how = alpha_via_chambers(k, m, ns.samples, ns.seed,
                                                workers=workers), "chambers"
-            elif method in ("auto", "exact") and size <= exact_budget:
+            elif ns.method in ("auto", "exact") and size <= exact_budget:
                 estv, how = alpha_exact(k, m), "exhaustive"
-            elif method == "exact":
+            elif ns.method == "exact":
                 raise BudgetExceeded(
                     f"alpha({k},{m}) enumeration exceeds exact budget",
                     required=size)
             else:
-                estv, how = alpha_mc(k, m, samples, seed, workers=workers), \
+                estv, how = alpha_mc(k, m, ns.samples, ns.seed, workers=workers), \
                     "monte-carlo"
             rows.append(["alpha", str(k), str(m), how] + _est_fields(estv)
-                        + [str(seed), f"{time.time() - t0:.3f}"])
-    _emit(p.get("out", str, None), header, rows)
+                        + [str(ns.seed), f"{time.time() - t0:.3f}"])
+    _emit(ns.out, header, rows)
     return 0
 
 
 def cmd_pi(ns: argparse.Namespace) -> int:
-    p = _Params(ns)
-    d = p.get("d", int, 8)
-    n = p.get("n", int, 32)
-    samples = p.get("samples", int, 10_000)
-    tau_samples = p.get("tau-samples", int, 3000)
-    seed = p.get("seed", int, DEFAULT_SEED)
-    workers = _workers(p)
-    method = _method(p, "pi", "both")
+    workers = ns.workers or default_workers()
+    d, n, seed = ns.d, ns.n, ns.seed
     header = ["experiment", "d", "n", "k", "method", "estimate", "stderr",
               "ci_lo", "ci_hi", "exact_value", "samples", "seed", "wall_time_s"]
     rows = []
-    if method in ("mc", "both"):
+    if ns.method in ("mc", "both"):
         t0 = time.time()
-        estv = pi_mc(d, n, samples, seed, workers=workers)
+        estv = pi_mc(d, n, ns.samples, seed, workers=workers)
         rows.append(["pi", str(d), str(n), "", "mc"] + _est_fields(estv)
                     + [str(seed), f"{time.time() - t0:.3f}"])
-    if method in ("decomp", "both"):
+    if ns.method in ("decomp", "both"):
         t0 = time.time()
-        dec = decompose_pi(d, n, tau_samples=tau_samples, seed=seed,
+        dec = decompose_pi(d, n, tau_samples=ns.tau_samples, seed=seed,
                            workers=workers)
         wall = f"{time.time() - t0:.3f}"
         rows.append(["pi", str(d), str(n), "", "decomp"]
@@ -300,27 +262,17 @@ def cmd_pi(ns: argparse.Namespace) -> int:
         for k in sorted(dec.pi_k):
             rows.append(["pi_k", str(d), str(n), str(k), "decomp"]
                         + _est_fields(dec.pi_k[k]) + [str(seed), wall])
-    _emit(p.get("out", str, None), header, rows)
+    _emit(ns.out, header, rows)
     return 0
 
 
 def cmd_chambers(ns: argparse.Namespace) -> int:
-    p = _Params(ns)
-    r = p.get("r", int, 3)
-    m = p.get("m", int, 8)
-    n_configs = p.get("configs", int, 100)
-    if n_configs < 0:
-        raise ValueError(f"configs must be nonnegative, got {n_configs}")
-    source = p.get("source", str, "random")
-    seed = p.get("seed", int, DEFAULT_SEED)
-    crosscheck = p.get("crosscheck", _parse_bool, False)
+    r, m, source, seed = ns.r, ns.m, ns.source, ns.seed
     header = ["experiment", "config_id", "source", "r", "m", "chambers", "method",
               "harding_bound", "bound_ok", "bruteforce", "seed", "wall_time_s"]
-    if source not in ("random", "halfcube"):
-        raise ValueError("source must be 'random' or 'halfcube'")
     rows = []
     bound = harding_bound(r, m)
-    for i in range(n_configs):
+    for i in range(ns.configs):
         rng = stream(seed, f"chambers:r={r}:m={m}:src={source}", i)
         if source == "halfcube":
             cfg = build_config_plus(r)
@@ -328,31 +280,23 @@ def cmd_chambers(ns: argparse.Namespace) -> int:
                 raise ValueError(f"m={m} exceeds the {len(cfg)} half-cube vectors")
             vecs = [cfg.vectors[j] for j in sample_indices(rng, len(cfg), m)]
         else:
-            vecs = []
-            while len(vecs) < m:
-                v = tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
-                          for _ in range(r))
-                if any(x != 0 for x in v):
-                    vecs.append(v)
+            vecs = random_rational_config(rng, r, m)
         t0 = time.time()
         cc = chamber_count(vecs)
-        bf = str(chamber_count_bruteforce(vecs).count) if crosscheck else ""
+        bf = str(chamber_count_bruteforce(vecs).count) if ns.crosscheck else ""
         rows.append(["chambers", str(i), source, str(r), str(m), str(cc.count),
                      cc.method, str(bound), str(cc.count <= bound).lower(), bf,
                      str(seed), f"{time.time() - t0:.3f}"])
-    _emit(p.get("out", str, None), header, rows)
+    _emit(ns.out, header, rows)
     return 0
 
 
 def cmd_moivre(ns: argparse.Namespace) -> int:
-    p = _Params(ns)
-    q_list = p.get("q", _parse_ints, [100, 400, 1600])
-    mu_list = p.get("mu", _parse_floats, [-0.5, 0.0, 0.5])
     header = ["experiment", "q", "mu", "cutoff", "ratio", "limit_value",
               "abs_dev", "wall_time_s"]
     rows = []
-    for q in q_list:
-        for mu in mu_list:
+    for q in ns.q:
+        for mu in ns.mu:
             t0 = time.time()
             ratio = moivre_laplace_ratio(q, mu)
             limit = normal_cdf(2 * mu)
@@ -360,16 +304,13 @@ def cmd_moivre(ns: argparse.Namespace) -> int:
             rows.append(["moivre", str(q), _fmt(mu), str(cutoff), _fmt(ratio),
                          _fmt(limit), _fmt(abs(ratio - limit)),
                          f"{time.time() - t0:.3f}"])
-    _emit(p.get("out", str, None), header, rows)
+    _emit(ns.out, header, rows)
     return 0
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    p = _Params(ns)
-    level = p.get("level", str, "quick")
-    seed = p.get("seed", int, DEFAULT_SEED)
-    workers = _workers(p)
-    return verify_mod.run(level=level, workers=workers, seed=seed)
+    workers = ns.workers or default_workers()
+    return verify_mod.run(level=ns.level, workers=workers, seed=ns.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,56 +320,72 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("density", help="expected graph density over a (d, base) grid")
-    sub.add_argument("--d", help="dimensions, e.g. 10,12,14")
-    sub.add_argument("--base", help="growth bases, e.g. 1.2,1.7 (n = round(base^d))")
+    sub.add_argument("--d", type=_parse_ints, default=[10, 12, 14],
+                     help="dimensions, e.g. 10,12,14")
+    sub.add_argument("--base", type=_parse_floats, default=[1.2, 1.7],
+                     help="growth bases, e.g. 1.2,1.7 (n = round(base^d))")
     _shared_flags(sub, "seed", "samples", "workers", "out")
-    sub.set_defaults(func=cmd_density)
+    sub.set_defaults(func=cmd_density, samples=1000)
 
+    # --m, --method and --exact-budget default to None so that cmd_tau can
+    # tell whether they were given with --ratio
     sub = subs.add_parser("tau", help="long-edge probability tables and sweeps")
-    sub.add_argument("--k", help="face dimensions, e.g. 3 or 6,8,10,12")
-    sub.add_argument("--m", help="obstruction counts, e.g. 0:6 (default: all)")
-    sub.add_argument("--ratio", help="m = ceil(ratio*k) sweep, e.g. 1.5,2,2.5,3")
-    sub.add_argument("--method", choices=_METHODS["tau"])
+    sub.add_argument("--k", type=_parse_ints, default=[3],
+                     help="face dimensions, e.g. 3 or 6,8,10,12")
+    sub.add_argument("--m", type=_parse_ints,
+                     help="obstruction counts, e.g. 0:6 (default: all)")
+    sub.add_argument("--ratio", type=_parse_floats,
+                     help="m = ceil(ratio*k) sweep, e.g. 1.5,2,2.5,3")
+    sub.add_argument("--method", choices=["auto", "exact", "mc", "via-alpha"],
+                     help="default: auto")
     sub.add_argument("--exact-budget", type=int,
-                     help="max subsets for exhaustive cells")
+                     help=f"max subsets for exhaustive cells (default: {EXACT_BUDGET})")
     _shared_flags(sub, "seed", "samples", "workers", "out")
-    sub.set_defaults(func=cmd_tau)
+    sub.set_defaults(func=cmd_tau, samples=20_000)
 
     sub = subs.add_parser("alpha", help="antipodal-free conditional probability")
-    sub.add_argument("--k", help="face dimensions")
-    sub.add_argument("--m", help="class counts, e.g. 0:7")
-    sub.add_argument("--method", choices=_METHODS["alpha"])
-    sub.add_argument("--exact-budget", type=int)
+    sub.add_argument("--k", type=_parse_ints, default=[3], help="face dimensions")
+    sub.add_argument("--m", type=_parse_ints, help="class counts, e.g. 0:7")
+    sub.add_argument("--method", choices=["auto", "exact", "mc", "chambers"],
+                     default="auto")
+    sub.add_argument("--exact-budget", type=int,
+                     help=f"max subsets for exhaustive cells (default: {EXACT_BUDGET})")
     _shared_flags(sub, "seed", "samples", "workers", "out")
-    sub.set_defaults(func=cmd_alpha)
+    sub.set_defaults(func=cmd_alpha, samples=20_000)
 
     sub = subs.add_parser("pi", help="edge probability pi(d, n)")
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--method", choices=_METHODS["pi"])
-    sub.add_argument("--tau-samples", type=int,
+    sub.add_argument("--d", type=int, default=8)
+    sub.add_argument("--n", type=int, default=32)
+    sub.add_argument("--method", choices=["mc", "decomp", "both"], default="both")
+    sub.add_argument("--tau-samples", type=int, default=3000,
                      help="Monte-Carlo budget per tau table cell")
     _shared_flags(sub, "seed", "samples", "workers", "out")
-    sub.set_defaults(func=cmd_pi)
+    sub.set_defaults(func=cmd_pi, samples=10_000)
 
     sub = subs.add_parser("chambers", help="chamber counts of sampled arrangements")
-    sub.add_argument("--r", type=int)
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--configs", type=int, help="number of sampled configurations")
-    sub.add_argument("--source", choices=["random", "halfcube"])
-    sub.add_argument("--crosscheck", action="store_const", const="true",
-                     help="also run the brute-force count per config")
+    sub.add_argument("--r", type=int, default=3)
+    sub.add_argument("--m", type=int, default=8)
+    sub.add_argument("--configs", type=_nonnegative, default=100,
+                     help="number of sampled configurations")
+    sub.add_argument("--source", choices=["random", "halfcube"], default="random")
+    sub.add_argument("--crosscheck", type=_parse_bool, nargs="?", const=True,
+                     default=False,
+                     help="also run the brute-force count per config "
+                          "(--crosscheck=no turns it off)")
     _shared_flags(sub, "seed", "out")
     sub.set_defaults(func=cmd_chambers)
 
     sub = subs.add_parser("moivre", help="binomial tail ratios vs the normal limit")
-    sub.add_argument("--q", help="tail sizes, e.g. 100,400,1600")
-    sub.add_argument("--mu", help="offsets, e.g. -0.5,0,0.5")
+    sub.add_argument("--q", type=_parse_ints, default=[100, 400, 1600],
+                     help="tail sizes, e.g. 100,400,1600")
+    sub.add_argument("--mu", type=_parse_floats, default=[-0.5, 0.0, 0.5],
+                     help="offsets, e.g. --mu=-0.5,0,0.5 (a leading minus "
+                          "needs the = form)")
     _shared_flags(sub, "out")
     sub.set_defaults(func=cmd_moivre)
 
     sub = subs.add_parser("verify", help="run the verification suite")
-    sub.add_argument("--level", choices=["quick", "full"])
+    sub.add_argument("--level", choices=["quick", "full"], default="quick")
     _shared_flags(sub, "seed", "workers")
     sub.set_defaults(func=cmd_verify)
 
@@ -436,10 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return the exit status: 2 on bad input, from a
+    flag or a config line, with the error on stderr and nothing on stdout."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = parser.parse_args(argv)
+        if ns.config:
+            # argv[0] is the subcommand: the top-level parser has no flags
+            lines = [f"--{key}={value}" for key, value in load_config(ns.config).items()]
+            ns = parser.parse_args(argv[:1] + lines + argv[1:])
         return ns.func(ns)
+    except SystemExit as exc:  # argparse has printed usage and the error
+        return exc.code
     except (PolydenseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

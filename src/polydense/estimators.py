@@ -485,17 +485,17 @@ class PiDecomposition:
     combined: Estimate
 
 
-def decompose_pi(d: int, n: int, tau_samples: int, seed: int, workers: int = 1,
-                 exact_budget: int = 20_000, cutoff_factor: int = 6) -> PiDecomposition:
-    """Semianalytic pi(d, n): per-distance tau tables (cut off at
-    cutoff_factor * k, tail bracketed by monotonicity) combined through the
-    exact hypergeometric weights and the distance distribution."""
+def decompose_pi(d: int, n: int, tau_samples: int, seed: int,
+                 workers: int = 1) -> PiDecomposition:
+    """Semianalytic pi(d, n): per-distance tau tables (cut off at m = 6k,
+    tail bracketed by monotonicity) combined through the exact
+    hypergeometric weights and the distance distribution."""
     pik: dict[int, Estimate] = {}
     for k in range(1, d + 1):
         m_target = min((1 << k) - 2, n - 2)
-        m_cut = min(m_target, cutoff_factor * k)
+        m_cut = min(m_target, 6 * k)
         table = build_tau_table(k, m_cut, samples=tau_samples, seed=seed,
-                                exact_budget=exact_budget, workers=workers)
+                                workers=workers)
         pik[k] = pi_k_semianalytic(d, n, k, table)
     combined = pi_from_pk(d, n, pik)
     return PiDecomposition(d=d, n=n, pi_k=pik, combined=combined)

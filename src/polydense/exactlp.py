@@ -18,10 +18,11 @@ integer tableau (Bareiss, 1968), so entries stay small on the edge test's
 ±1 input (up to 24 bits at k = 12 and 33 bits at k = 16 on sampled
 faces).  Exactness does not
 rest on that bound, though: before each pivot, an instance holding an
-entry of magnitude 2**31 or more leaves the batch and is solved again from
-the start by origin_in_conv.  Below that limit a pivot's products
-piv·x − f·y and the ratio test's cross-products stay under 2**63, and the
-division by the previous pivot is exact, as in the scalar tableau.  With
+entry of magnitude 2**31 or more leaves the batch, and the scalar tableau
+finishes it in Python integers from the state it reached.  Below that
+limit a pivot's products piv·x − f·y and the ratio test's cross-products
+stay under 2**63, and the division by the previous pivot is exact, as in
+the scalar tableau.  With
 POLYDENSE_LP_CHECK set, every batched verdict is compared with the checked
 origin_in_conv.
 
@@ -145,6 +146,17 @@ class _Tableau:
         obj = [-sum(col) for col in zip(*rows)] + [0] * m + [-1]
         data.append(obj)
         self.rows = data
+
+    @classmethod
+    def resume(cls, rows: list[list[int]], den: int, basis: list[int]) -> "_Tableau":
+        """The tableau that pivoting reached: all its rows, the objective
+        last, with their denominator and each constraint row's basic column."""
+        tab = cls.__new__(cls)
+        tab.rows, tab.den, tab.basis = rows, den, basis
+        tab.m = len(basis)
+        tab.rhs_col = len(rows[0]) - 1
+        tab.n = tab.rhs_col - tab.m
+        return tab
 
     def _pivot(self, r: int, c: int) -> None:
         rows = self.rows
@@ -301,8 +313,8 @@ def origin_in_conv_batch(points) -> list[bool]:
     points in R^d.  The B phase-one tableaus are pivoted together in int64
     by the rules of _Tableau.phase_one, so each instance takes the scalar
     solver's pivots to its exact verdict; an instance that holds an entry of
-    magnitude 2**31 or more before a pivot is finished by origin_in_conv
-    instead (see the module docstring).  No certificates are returned.
+    magnitude 2**31 or more before a pivot is finished from there by the
+    scalar tableau (see the module docstring).  No certificates are returned.
     """
     pts = np.asarray(points)
     if pts.ndim != 3 or not np.issubdtype(pts.dtype, np.integer):
@@ -338,6 +350,7 @@ def _phase_one_batch(pts: np.ndarray) -> list[bool]:
     T[:, m, :n] = -T[:, :m, :n].sum(axis=1)
     T[:, m, ncols] = -1
     den = np.ones(len(ids), dtype=np.int64)
+    basis = np.tile(np.arange(n, ncols), (len(ids), 1))
     lex = [ncols] + list(range(n, ncols))
     iters = 0
     while len(ids):
@@ -351,10 +364,12 @@ def _phase_one_batch(pts: np.ndarray) -> list[bool]:
         large = ~finished & (np.abs(T).max(axis=(1, 2)) >= _INT64_SAFE)
         for i in ids[feasible].tolist():
             verdicts[i] = True
-        scalar.extend(ids[large].tolist())
+        for j in np.flatnonzero(large).tolist():
+            tab = _TABLEAU.resume(T[j].tolist(), int(den[j]), basis[j].tolist())
+            verdicts[ids[j]] = tab.phase_one()
         go = ~(finished | large)
         if not go.all():
-            ids, T, den, enter = ids[go], T[go], den[go], enter[go]
+            ids, T, den, basis, enter = ids[go], T[go], den[go], basis[go], enter[go]
             if not len(ids):
                 break
         rows = np.arange(len(ids))
@@ -383,6 +398,7 @@ def _phase_one_batch(pts: np.ndarray) -> list[bool]:
         T -= f[:, :, None] * pivot_rows[:, None, :]
         T //= den[:, None, None]
         T[rows, leave] = pivot_rows
+        basis[rows, leave] = enter
         den = piv
     for i in scalar:
         verdicts[i] = origin_in_conv(pts[i].tolist(), d).feasible
@@ -428,18 +444,12 @@ def check_strict_witness(S: Iterable[Sequence], h: Sequence,
     return True
 
 
-def check_convex_combination(S: Iterable[Sequence], lam: Sequence,
-                             target: Sequence | None = None) -> bool:
-    """Exact check that lam is a convex combination of S equal to ``target``
-    (the origin by default)."""
+def check_convex_combination(S: Iterable[Sequence], lam: Sequence) -> bool:
+    """Exact check that lam is a convex combination of S equal to the origin."""
     vecs, d = _coerce_config(S, None)
     weights = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in lam]
     if len(weights) != len(vecs) or d is None:
         return False
     if any(w < 0 for w in weights) or sum(weights) != 1:
         return False
-    goal = _coerce_vector(target) if target is not None else tuple([Fraction(0)] * d)
-    for i in range(d):
-        if sum(w * s[i] for w, s in zip(weights, vecs)) != goal[i]:
-            return False
-    return True
+    return all(sum(w * s[i] for w, s in zip(weights, vecs)) == 0 for i in range(d))

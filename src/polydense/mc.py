@@ -55,17 +55,17 @@ class Estimate:
             raise ValueError("exact estimates must have stderr 0")
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
     p = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4 * trials * trials)) / denom
+    half = Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4 * trials * trials)) / denom
     # the interval endpoints at the boundary counts are exactly 0 and 1
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
@@ -91,8 +91,9 @@ def exact_estimate(value: Fraction, samples: int = 0, seed: int | None = None) -
                     seed=seed, exact=True, exact_value=Fraction(value))
 
 
-def split_blocks(total: int, block: int = BLOCK_SAMPLES) -> list[tuple[int, int]]:
-    """Fixed partition of a sample budget into (index, count) blocks.
+def split_blocks(total: int) -> list[tuple[int, int]]:
+    """Fixed partition of a sample budget into (index, count) blocks of
+    BLOCK_SAMPLES, the last one possibly shorter.
 
     The partition depends only on ``total``, never on worker count.
     """
@@ -102,7 +103,7 @@ def split_blocks(total: int, block: int = BLOCK_SAMPLES) -> list[tuple[int, int]
     index = 0
     remaining = total
     while remaining > 0:
-        take = min(block, remaining)
+        take = min(BLOCK_SAMPLES, remaining)
         out.append((index, take))
         index += 1
         remaining -= take

@@ -24,7 +24,7 @@ from typing import Callable
 
 from . import estimators as est
 from .arrangements import (chamber_count, chamber_count_bruteforce, harding_bound,
-                           moivre_laplace_ratio, normal_cdf)
+                           moivre_laplace_ratio, normal_cdf, random_rational_config)
 from .cube import cut_polytope_vertices, full_cube
 from .graph import graph_density_exact
 from .mc import exact_estimate
@@ -80,12 +80,7 @@ def _chamber_oracles(workers: int, seed: int, label: str, trials: int,
     for trial in range(trials):
         r = int(rng.integers(1, 5))
         m = int(rng.integers(1, m_max + 1))
-        vecs = []
-        while len(vecs) < m:
-            v = tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
-                      for _ in range(r))
-            if any(x != 0 for x in v):
-                vecs.append(v)
+        vecs = random_rational_config(rng, r, m)
         a = chamber_count(vecs).count
         b = chamber_count_bruteforce(vecs).count
         max_chi = max(max_chi, a)

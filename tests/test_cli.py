@@ -197,6 +197,18 @@ class TestMoivreCommand:
         assert abs(float(rows[0]["ratio"]) - 0.5398) < 1e-4
         assert float(rows[0]["limit_value"]) == 0.5
 
+    def test_negative_offsets_by_flag_and_config(self, tmp_path):
+        # a value with a leading minus needs the --mu=... form
+        code, text = _run(["moivre", "--q", "100", "--mu=-0.5,0,0.5"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [r["mu"] for r in rows] == ["-0.5", "0", "0.5"]
+        cfg = tmp_path / "mu.conf"
+        cfg.write_text("mu=-0.5,0,0.5\n")
+        code, from_config = _run(["moivre", "--q", "100", "--config", str(cfg)])
+        assert code == 0
+        assert _strip_wall_time(from_config) == _strip_wall_time(text)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_cli_overrides(self, tmp_path):
@@ -218,10 +230,28 @@ class TestConfigFile:
         ["tau", "--k", "4", "--m", "5", "--exact-budget", "1"],
     ], ids=["pi", "alpha", "tau"])
     def test_method_from_config_is_checked(self, tmp_path, argv):
-        # argparse checks only the --method flag's choices
+        # a config line meets the --method flag's choices
         cfg = tmp_path / "method.conf"
         cfg.write_text("method=bogus\n")
-        assert "got 'bogus'" in _error(argv + ["--config", str(cfg)])
+        assert "invalid choice: 'bogus'" in _error(argv + ["--config", str(cfg)])
+
+    @pytest.mark.parametrize("argv, line", [
+        (["tau", "--m", "2"], "sampels=5"),
+        (["tau", "--m", "2"], "methd=exact"),
+        (["density", "--d", "6", "--base", "1.3", "--samples", "10"], "ratio=1.5"),
+    ], ids=["misspelt-samples", "misspelt-method", "density-ratio"])
+    def test_key_the_command_does_not_read_is_an_error(self, tmp_path, argv, line):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(line + "\n")
+        assert f"--{line}" in _error(argv + ["--config", str(cfg)])
+
+    @pytest.mark.parametrize("line, message", [("workers=0", "got 0"),
+                                               ("d=6:4", "range '6:4' is descending")])
+    def test_bad_config_value_is_reported_like_the_flag(self, tmp_path, line, message):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(line + "\n")
+        err = _error(["density", "--samples", "10", "--config", str(cfg)])
+        assert f"argument --{line.split('=')[0]}: " in err and message in err
 
     def test_parse_errors(self, tmp_path):
         cfg = tmp_path / "bad.conf"
@@ -283,9 +313,7 @@ class TestVerifyCommand:
                                   ["chambers", "--samples", "5"],
                                   ["verify", "--out", "x"]])
 def test_flags_a_command_does_not_read_are_rejected(argv):
-    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in _error(argv)
 
 
 @pytest.mark.parametrize("argv", [

@@ -403,17 +403,18 @@ def test_batch_of_empty_configurations():
 
 
 def _count_scalar_solves(monkeypatch):
-    """Record each origin_in_conv call; checked mode, which would add one
+    """Record each scalar phase-one solve, whether origin_in_conv starts it
+    or the batch hands over a tableau; checked mode, which would add one
     per instance, is switched off."""
     monkeypatch.setattr(exactlp, "_CHECK", False)
     calls = []
-    real = exactlp.origin_in_conv
+    real = exactlp._Tableau.phase_one
 
-    def counted(S, dim=None):
-        calls.append(dim)
-        return real(S, dim)
+    def counted(self):
+        calls.append(self.m)
+        return real(self)
 
-    monkeypatch.setattr(exactlp, "origin_in_conv", counted)
+    monkeypatch.setattr(exactlp._Tableau, "phase_one", counted)
     return calls
 
 
@@ -432,6 +433,30 @@ def test_forced_fallback_gives_the_scalar_verdicts(monkeypatch):
     # entries already at the limit leave before the first pivot
     assert origin_in_conv_batch(4 * points) == want
     assert len(calls) == len(points)
+
+
+def test_fallback_keeps_the_batch_pivots(monkeypatch):
+    """An instance that leaves the batch after a few pivots is finished from
+    that tableau: the scalar solver takes only the remaining pivots, fewer
+    than a solve from the start."""
+    points = _diagonal_instances(12, 36, 1, 5)
+    monkeypatch.setattr(exactlp, "_CHECK", False)
+    pivots = 0
+    real = exactlp._Tableau._pivot
+
+    def counted(self, r, c):
+        nonlocal pivots
+        pivots += 1
+        real(self, r, c)
+
+    monkeypatch.setattr(exactlp._Tableau, "_pivot", counted)
+    want = origin_in_conv(points[0].tolist()).feasible
+    from_start, pivots = pivots, 0
+    # above every entry of the initial tableau (objective entries reach 14),
+    # so the instance pivots in the batch before it leaves
+    monkeypatch.setattr(exactlp, "_INT64_SAFE", 64)
+    assert origin_in_conv_batch(points) == [want]
+    assert 0 < pivots < from_start
 
 
 def test_natural_fallback_at_k16(monkeypatch):
