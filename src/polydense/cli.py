@@ -314,12 +314,16 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: a config key or flag must be spelt out in full
     parser = argparse.ArgumentParser(
-        prog="polydense",
+        prog="polydense", allow_abbrev=False,
         description="Graph-density experiments on random ±1-polytopes")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("density", help="expected graph density over a (d, base) grid")
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        return subs.add_parser(name, help=summary, allow_abbrev=False)
+
+    sub = add("density", "expected graph density over a (d, base) grid")
     sub.add_argument("--d", type=_parse_ints, default=[10, 12, 14],
                      help="dimensions, e.g. 10,12,14")
     sub.add_argument("--base", type=_parse_floats, default=[1.2, 1.7],
@@ -329,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # --m, --method and --exact-budget default to None so that cmd_tau can
     # tell whether they were given with --ratio
-    sub = subs.add_parser("tau", help="long-edge probability tables and sweeps")
+    sub = add("tau", "long-edge probability tables and sweeps")
     sub.add_argument("--k", type=_parse_ints, default=[3],
                      help="face dimensions, e.g. 3 or 6,8,10,12")
     sub.add_argument("--m", type=_parse_ints,
@@ -343,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(sub, "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_tau, samples=20_000)
 
-    sub = subs.add_parser("alpha", help="antipodal-free conditional probability")
+    sub = add("alpha", "antipodal-free conditional probability")
     sub.add_argument("--k", type=_parse_ints, default=[3], help="face dimensions")
     sub.add_argument("--m", type=_parse_ints, help="class counts, e.g. 0:7")
     sub.add_argument("--method", choices=["auto", "exact", "mc", "chambers"],
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(sub, "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_alpha, samples=20_000)
 
-    sub = subs.add_parser("pi", help="edge probability pi(d, n)")
+    sub = add("pi", "edge probability pi(d, n)")
     sub.add_argument("--d", type=int, default=8)
     sub.add_argument("--n", type=int, default=32)
     sub.add_argument("--method", choices=["mc", "decomp", "both"], default="both")
@@ -362,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(sub, "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_pi, samples=10_000)
 
-    sub = subs.add_parser("chambers", help="chamber counts of sampled arrangements")
+    sub = add("chambers", "chamber counts of sampled arrangements")
     sub.add_argument("--r", type=int, default=3)
     sub.add_argument("--m", type=int, default=8)
     sub.add_argument("--configs", type=_nonnegative, default=100,
@@ -375,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(sub, "seed", "out")
     sub.set_defaults(func=cmd_chambers)
 
-    sub = subs.add_parser("moivre", help="binomial tail ratios vs the normal limit")
+    sub = add("moivre", "binomial tail ratios vs the normal limit")
     sub.add_argument("--q", type=_parse_ints, default=[100, 400, 1600],
                      help="tail sizes, e.g. 100,400,1600")
     sub.add_argument("--mu", type=_parse_floats, default=[-0.5, 0.0, 0.5],
@@ -384,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(sub, "out")
     sub.set_defaults(func=cmd_moivre)
 
-    sub = subs.add_parser("verify", help="run the verification suite")
+    sub = add("verify", "run the verification suite")
     sub.add_argument("--level", choices=["quick", "full"], default="quick")
     _shared_flags(sub, "seed", "workers")
     sub.set_defaults(func=cmd_verify)

@@ -396,10 +396,27 @@ def tau_cell(k: int, m: int, samples: int, seed: int, exact_budget: int = 20_000
     return tau_mc(k, m, samples, seed, workers=workers), PROV_MONTE_CARLO
 
 
-def _tau_cell_task(args) -> tuple[int, Estimate, str]:
+def _tau_cell_task(args) -> tuple[int, int, Estimate, str]:
     k, m, samples, seed, exact_budget, method = args
     est, prov = tau_cell(k, m, samples, seed, exact_budget, method)
-    return m, est, prov
+    return k, m, est, prov
+
+
+def _tau_tables(m_max: Mapping[int, int], samples: int, seed: int,
+                exact_budget: int, workers: int, method: str) -> dict[int, TauTable]:
+    """A TauTable for each k of ``m_max``, with m = 0..min(m_max[k], 2^k - 2),
+    every cell of every table computed in one parallel_map."""
+    if method not in ("auto", "exact", "mc", "via-alpha"):
+        raise ValueError(f"unknown method {method!r}")
+    tasks = [(k, m, samples, seed, exact_budget, method)
+             for k, top in m_max.items() for m in range(min(top, (1 << k) - 2) + 1)]
+    entries: dict[int, dict[int, Estimate]] = {k: {} for k in m_max}
+    provenance: dict[int, dict[int, str]] = {k: {} for k in m_max}
+    for k, m, est, prov in parallel_map(_tau_cell_task, tasks, workers):
+        entries[k][m] = est
+        provenance[k][m] = prov
+    return {k: TauTable(k=k, entries=entries[k], provenance=provenance[k])
+            for k in m_max}
 
 
 def build_tau_table(k: int, m_max: int, samples: int, seed: int,
@@ -407,14 +424,7 @@ def build_tau_table(k: int, m_max: int, samples: int, seed: int,
                     method: str = "auto") -> TauTable:
     """tau(k, m) for m = 0..m_max: exhaustive where the subset count fits
     the budget, Monte Carlo (or the alpha route) otherwise."""
-    if method not in ("auto", "exact", "mc", "via-alpha"):
-        raise ValueError(f"unknown method {method!r}")
-    m_top = min(m_max, (1 << k) - 2)
-    tasks = [(k, m, samples, seed, exact_budget, method) for m in range(m_top + 1)]
-    results = parallel_map(_tau_cell_task, tasks, workers)
-    entries = {m: est for m, est, _ in results}
-    provenance = {m: prov for m, _, prov in results}
-    return TauTable(k=k, entries=entries, provenance=provenance)
+    return _tau_tables({k: m_max}, samples, seed, exact_budget, workers, method)[k]
 
 
 def pi_k_semianalytic(d: int, n: int, k: int, tau: TauTable) -> Estimate:
@@ -490,13 +500,10 @@ def decompose_pi(d: int, n: int, tau_samples: int, seed: int,
     """Semianalytic pi(d, n): per-distance tau tables (cut off at m = 6k,
     tail bracketed by monotonicity) combined through the exact
     hypergeometric weights and the distance distribution."""
-    pik: dict[int, Estimate] = {}
-    for k in range(1, d + 1):
-        m_target = min((1 << k) - 2, n - 2)
-        m_cut = min(m_target, 6 * k)
-        table = build_tau_table(k, m_cut, samples=tau_samples, seed=seed,
-                                workers=workers)
-        pik[k] = pi_k_semianalytic(d, n, k, table)
+    # tau cells beyond m = 6k are left to pi_k_semianalytic's tail bracket
+    m_cut = {k: min((1 << k) - 2, n - 2, 6 * k) for k in range(1, d + 1)}
+    tables = _tau_tables(m_cut, tau_samples, seed, 20_000, workers, "auto")
+    pik = {k: pi_k_semianalytic(d, n, k, table) for k, table in tables.items()}
     combined = pi_from_pk(d, n, pik)
     return PiDecomposition(d=d, n=n, pi_k=pik, combined=combined)
 

@@ -1,30 +1,30 @@
 """Exact rational linear feasibility with certificates.
 
-One LP, origin_in_conv, is the single geometric kernel: the edge test's
-segment-vs-hull query and the brute-force chamber oracle are derived from
-it.  The solver is a dense phase-one simplex with Dantzig pricing and
-the lexicographic ratio test, run on an integer tableau with a common
-denominator (fraction-free pivoting: each pivot divides exactly by the
-previous pivot element), so every comparison and every certificate is
-exact.  With POLYDENSE_LP_CHECK set at import, every pivot division and
-every origin_in_conv certificate (so every verdict of the functions below)
-is verified exactly; a failure raises ArithmeticError.
+One LP, origin_in_conv, is the single geometric kernel: the edge test
+(on projected points, see polydense.graph), the segment-vs-hull query and
+the brute-force chamber oracle are derived from it.  The solver is a dense
+phase-one simplex with Dantzig pricing and the lexicographic ratio test,
+run on an integer tableau with a common denominator (fraction-free
+pivoting: each pivot divides exactly by the previous pivot element), so
+every comparison and every certificate is exact.  With POLYDENSE_LP_CHECK
+set at import, every pivot division and every origin_in_conv certificate
+(so every verdict of the functions below) is verified exactly; a failure
+raises ArithmeticError.
 
 origin_in_conv_batch gives the verdicts of many same-shape integer
 instances at once, pivoting all their tableaus together in a numpy int64
 array by the same rules.  Fixed-width integers are exact here because
 every stored entry of a fraction-free tableau is a minor of the initial
 integer tableau (Bareiss, 1968), so entries stay small on the edge test's
-±1 input (up to 24 bits at k = 12 and 33 bits at k = 16 on sampled
-faces).  Exactness does not
-rest on that bound, though: before each pivot, an instance holding an
-entry of magnitude 2**31 or more leaves the batch, and the scalar tableau
-finishes it in Python integers from the state it reached.  Below that
-limit a pivot's products piv·x − f·y and the ratio test's cross-products
-stay under 2**63, and the division by the previous pivot is exact, as in
-the scalar tableau.  With
-POLYDENSE_LP_CHECK set, every batched verdict is compared with the checked
-origin_in_conv.
+projected {-1, 0, 1} input (up to 11 bits at k = 12 and 17 bits at k = 16
+on sampled faces, against 24 and 33 bits for the lifted ±1 test).
+Exactness does not rest on that bound, though: before each pivot, an
+instance holding an entry of magnitude 2**31 or more leaves the batch, and
+the scalar tableau finishes it in Python integers from the state it
+reached.  Below that limit a pivot's products piv·x − f·y and the ratio
+test's cross-products stay under 2**63, and the division by the previous
+pivot is exact, as in the scalar tableau.  With POLYDENSE_LP_CHECK set,
+every batched verdict is compared with the checked origin_in_conv.
 
 Certificate conventions:
 
@@ -411,11 +411,12 @@ def segment_hull_intersect(a: Sequence, b: Sequence, S: Iterable[Sequence]) -> b
     conv(S) - conv{a, b} = conv{s - a, s - b}, so this is a lifted hull test:
     0 is in conv({(-a, -1), (-b, -1)} ∪ {(s, 1)}) iff it is in that
     difference, the last coordinate splitting the weights 1/2-1/2 between
-    segment and hull.  The endpoints come first: on the diagonal queries of
-    the edge test (a = -1, b = 1) the lifted a has the most negative reduced
-    cost and enters first, winning its ties by index, and this order took
-    slightly fewer pivots than endpoints last on sampled k = 12 faces.  An
-    empty S meets nothing.
+    segment and hull.  The endpoints come first: on the edge test's diagonal
+    queries (a = -1, b = 1), which polydense.graph solves projected and the
+    tests check against this lifted form, the lifted a has the most negative
+    reduced cost and enters first, winning its ties by index, and this order
+    took slightly fewer pivots than endpoints last on sampled k = 12 faces.
+    An empty S meets nothing.
     """
     av = _coerce_vector(a)
     bv = _coerce_vector(b)

@@ -7,6 +7,15 @@ bit mask (never by enumerating the 2**k face), and the test itself is
 performed inside the face: dropping the coordinates where v and w agree and
 flipping signs so that v maps to all-minus-one is an affine isometry of the
 face, after which the query is a diagonal-versus-hull test in dimension k.
+
+That test is decided on projected points.  A convex combination of the
+face points y lies on the diagonal exactly when all its coordinates are
+equal, that is when the same weights put the origin in the hull of
+p(y) = ((y_i - y_0) / 2) for i = 1..k-1, a point of {-1, 0, 1}^(k-1) whose
+entries are bit_i - bit_0 of the point's mask.  So the diagonal meets
+conv(Y) iff origin_in_conv holds for the p(y): an LP of k rows (with the
+convexity row) and m columns, where exactlp.segment_hull_intersect lifts
+the same query to k + 2 rows and m + 2 columns.
 """
 
 from __future__ import annotations
@@ -22,7 +31,10 @@ import numpy as np
 
 from .cube import CubeVertex, VertexSet
 from .errors import BudgetExceeded, DegenerateInput
-from .exactlp import origin_in_conv_batch, segment_hull_intersect
+from .exactlp import origin_in_conv, origin_in_conv_batch
+# Not called here: perfbench/spans.py wraps graph.segment_hull_intersect by
+# name and fails to install without it.
+from .exactlp import segment_hull_intersect  # noqa: F401
 
 __all__ = [
     "DensityReport",
@@ -54,28 +66,34 @@ def long_edge_survives(k: int, face_points: Iterable[int]) -> bool:
     means +1).  Survival means the segment from all-minus-one to all-ones
     misses the convex hull of the points.  A point together with its
     coordinatewise negation forces the midpoint onto both hulls, so that
-    case short-circuits the feasibility solve.
+    case short-circuits the feasibility solve; otherwise the sorted points'
+    projections (see the module docstring) go to origin_in_conv.
     """
     pts = set(face_points)
     verdict = _verdict_without_lp(k, pts)
     if verdict is not None:
         return verdict
-    a = (-1,) * k
-    b = (1,) * k
-    S = [tuple(1 if p >> i & 1 else -1 for i in range(k)) for p in sorted(pts)]
-    return not segment_hull_intersect(a, b, S)
+    S = [tuple((p >> i & 1) - (p & 1) for i in range(1, k)) for p in sorted(pts)]
+    return not origin_in_conv(S, k - 1).feasible
 
 
 def _verdict_without_lp(k: int, pts: set[int]) -> bool | None:
-    """True for no points, False for an antipodal pair, None when an LP must
-    decide; raises ValueError on a point that is not interior to the face."""
+    """False for an antipodal pair, True for two points or fewer otherwise,
+    None when an LP must decide; raises ValueError on a point that is not
+    interior to the face.
+
+    One interior point is never on the diagonal.  If a point of the segment
+    between interior points p and q were, a coordinate where p and q agree
+    would put it at an end of the diagonal, a cube vertex, which only p or
+    q itself could be; with no such coordinate, q = -p, the antipodal pair.
+    """
     mask = (1 << k) - 1
     for p in pts:
         if not 0 < p < mask:
             raise ValueError(f"face point 0x{p:x} is not interior to the {k}-face")
         if p ^ mask in pts:
             return False
-    return None if pts else True
+    return None if len(pts) > 2 else True
 
 
 # subsets read from the input at a time by long_edges_survive, which bounds
@@ -86,13 +104,13 @@ _SUBSETS_PER_PASS = 4096
 def long_edges_survive(k: int, subsets: Iterable[Iterable[int]]) -> list[bool]:
     """long_edge_survives(k, Y) for each subset Y, in order.
 
-    Empty subsets, antipodal pairs and points that are not interior are
-    answered as there, with no LP.  The other subsets are grouped by size
-    and each group's lifted diagonal tests, points sorted as in
-    long_edge_survives, are solved as one exact batch by
+    Subsets of two points or fewer, antipodal pairs and points that are not
+    interior are answered as there, with no LP.  The other subsets are
+    grouped by size and each group's projected diagonal tests, points
+    sorted as in long_edge_survives, are solved as one exact batch by
     origin_in_conv_batch.
     """
-    bits = np.arange(k)
+    bits = np.arange(1, k)
     word = np.int64 if k < 64 else object  # object arrays shift Python ints
     out: list[bool] = []
     it = iter(subsets)
@@ -106,15 +124,10 @@ def long_edges_survive(k: int, subsets: Iterable[Iterable[int]]) -> list[bool]:
                 where.append(len(out))
                 rows.append(sorted(pts))
             out.append(verdict)
-        for m, (where, rows) in by_size.items():
-            # the lifted points of segment_hull_intersect((-1,)*k, (1,)*k, S)
-            lifted = np.empty((len(rows), m + 2, k + 1), dtype=np.int8)
-            lifted[:, 0, :k] = 1
-            lifted[:, 1, :k] = -1
-            lifted[:, :2, k] = -1
-            lifted[:, 2:, :k] = 2 * (np.array(rows, dtype=word)[:, :, None] >> bits & 1) - 1
-            lifted[:, 2:, k] = 1
-            for pos, meets in zip(where, origin_in_conv_batch(lifted)):
+        for where, rows in by_size.values():
+            words = np.array(rows, dtype=word)[:, :, None]
+            projected = ((words >> bits & 1) - (words & 1)).astype(np.int8)
+            for pos, meets in zip(where, origin_in_conv_batch(projected)):
                 out[pos] = not meets
     return out
 

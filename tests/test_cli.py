@@ -145,6 +145,19 @@ class TestPiCommand:
                       and r["experiment"] == "pi")
         assert decomp["exact_value"] == "1888/2145"
 
+    def test_decomposition_bytes_across_workers(self, tmp_path):
+        # every tau cell of every k is one task of a single pool
+        args = ["pi", "--d", "6", "--n", "16", "--method", "decomp",
+                "--tau-samples", "50", "--seed", "21"]
+        outs = []
+        for workers in ("1", "2", "1"):
+            out = tmp_path / f"w{len(outs)}.csv"
+            code, _ = _run(args + ["--workers", workers, "--out", str(out)])
+            assert code == 0
+            outs.append(_strip_wall_time(out.read_text()))
+        assert outs[0] == outs[1] == outs[2]
+        assert len(outs[0].splitlines()) == 1 + 1 + 6  # header, pi, pi_k for k = 1..6
+
 
 class TestChambersCommand:
     def test_random_with_crosscheck(self):
@@ -239,7 +252,10 @@ class TestConfigFile:
         (["tau", "--m", "2"], "sampels=5"),
         (["tau", "--m", "2"], "methd=exact"),
         (["density", "--d", "6", "--base", "1.3", "--samples", "10"], "ratio=1.5"),
-    ], ids=["misspelt-samples", "misspelt-method", "density-ratio"])
+        (["tau", "--k", "3", "--m", "2"], "samp=5"),
+        (["tau", "--k", "3", "--m", "2"], "meth=exact"),
+    ], ids=["misspelt-samples", "misspelt-method", "density-ratio",
+            "abbreviated-samples", "abbreviated-method"])
     def test_key_the_command_does_not_read_is_an_error(self, tmp_path, argv, line):
         cfg = tmp_path / "c.conf"
         cfg.write_text(line + "\n")
@@ -311,7 +327,8 @@ class TestVerifyCommand:
 
 @pytest.mark.parametrize("argv", [["moivre", "--seed", "5"],
                                   ["chambers", "--samples", "5"],
-                                  ["verify", "--out", "x"]])
+                                  ["verify", "--out", "x"],
+                                  ["tau", "--samp", "5"]])  # no prefix matching
 def test_flags_a_command_does_not_read_are_rejected(argv):
     assert f"unrecognized arguments: {argv[1]}" in _error(argv)
 

@@ -30,8 +30,13 @@ class TestTauExact:
             assert tau_exact(k, 0).exact_value == 1
 
     def test_single_obstruction(self):
-        for k in (2, 3, 4):
+        for k in range(2, 9):
             assert tau_exact(k, 1).exact_value == 1
+
+    def test_two_obstructions_block_only_as_an_antipodal_pair(self):
+        # 2^(k-1) - 1 of the C(2^k - 2, 2) pairs are antipodal
+        for k in range(2, 9):
+            assert tau_exact(k, 2).exact_value == 1 - F(1, 2 ** k - 3)
 
     def test_antidiagonal_kills_the_square(self):
         assert tau_exact(2, 2).exact_value == 0
@@ -211,6 +216,24 @@ class TestTauTable:
     def test_entry_zero_is_one(self):
         table = build_tau_table(4, 6, samples=100, seed=1)
         assert table.entries[0].exact_value == 1
+
+
+def test_decomposition_maps_every_cell_at_once(monkeypatch):
+    """decompose_pi hands every tau cell of every k to one parallel_map; at
+    d = 4, n = 6 the 1 + 3 + 5 + 5 cells are all exhaustive."""
+    from polydense import estimators
+
+    calls = []
+    real = estimators.parallel_map
+
+    def counted(fn, tasks, workers=1):
+        calls.append(len(tasks))
+        return real(fn, tasks, workers)
+
+    monkeypatch.setattr(estimators, "parallel_map", counted)
+    dec = estimators.decompose_pi(4, 6, tau_samples=10, seed=1)
+    assert calls == [14]
+    assert dec.combined.exact_value == F(1888, 2145)
 
 
 class TestPiKSemianalytic:

@@ -1,11 +1,16 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_exactlp import _segment_meets_hull_by_enumeration
 
 from polydense import (BudgetExceeded, CubeVertex, DegenerateInput, VertexSet,
                        cut_polytope_vertices, edge_kernel, full_cube,
                        graph_density_exact, is_edge, long_edge_survives,
                        long_edges_survive, sample_vertex_bits)
+from polydense.exactlp import segment_hull_intersect
 from polydense.rng import stream
 
 
@@ -15,6 +20,17 @@ def V(d, bits):
 
 def random_set(d, n, rng):
     return VertexSet(d, tuple(V(d, b) for b in sample_vertex_bits(d, n, rng)))
+
+
+def _diagonal_and_points(k, face_points):
+    """The diagonal's ends and the face points as ±1 vectors, for the
+    lifted segment test, with no short-circuit and no projection."""
+    S = [tuple(1 if p >> i & 1 else -1 for i in range(k)) for p in face_points]
+    return (-1,) * k, (1,) * k, S
+
+
+def _lifted_survives(k, face_points):
+    return not segment_hull_intersect(*_diagonal_and_points(k, face_points))
 
 
 class TestIsEdge:
@@ -158,6 +174,7 @@ class TestLongEdgesSurvive:
         assert 0 < sum(want) < len(want)
         assert long_edges_survive(k, subsets) == want
         assert long_edges_survive(k, iter(subsets)) == want
+        assert [_lifted_survives(k, Y) for Y in subsets] == want
 
     def test_input_is_read_in_passes(self, monkeypatch):
         from polydense import graph
@@ -173,6 +190,71 @@ class TestLongEdgesSurvive:
         a, b = 1 | 1 << 64, 0b110
         assert long_edges_survive(k, [[a, b], [a, a ^ mask], []]) == [
             long_edge_survives(k, [a, b]), False, True]
+
+
+@st.composite
+def _faces(draw):
+    """A face dimension and subsets of its interior points (bitmasks),
+    unsorted, with duplicates, antipodes and points whose hull meets the
+    diagonal added at random."""
+    k = draw(st.sampled_from([*range(1, 10), 65]))
+    mask = (1 << k) - 1
+    subsets = []
+    for _ in range(draw(st.integers(1, 4))):
+        pts = []
+        if k > 1:
+            pts = draw(st.lists(st.integers(1, mask - 1), max_size=6))
+            if draw(st.booleans()):
+                # the rotations of a word of period r sum to a constant
+                # vector, so their centroid lies on the diagonal
+                r = 5 if k == 65 else k
+                w = draw(st.integers(1, (1 << r) - 2))
+                p = sum(w << r * j for j in range(k // r))
+                pts += [(p << s | p >> (k - s)) & mask for s in range(r)]
+        if pts:
+            pts += draw(st.lists(st.sampled_from(pts), max_size=2))
+            if draw(st.booleans()):
+                pts.append(draw(st.sampled_from(pts)) ^ mask)
+        subsets.append(draw(st.permutations(pts)))
+    return k, subsets
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_faces())
+def test_projected_verdicts_match_the_lifted_test(face):
+    """Both verdict paths solve the projected LP, or none; the lifted
+    segment test and, on small systems, the LP-free enumeration of
+    test_exactlp decide the same queries on the ±1 points themselves."""
+    k, subsets = face
+    want = [_lifted_survives(k, Y) for Y in subsets]
+    assert [long_edge_survives(k, Y) for Y in subsets] == want
+    assert long_edges_survive(k, subsets) == want
+    for Y, survives in zip(subsets, want):
+        if len(set(Y)) <= 4:
+            meets = _segment_meets_hull_by_enumeration(*_diagonal_and_points(k, set(Y)))
+            assert meets != survives
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_faces_of_two_points_need_no_lp(monkeypatch, k):
+    """Exhaustively at k <= 6: every antipode-free face of at most two
+    points survives, as the lifted LP confirms, and the verdict paths
+    decide all such faces, and antipodal pairs, without an LP."""
+    from polydense import graph
+
+    mask = (1 << k) - 1
+    interior = range(1, mask)
+    faces = [list(Y) for size in (0, 1, 2) for Y in combinations(interior, size)]
+    survives = [len(Y) < 2 or Y[0] ^ Y[1] != mask for Y in faces]
+    assert [_lifted_survives(k, Y) for Y in faces] == survives
+
+    def no_lp(*args):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(graph, "origin_in_conv", no_lp)
+    monkeypatch.setattr(graph, "origin_in_conv_batch", no_lp)
+    assert [long_edge_survives(k, Y) for Y in faces] == survives
+    assert long_edges_survive(k, faces) == survives
 
 
 class TestDensityExact:
