@@ -102,6 +102,13 @@ def _nonnegative(text: str) -> int:
     return n
 
 
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
+
+
 def _worker_count(text: str) -> int:
     try:
         return parse_workers(int(text))
@@ -140,7 +147,7 @@ def _emit(path: str | None, header: list[str], rows: list[list[str]]) -> None:
 
 _SHARED_FLAGS = {
     "seed": dict(type=int, default=DEFAULT_SEED, help="master seed (64-bit)"),
-    "samples": dict(type=int, help="Monte-Carlo sample budget"),
+    "samples": dict(type=_positive, help="Monte-Carlo sample budget"),
     "workers": dict(type=_worker_count,
                     help="worker processes (default: POLYDENSE_WORKERS or 1)"),
     "out": dict(help="output CSV path (default: stdout)"),
@@ -342,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="m = ceil(ratio*k) sweep, e.g. 1.5,2,2.5,3")
     sub.add_argument("--method", choices=["auto", "exact", "mc", "via-alpha"],
                      help="default: auto")
-    sub.add_argument("--exact-budget", type=int,
+    sub.add_argument("--exact-budget", type=_nonnegative,
                      help=f"max subsets for exhaustive cells (default: {EXACT_BUDGET})")
     _shared_flags(sub, "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_tau, samples=20_000)
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m", type=_parse_ints, help="class counts, e.g. 0:7")
     sub.add_argument("--method", choices=["auto", "exact", "mc", "chambers"],
                      default="auto")
-    sub.add_argument("--exact-budget", type=int,
+    sub.add_argument("--exact-budget", type=_nonnegative,
                      help=f"max subsets for exhaustive cells (default: {EXACT_BUDGET})")
     _shared_flags(sub, "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_alpha, samples=20_000)
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--d", type=int, default=8)
     sub.add_argument("--n", type=int, default=32)
     sub.add_argument("--method", choices=["mc", "decomp", "both"], default="both")
-    sub.add_argument("--tau-samples", type=int, default=3000,
+    sub.add_argument("--tau-samples", type=_positive, default=3000,
                      help="Monte-Carlo budget per tau table cell")
     _shared_flags(sub, "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_pi, samples=10_000)

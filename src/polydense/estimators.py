@@ -26,10 +26,10 @@ from typing import Mapping, Sequence
 from .arrangements import build_config_plus, chamber_count, partial_binomial_sum
 from .cube import sample_vertex_bits
 from .errors import BudgetExceeded
-from .graph import _long_edge_survives_cached, edge_kernel, long_edges_survive
-# Not called here: perfbench/spans.py wraps estimators.long_edge_survives
-# by name and fails to install without it.
-from .graph import long_edge_survives  # noqa: F401
+from .graph import edge_kernel, long_edges_survive
+# Not called here: perfbench/spans.py wraps both names in estimators and
+# fails to install without them.
+from .graph import _long_edge_survives_cached, long_edge_survives  # noqa: F401
 from .mc import (Z95, Estimate, bernoulli_estimate, exact_estimate, parallel_map,
                  split_blocks)
 from .rng import rand_bits, sample_indices, stream
@@ -525,7 +525,7 @@ def pi_exact(d: int, n: int, max_work: int = 400_000) -> Estimate:
     for X in combinations(range(size), n):
         for i in range(n):
             for j in range(i + 1, n):
-                if edge_kernel(d, X[i], X[j], X, cached=True):
+                if edge_kernel(d, X[i], X[j], X):
                     hits += 1
     return exact_estimate(Fraction(hits, work), samples=work)
 
@@ -544,11 +544,9 @@ def pi_k_exact(d: int, n: int, k: int, max_subsets: int = 200_000) -> Estimate:
                              required=total)
     wb = (1 << k) - 1
     universe = [p for p in range(size) if p not in (0, wb)]
-    hits = 0
-    for rest in combinations(universe, n - 2):
-        face = frozenset(p for p in rest if not p & ~wb)
-        if _long_edge_survives_cached(k, face):
-            hits += 1
+    faces = ([p for p in rest if not p & ~wb]
+             for rest in combinations(universe, n - 2))
+    hits = sum(long_edges_survive(k, faces))
     return exact_estimate(Fraction(hits, total), samples=total)
 
 

@@ -314,7 +314,8 @@ def origin_in_conv_batch(points) -> list[bool]:
     by the rules of _Tableau.phase_one, so each instance takes the scalar
     solver's pivots to its exact verdict; an instance that holds an entry of
     magnitude 2**31 or more before a pivot is finished from there by the
-    scalar tableau (see the module docstring).  No certificates are returned.
+    scalar tableau (see the module docstring), which also solves a batch of
+    one whole.  No certificates are returned.
     """
     pts = np.asarray(points)
     if pts.ndim != 3 or not np.issubdtype(pts.dtype, np.integer):
@@ -322,6 +323,8 @@ def origin_in_conv_batch(points) -> list[bool]:
     count, n, d = pts.shape
     if n == 0:
         return [False] * count
+    if count == 1:
+        return [origin_in_conv(pts[0].tolist(), d).feasible]
     step = max(1, _BATCH_BYTES // (8 * (d + 2) * (n + d + 2)))
     out: list[bool] = []
     for start in range(0, count, step):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cube import CubeVertex, VertexSet
 from .errors import BudgetExceeded, DegenerateInput
-from .exactlp import origin_in_conv, origin_in_conv_batch
+from .exactlp import origin_in_conv_batch
 # Not called here: perfbench/spans.py wraps graph.segment_hull_intersect by
 # name and fails to install without it.
 from .exactlp import segment_hull_intersect  # noqa: F401
@@ -64,17 +64,10 @@ def long_edge_survives(k: int, face_points: Iterable[int]) -> bool:
 
     ``face_points`` are interior face vertices given as k-bit masks (bit set
     means +1).  Survival means the segment from all-minus-one to all-ones
-    misses the convex hull of the points.  A point together with its
-    coordinatewise negation forces the midpoint onto both hulls, so that
-    case short-circuits the feasibility solve; otherwise the sorted points'
-    projections (see the module docstring) go to origin_in_conv.
+    misses the convex hull of the points.  This is long_edges_survive on a
+    batch of one.
     """
-    pts = set(face_points)
-    verdict = _verdict_without_lp(k, pts)
-    if verdict is not None:
-        return verdict
-    S = [tuple((p >> i & 1) - (p & 1) for i in range(1, k)) for p in sorted(pts)]
-    return not origin_in_conv(S, k - 1).feasible
+    return long_edges_survive(k, [face_points])[0]
 
 
 def _verdict_without_lp(k: int, pts: set[int]) -> bool | None:
@@ -102,12 +95,13 @@ _SUBSETS_PER_PASS = 4096
 
 
 def long_edges_survive(k: int, subsets: Iterable[Iterable[int]]) -> list[bool]:
-    """long_edge_survives(k, Y) for each subset Y, in order.
+    """long_edge_survives(k, Y) for each subset Y, in order; every edge
+    verdict is decided here.
 
     Subsets of two points or fewer, antipodal pairs and points that are not
-    interior are answered as there, with no LP.  The other subsets are
-    grouped by size and each group's projected diagonal tests, points
-    sorted as in long_edge_survives, are solved as one exact batch by
+    interior are answered by _verdict_without_lp, with no LP.  The other
+    subsets are grouped by size, and each group's sorted points are
+    projected (see the module docstring) and solved as one exact batch by
     origin_in_conv_batch.
     """
     bits = np.arange(1, k)
@@ -132,13 +126,13 @@ def long_edges_survive(k: int, subsets: Iterable[Iterable[int]]) -> list[bool]:
     return out
 
 
+# Unused in polydense: perfbench reads its cache_info() and wraps it by name.
 @lru_cache(maxsize=200_000)
 def _long_edge_survives_cached(k: int, face_points: frozenset[int]) -> bool:
     return long_edge_survives(k, face_points)
 
 
-def edge_kernel(d: int, v_bits: int, w_bits: int, points: Iterable[int],
-                cached: bool = False) -> bool:
+def edge_kernel(d: int, v_bits: int, w_bits: int, points: Iterable[int]) -> bool:
     """Whether {v, w} is an edge of the hull of ``points``; all raw bitmasks.
 
     Only the points that agree with v wherever v and w agree, other than v
@@ -156,17 +150,14 @@ def edge_kernel(d: int, v_bits: int, w_bits: int, points: Iterable[int],
     for u in obstructions:
         rel = u ^ v_bits
         compressed.append(sum((rel >> pos & 1) << j for j, pos in enumerate(positions)))
-    k = len(positions)
-    if cached:
-        return _long_edge_survives_cached(k, frozenset(compressed))
-    return long_edge_survives(k, compressed)
+    return long_edge_survives(len(positions), compressed)
 
 
-def is_edge(X: VertexSet, v: CubeVertex, w: CubeVertex, cached: bool = False) -> bool:
+def is_edge(X: VertexSet, v: CubeVertex, w: CubeVertex) -> bool:
     """Whether {v, w} is an edge of conv(X); exact."""
     if v not in X or w not in X:
         raise ValueError("v and w must belong to X")
-    return edge_kernel(X.dim, v.bits, w.bits, [u.bits for u in X], cached=cached)
+    return edge_kernel(X.dim, v.bits, w.bits, [u.bits for u in X])
 
 
 def graph_density_exact(X: VertexSet, max_pairs: int = 200_000) -> DensityReport:
@@ -182,7 +173,7 @@ def graph_density_exact(X: VertexSet, max_pairs: int = 200_000) -> DensityReport
     edges = 0
     for i in range(n):
         for j in range(i + 1, n):
-            if is_edge(X, members[i], members[j], cached=True):
+            if is_edge(X, members[i], members[j]):
                 edges += 1
     return DensityReport(n=n, edge_count=edges, density=Fraction(edges, pairs))
 

@@ -269,6 +269,29 @@ class TestConfigFile:
         err = _error(["density", "--samples", "10", "--config", str(cfg)])
         assert f"argument --{line.split('=')[0]}: " in err and message in err
 
+    @pytest.mark.parametrize("argv, line, message", [
+        (["pi", "--d", "3", "--n", "4"], "samples=0", "must be positive, got 0"),
+        (["density", "--d", "6", "--base", "1.3"], "samples=-5",
+         "must be positive, got -5"),
+        (["pi", "--d", "3", "--n", "4"], "tau-samples=0", "must be positive, got 0"),
+        (["tau", "--k", "3", "--m", "2"], "exact-budget=-1",
+         "must be nonnegative, got -1"),
+        (["alpha", "--k", "3", "--m", "2"], "exact-budget=-1",
+         "must be nonnegative, got -1"),
+    ], ids=["pi-samples", "density-samples", "tau-samples", "tau-exact-budget",
+            "alpha-exact-budget"])
+    def test_bad_budget_names_its_flag(self, tmp_path, argv, line, message):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(line + "\n")
+        for err in (_error(argv + [f"--{line}"]), _error(argv + ["--config", str(cfg)])):
+            assert f"argument --{line.split('=')[0]}: {message}" in err
+
+    def test_zero_exact_budget_sends_the_cell_to_monte_carlo(self):
+        code, text = _run(["tau", "--k", "3", "--m", "2", "--samples", "50",
+                           "--exact-budget", "0"])
+        assert code == 0
+        assert list(csv.DictReader(io.StringIO(text)))[0]["provenance"] == "monte-carlo"
+
     def test_parse_errors(self, tmp_path):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("not a pair\n")

@@ -441,28 +441,52 @@ def test_forced_fallback_gives_the_scalar_verdicts(monkeypatch):
     assert len(calls) == len(points)
 
 
-def test_fallback_keeps_the_batch_pivots(monkeypatch):
-    """An instance that leaves the batch after a few pivots is finished from
-    that tableau: the scalar solver takes only the remaining pivots, fewer
-    than a solve from the start."""
-    points = _diagonal_instances(12, 36, 1, 5)
+def _count_pivots(monkeypatch):
+    """Record each scalar tableau pivot; checked mode is switched off."""
     monkeypatch.setattr(exactlp, "_CHECK", False)
-    pivots = 0
+    pivots = []
     real = exactlp._Tableau._pivot
 
     def counted(self, r, c):
-        nonlocal pivots
-        pivots += 1
+        pivots.append((r, c))
         real(self, r, c)
 
     monkeypatch.setattr(exactlp._Tableau, "_pivot", counted)
-    want = origin_in_conv(points[0].tolist()).feasible
-    from_start, pivots = pivots, 0
-    # above every entry of the initial tableau (objective entries reach 14),
-    # so the instance pivots in the batch before it leaves
+    return pivots
+
+
+def test_fallback_keeps_the_batch_pivots(monkeypatch):
+    """Instances that leave the batch after a few pivots are finished from
+    their tableaus: the scalar solver takes only the remaining pivots,
+    fewer than solves from the start."""
+    points = _diagonal_instances(12, 36, 2, 5)
+    pivots = _count_pivots(monkeypatch)
+    want = _scalar_verdicts(points)
+    from_start = len(pivots)
+    pivots.clear()
+    # above every entry of the initial tableaus (objective entries reach 14),
+    # so the instances pivot in the batch before they leave
     monkeypatch.setattr(exactlp, "_INT64_SAFE", 64)
-    assert origin_in_conv_batch(points) == [want]
-    assert 0 < pivots < from_start
+    assert origin_in_conv_batch(points) == want
+    assert 0 < len(pivots) < from_start
+
+
+def test_batch_of_one_is_the_scalar_solve(monkeypatch):
+    """A batch of one instance is solved by the scalar tableau from the
+    start, with its pivots and verdict, and never enters the batch."""
+    points = _diagonal_instances(12, 36, 1, 5)
+    pivots = _count_pivots(monkeypatch)
+    want = _scalar_verdicts(points)
+    scalar = list(pivots)
+    pivots.clear()
+
+    def no_batch(pts):
+        raise AssertionError("a batch of one was pivoted as a batch")
+
+    monkeypatch.setattr(exactlp, "_phase_one_batch", no_batch)
+    assert origin_in_conv_batch(points) == want
+    assert pivots == scalar
+    assert origin_in_conv_batch(points[:, :0]) == [False]
 
 
 def test_natural_fallback_at_k16(monkeypatch):

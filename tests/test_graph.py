@@ -131,7 +131,7 @@ class TestEdgeKernel:
                             assert len(face) == 2 ** len(free) - 2
                         local = [sum(1 << j for j, i in enumerate(free)
                                      if (u ^ v) >> i & 1) for u in face]
-                        want = long_edge_survives(len(free), local)
+                        want = _lifted_survives(len(free), local)
                         assert edge_kernel(d, v, w, X) == want
                         assert edge_kernel(d, v, w, face) == want
 
@@ -160,9 +160,9 @@ class TestLongEdgesSurvive:
             with pytest.raises(ValueError):
                 long_edges_survive(3, [[0b001], bad])
 
-    def test_matches_the_single_test_on_mixed_sizes(self):
+    def test_matches_the_lifted_test_on_mixed_sizes(self):
         """Sizes 0..7 in one call, duplicates and unsorted points included,
-        against long_edge_survives one subset at a time."""
+        against the lifted segment test one subset at a time."""
         rng = stream(2024, "batched-edges")
         k = 5
         subsets = []
@@ -170,26 +170,33 @@ class TestLongEdgesSurvive:
             m = int(rng.integers(0, 8))
             pts = [int(p) for p in rng.integers(1, (1 << k) - 1, size=m)]
             subsets.append(pts + pts[:1])
-        want = [long_edge_survives(k, Y) for Y in subsets]
+        want = [_lifted_survives(k, Y) for Y in subsets]
         assert 0 < sum(want) < len(want)
         assert long_edges_survive(k, subsets) == want
         assert long_edges_survive(k, iter(subsets)) == want
-        assert [_lifted_survives(k, Y) for Y in subsets] == want
 
     def test_input_is_read_in_passes(self, monkeypatch):
         from polydense import graph
 
         monkeypatch.setattr(graph, "_SUBSETS_PER_PASS", 7)
-        subsets = [[p, q] for p in range(1, 15) for q in range(p + 1, 15)]
-        assert long_edges_survive(4, subsets) == [long_edge_survives(4, Y)
-                                                  for Y in subsets]
+        subsets = [[p, q, r] for p in range(1, 15) for q in range(p + 1, 15)
+                   for r in (3, 5)]
+        want = [_lifted_survives(4, Y) for Y in subsets]
+        assert 0 < sum(want) < len(want)
+        assert long_edges_survive(4, subsets) == want
 
     def test_words_wider_than_63_bits(self):
         k = 65
         mask = (1 << k) - 1
         a, b = 1 | 1 << 64, 0b110
-        assert long_edges_survive(k, [[a, b], [a, a ^ mask], []]) == [
-            long_edge_survives(k, [a, b]), False, True]
+        # the five rotations of a word of period 5 have their centroid on
+        # the diagonal
+        p = sum(0b00111 << 5 * j for j in range(13))
+        rotations = [(p << s | p >> (k - s)) & mask for s in range(5)]
+        subsets = [[a, b], [a, a ^ mask], [], [a, b, 1 << 63 | 0b1000], rotations]
+        want = [_lifted_survives(k, Y) for Y in subsets]
+        assert want == [True, False, True, True, False]
+        assert long_edges_survive(k, subsets) == want
 
 
 @st.composite
@@ -222,9 +229,10 @@ def _faces(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_faces())
 def test_projected_verdicts_match_the_lifted_test(face):
-    """Both verdict paths solve the projected LP, or none; the lifted
-    segment test and, on small systems, the LP-free enumeration of
-    test_exactlp decide the same queries on the ±1 points themselves."""
+    """One subset at a time (a batch of one, which the scalar tableau
+    solves) and all subsets in one batch, the projected LP gives the
+    verdicts that the lifted segment test and, on small systems, the
+    LP-free enumeration of test_exactlp give on the ±1 points themselves."""
     k, subsets = face
     want = [_lifted_survives(k, Y) for Y in subsets]
     assert [long_edge_survives(k, Y) for Y in subsets] == want
@@ -251,7 +259,6 @@ def test_faces_of_two_points_need_no_lp(monkeypatch, k):
     def no_lp(*args):
         raise AssertionError("an LP was solved")
 
-    monkeypatch.setattr(graph, "origin_in_conv", no_lp)
     monkeypatch.setattr(graph, "origin_in_conv_batch", no_lp)
     assert [long_edge_survives(k, Y) for Y in faces] == survives
     assert long_edges_survive(k, faces) == survives
