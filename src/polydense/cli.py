@@ -25,8 +25,8 @@ from .arrangements import (build_config_plus, chamber_count,
                            chamber_count_bruteforce, harding_bound,
                            moivre_laplace_ratio, normal_cdf, random_rational_config)
 from .errors import BudgetExceeded, PolydenseError
-from .estimators import (alpha_exact, alpha_mc, alpha_via_chambers, decompose_pi,
-                         density_threshold_sweep, pi_mc, tau_cell,
+from .estimators import (EXACT_BUDGET, alpha_exact, alpha_mc, alpha_via_chambers,
+                         decompose_pi, density_threshold_sweep, pi_mc, tau_cell,
                          tau_threshold_sweep)
 from .mc import Estimate, default_workers, parse_workers
 from .rng import sample_indices, stream
@@ -34,8 +34,6 @@ from .rng import sample_indices, stream
 __all__ = ["main"]
 
 DEFAULT_SEED = 20250809
-# tau_cell's and alpha's enumeration budget when --exact-budget is not given
-EXACT_BUDGET = 20_000
 
 
 def _fmt(x) -> str:
@@ -109,6 +107,11 @@ def _positive(text: str) -> int:
     return n
 
 
+def _parse_positive_ints(text: str) -> list[int]:
+    """_parse_ints, each value positive."""
+    return [_positive(str(n)) for n in _parse_ints(text)]
+
+
 def _worker_count(text: str) -> int:
     try:
         return parse_workers(int(text))
@@ -151,6 +154,9 @@ _SHARED_FLAGS = {
     "workers": dict(type=_worker_count,
                     help="worker processes (default: POLYDENSE_WORKERS or 1)"),
     "out": dict(help="output CSV path (default: stdout)"),
+    "exact-budget": dict(type=_nonnegative,
+                         help="max enumeration size of an exhaustive cell "
+                              f"(default: {EXACT_BUDGET})"),
     "config": dict(help="flat key=value file; each line is read as --key=value "
                         "ahead of the command line's flags"),
 }
@@ -225,21 +231,22 @@ def cmd_alpha(ns: argparse.Namespace) -> int:
               "ci_hi", "exact_value", "samples", "seed", "wall_time_s"]
     rows = []
     for k in ns.k:
-        classes = (1 << (k - 1)) - 1
-        ms = ns.m if ns.m is not None else list(range(0, classes + 1))
+        ms = ns.m if ns.m is not None else list(range(0, 1 << (k - 1)))
         for m in ms:
             t0 = time.time()
-            size = math.comb(classes, m) * (1 << m)
+            estv = None
             if ns.method == "chambers":
                 estv, how = alpha_via_chambers(k, m, ns.samples, ns.seed,
                                                workers=workers), "chambers"
-            elif ns.method in ("auto", "exact") and size <= exact_budget:
-                estv, how = alpha_exact(k, m), "exhaustive"
-            elif ns.method == "exact":
-                raise BudgetExceeded(
-                    f"alpha({k},{m}) enumeration exceeds exact budget",
-                    required=size)
-            else:
+            elif ns.method in ("auto", "exact"):
+                try:
+                    estv, how = alpha_exact(k, m, max_subsets=exact_budget), "exhaustive"
+                except BudgetExceeded as exc:
+                    if ns.method == "exact":
+                        raise BudgetExceeded(
+                            f"alpha({k},{m}) enumeration exceeds exact budget",
+                            required=exc.required) from None
+            if estv is None:
                 estv, how = alpha_mc(k, m, ns.samples, ns.seed, workers=workers), \
                     "monte-carlo"
             rows.append(["alpha", str(k), str(m), how] + _est_fields(estv)
@@ -341,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --m, --method and --exact-budget default to None so that cmd_tau can
     # tell whether they were given with --ratio
     sub = add("tau", "long-edge probability tables and sweeps")
-    sub.add_argument("--k", type=_parse_ints, default=[3],
+    sub.add_argument("--k", type=_parse_positive_ints, default=[3],
                      help="face dimensions, e.g. 3 or 6,8,10,12")
     sub.add_argument("--m", type=_parse_ints,
                      help="obstruction counts, e.g. 0:6 (default: all)")
@@ -349,19 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="m = ceil(ratio*k) sweep, e.g. 1.5,2,2.5,3")
     sub.add_argument("--method", choices=["auto", "exact", "mc", "via-alpha"],
                      help="default: auto")
-    sub.add_argument("--exact-budget", type=_nonnegative,
-                     help=f"max subsets for exhaustive cells (default: {EXACT_BUDGET})")
-    _shared_flags(sub, "seed", "samples", "workers", "out")
+    _shared_flags(sub, "exact-budget", "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_tau, samples=20_000)
 
     sub = add("alpha", "antipodal-free conditional probability")
-    sub.add_argument("--k", type=_parse_ints, default=[3], help="face dimensions")
+    sub.add_argument("--k", type=_parse_positive_ints, default=[3],
+                     help="face dimensions")
     sub.add_argument("--m", type=_parse_ints, help="class counts, e.g. 0:7")
     sub.add_argument("--method", choices=["auto", "exact", "mc", "chambers"],
                      default="auto")
-    sub.add_argument("--exact-budget", type=_nonnegative,
-                     help=f"max subsets for exhaustive cells (default: {EXACT_BUDGET})")
-    _shared_flags(sub, "seed", "samples", "workers", "out")
+    _shared_flags(sub, "exact-budget", "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_alpha, samples=20_000)
 
     sub = add("pi", "edge probability pi(d, n)")

@@ -13,7 +13,10 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DimensionMismatch
-from .rng import rand_bits, sample_indices
+from .rng import sample_indices
+# Not called here: perfbench/spans.py wraps cube.rand_bits by name and fails
+# to install without it.
+from .rng import rand_bits  # noqa: F401
 
 __all__ = [
     "CubeVertex",
@@ -73,29 +76,12 @@ class VertexSet:
 
 
 def sample_vertex_bits(d: int, n: int, rng: np.random.Generator) -> list[int]:
-    """Uniform n-element subset of {-1,+1}^d as raw bitmasks, in draw order.
-
-    Up to d = 63 the cube is an index range for ``sample_indices``.  Wider
-    words are drawn with ``rand_bits`` and rejected when already drawn.
-    """
+    """Uniform n-element subset of {-1,+1}^d as raw bitmasks, in draw order."""
     if d < 1:
         raise ValueError("d must be positive")
-    size = 1 << d
-    if not 2 <= n <= size:
+    if not 2 <= n <= 1 << d:
         raise ValueError(f"need 2 <= n <= 2^{d}, got n={n}")
-    if d <= 63:
-        return sample_indices(rng, size, n)
-    seen: set[int] = set()
-    chosen: list[int] = []
-    while len(chosen) < n:
-        batch = [rand_bits(rng, d) for _ in range(max(16, n - len(chosen)))]
-        for word in batch:
-            if word not in seen:
-                seen.add(word)
-                chosen.append(word)
-                if len(chosen) == n:
-                    break
-    return chosen
+    return sample_indices(rng, 1 << d, n)
 
 
 def cut_polytope_vertices(k: int) -> VertexSet:

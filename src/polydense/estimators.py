@@ -8,6 +8,11 @@ n-point ±1-polytope is an edge.  The hypergeometric weights xi tie the two
 levels together, decomposing pi over the pair distance k and the number m
 of obstructing face points.
 
+A tau or alpha cell is enumerated when its enumeration fits a budget
+(EXACT_BUDGET by default) and sampled otherwise.  The enumerator is the one
+place that sizes an enumeration: it raises BudgetExceeded, carrying the
+size, when the size exceeds its max_subsets.
+
 Every Monte-Carlo routine cuts its budget into fixed blocks with derived
 RNG streams and merges integer block results, so results do not depend on
 worker count.
@@ -73,6 +78,9 @@ PROV_VIA_ALPHA = "via-alpha"
 # m exceeds the number of antipodal classes: every subset contains an
 # antipodal pair, so the value is exactly 0 without enumeration
 PROV_STRUCTURAL_ZERO = "structural-zero"
+# the enumeration size up to which tau_cell, and the CLI's alpha, enumerate
+# a cell instead of sampling it
+EXACT_BUDGET = 20_000
 
 
 def _comb0(n: int, k: int) -> int:
@@ -86,15 +94,29 @@ def _check_tau_args(k: int, m: int) -> None:
         raise ValueError(f"m must lie in 0..2^{k}-2, got {m}")
 
 
+def _check_alpha_args(k: int, m: int) -> None:
+    if k < 1:
+        raise ValueError("k must be positive")
+    classes = (1 << (k - 1)) - 1
+    if not 0 <= m <= classes:
+        raise ValueError(f"conditioning event is empty for m={m} > {classes}")
+
+
+def _check_pi_args(d: int, n: int, k: int | None = None) -> None:
+    """The (d, n) guard of the pi estimators, and 1 <= k <= d when k is given."""
+    if k is not None and not 1 <= k <= d:
+        raise ValueError("need 1 <= k <= d")
+    if not 2 <= n <= (1 << d):
+        raise ValueError(f"need 2 <= n <= 2^{d}")
+
+
 # ---------------------------------------------------------------------------
 # tau and alpha, exact
 
 
 @lru_cache(maxsize=4096)
-def _tau_exact_fraction(k: int, m: int) -> Fraction:
-    star = range(1, (1 << k) - 1)
-    hits = sum(long_edges_survive(k, combinations(star, m)))
-    return Fraction(hits, comb(len(star), m))
+def _tau_exact_hits(k: int, m: int) -> int:
+    return sum(long_edges_survive(k, combinations(range(1, (1 << k) - 1), m)))
 
 
 def tau_exact(k: int, m: int, max_subsets: int = 200_000) -> Estimate:
@@ -105,32 +127,27 @@ def tau_exact(k: int, m: int, max_subsets: int = 200_000) -> Estimate:
     if total > max_subsets:
         raise BudgetExceeded(f"{total} subsets exceed max_subsets={max_subsets}",
                              required=total)
-    return exact_estimate(_tau_exact_fraction(k, m), samples=total)
+    return exact_estimate(Fraction(_tau_exact_hits(k, m), total), samples=total)
 
 
 @lru_cache(maxsize=4096)
-def _alpha_exact_fraction(k: int, m: int) -> Fraction:
+def _alpha_exact_hits(k: int, m: int) -> int:
     mask = (1 << k) - 1
-    reps = range(1 << (k - 1), mask)
     outcomes = ([p ^ (mask if orient >> j & 1 else 0) for j, p in enumerate(combo)]
-                for combo in combinations(reps, m) for orient in range(1 << m))
-    hits = sum(long_edges_survive(k, outcomes))
-    return Fraction(hits, comb(len(reps), m) << m)
+                for combo in combinations(range(1 << (k - 1), mask), m)
+                for orient in range(1 << m))
+    return sum(long_edges_survive(k, outcomes))
 
 
 def alpha_exact(k: int, m: int, max_subsets: int = 400_000) -> Estimate:
     """Exact conditional long-edge probability given no antipodal pair,
     by enumerating antipodal classes times orientations."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    classes = (1 << (k - 1)) - 1
-    if not 0 <= m <= classes:
-        raise ValueError(f"conditioning event is empty for m={m} > {classes}")
-    total = comb(classes, m) * (1 << m)
+    _check_alpha_args(k, m)
+    total = comb((1 << (k - 1)) - 1, m) << m
     if total > max_subsets:
         raise BudgetExceeded(f"{total} outcomes exceed max_subsets={max_subsets}",
                              required=total)
-    return exact_estimate(_alpha_exact_fraction(k, m), samples=total)
+    return exact_estimate(Fraction(_alpha_exact_hits(k, m), total), samples=total)
 
 
 def tau_from_alpha(k: int, m: int, alpha: Estimate) -> Estimate:
@@ -168,15 +185,11 @@ def alpha_via_chambers_exact(k: int, m: int, max_subsets: int = 100_000) -> Esti
     """alpha through the arrangement identity, fully enumerated: average the
     chamber count over all m-subsets of the projected half configuration
     and divide by 2^m."""
-    if k < 2:
-        if k == 1 and m == 0:
-            return exact_estimate(Fraction(1), samples=1)
-        raise ValueError("chamber route needs k >= 2")
+    _check_alpha_args(k, m)
+    if k == 1:  # m = 0: the empty configuration has one chamber
+        return exact_estimate(Fraction(1), samples=1)
     cfg = build_config_plus(k - 1)
-    classes = len(cfg)
-    if not 0 <= m <= classes:
-        raise ValueError(f"conditioning event is empty for m={m} > {classes}")
-    total = comb(classes, m)
+    total = comb(len(cfg), m)
     if total > max_subsets:
         raise BudgetExceeded(f"{total} subsets exceed max_subsets={max_subsets}",
                              required=total)
@@ -284,9 +297,7 @@ def alpha_mc(k: int, m: int, samples: int, seed: int, workers: int = 1) -> Estim
     """Monte-Carlo alpha, sampling the conditioning event directly: m of the
     antipodal classes, then an orientation for each (uniform on the event
     because it has C(2^(k-1)-1, m) * 2^m equally likely outcomes)."""
-    classes = (1 << (k - 1)) - 1
-    if not 0 <= m <= classes:
-        raise ValueError(f"conditioning event is empty for m={m} > {classes}")
+    _check_alpha_args(k, m)
     return _run_binomial(_alpha_block, (k, m), samples, seed, workers)
 
 
@@ -294,11 +305,9 @@ def alpha_via_chambers(k: int, m: int, samples: int, seed: int,
                        workers: int = 1) -> Estimate:
     """alpha estimated as the mean chamber count of random m-subsets of the
     projected half configuration, divided by 2^m."""
+    _check_alpha_args(k, m)
     if k < 2:
         raise ValueError("chamber route needs k >= 2")
-    classes = (1 << (k - 1)) - 1
-    if not 0 <= m <= classes:
-        raise ValueError(f"conditioning event is empty for m={m} > {classes}")
     parts = _run_blocks(_alpha_chambers_block, (k, m), samples, seed, workers)
     total = sum(p[0] for p in parts)
     totalsq = sum(p[1] for p in parts)
@@ -319,8 +328,7 @@ def alpha_via_chambers(k: int, m: int, samples: int, seed: int,
 
 def pi_mc(d: int, n: int, samples: int, seed: int, workers: int = 1) -> Estimate:
     """Edge probability of a random pair in a random n-point ±1-polytope."""
-    if not 2 <= n <= (1 << d):
-        raise ValueError(f"need 2 <= n <= 2^{d}")
+    _check_pi_args(d, n)
     return _run_binomial(_pi_block, (d, n), samples, seed, workers)
 
 
@@ -332,10 +340,7 @@ def pi_k_mc(d: int, n: int, k: int, samples: int, seed: int,
     coordinates flipped); the conditional law is invariant under the cube
     symmetries, which act transitively on pairs at distance k.
     """
-    if not 1 <= k <= d:
-        raise ValueError("need 1 <= k <= d")
-    if not 2 <= n <= (1 << d):
-        raise ValueError(f"need 2 <= n <= 2^{d}")
+    _check_pi_args(d, n, k)
     return _run_binomial(_pik_block, (d, n, k), samples, seed, workers)
 
 
@@ -346,10 +351,7 @@ def pi_k_mc(d: int, n: int, k: int, samples: int, seed: int,
 def xi_exact(d: int, n: int, k: int, m: int) -> Fraction:
     """Probability that exactly m of the other n-2 points land on the open
     face of a distance-k pair (hypergeometric, exact)."""
-    if not 1 <= k <= d:
-        raise ValueError("need 1 <= k <= d")
-    if not 2 <= n <= (1 << d):
-        raise ValueError(f"need 2 <= n <= 2^{d}")
+    _check_pi_args(d, n, k)
     if not 0 <= m <= min((1 << k) - 2, n - 2):
         raise ValueError(f"m={m} outside 0..min(2^{k}-2, n-2)")
     num = comb((1 << k) - 2, m) * _comb0((1 << d) - (1 << k), n - m - 2)
@@ -376,19 +378,23 @@ class TauTable:
         return m
 
 
-def tau_cell(k: int, m: int, samples: int, seed: int, exact_budget: int = 20_000,
-             method: str = "auto", workers: int = 1) -> tuple[Estimate, str]:
+def tau_cell(k: int, m: int, samples: int, seed: int,
+             exact_budget: int = EXACT_BUDGET, method: str = "auto",
+             workers: int = 1) -> tuple[Estimate, str]:
     """One tau(k, m) value with its provenance: exhaustive when the subset
     count fits the budget, the structural zero when m exceeds the antipodal
     class count, Monte Carlo (direct or through alpha) otherwise."""
     _check_tau_args(k, m)
-    classes = (1 << (k - 1)) - 1
-    if method in ("auto", "exact") and comb((1 << k) - 2, m) <= exact_budget:
-        return tau_exact(k, m), PROV_EXHAUSTIVE
-    if method == "exact":
-        raise BudgetExceeded(f"tau({k},{m}) enumeration exceeds exact budget",
-                             required=comb((1 << k) - 2, m))
-    if m > classes:
+    if method not in ("auto", "exact", "mc", "via-alpha"):
+        raise ValueError(f"unknown method {method!r}")
+    if method in ("auto", "exact"):
+        try:
+            return tau_exact(k, m, max_subsets=exact_budget), PROV_EXHAUSTIVE
+        except BudgetExceeded as exc:
+            if method == "exact":
+                raise BudgetExceeded(f"tau({k},{m}) enumeration exceeds exact budget",
+                                     required=exc.required) from None
+    if m > (1 << (k - 1)) - 1:
         return exact_estimate(Fraction(0)), PROV_STRUCTURAL_ZERO
     if method == "via-alpha":
         a = alpha_mc(k, m, samples, seed, workers=workers)
@@ -406,8 +412,6 @@ def _tau_tables(m_max: Mapping[int, int], samples: int, seed: int,
                 exact_budget: int, workers: int, method: str) -> dict[int, TauTable]:
     """A TauTable for each k of ``m_max``, with m = 0..min(m_max[k], 2^k - 2),
     every cell of every table computed in one parallel_map."""
-    if method not in ("auto", "exact", "mc", "via-alpha"):
-        raise ValueError(f"unknown method {method!r}")
     tasks = [(k, m, samples, seed, exact_budget, method)
              for k, top in m_max.items() for m in range(min(top, (1 << k) - 2) + 1)]
     entries: dict[int, dict[int, Estimate]] = {k: {} for k in m_max}
@@ -420,7 +424,7 @@ def _tau_tables(m_max: Mapping[int, int], samples: int, seed: int,
 
 
 def build_tau_table(k: int, m_max: int, samples: int, seed: int,
-                    exact_budget: int = 20_000, workers: int = 1,
+                    exact_budget: int = EXACT_BUDGET, workers: int = 1,
                     method: str = "auto") -> TauTable:
     """tau(k, m) for m = 0..m_max: exhaustive where the subset count fits
     the budget, Monte Carlo (or the alpha route) otherwise."""
@@ -502,7 +506,7 @@ def decompose_pi(d: int, n: int, tau_samples: int, seed: int,
     hypergeometric weights and the distance distribution."""
     # tau cells beyond m = 6k are left to pi_k_semianalytic's tail bracket
     m_cut = {k: min((1 << k) - 2, n - 2, 6 * k) for k in range(1, d + 1)}
-    tables = _tau_tables(m_cut, tau_samples, seed, 20_000, workers, "auto")
+    tables = _tau_tables(m_cut, tau_samples, seed, EXACT_BUDGET, workers, "auto")
     pik = {k: pi_k_semianalytic(d, n, k, table) for k, table in tables.items()}
     combined = pi_from_pk(d, n, pik)
     return PiDecomposition(d=d, n=n, pi_k=pik, combined=combined)
@@ -514,9 +518,8 @@ def decompose_pi(d: int, n: int, tau_samples: int, seed: int,
 
 def pi_exact(d: int, n: int, max_work: int = 400_000) -> Estimate:
     """Exact pi(d, n) by enumerating every n-subset and every pair."""
+    _check_pi_args(d, n)
     size = 1 << d
-    if not 2 <= n <= size:
-        raise ValueError(f"need 2 <= n <= 2^{d}")
     work = comb(size, n) * comb(n, 2)
     if work > max_work:
         raise BudgetExceeded(f"{work} edge tests exceed max_work={max_work}",
@@ -533,11 +536,8 @@ def pi_exact(d: int, n: int, max_work: int = 400_000) -> Estimate:
 def pi_k_exact(d: int, n: int, k: int, max_subsets: int = 200_000) -> Estimate:
     """Exact conditional edge probability at distance k by enumerating every
     completion of the canonical pair."""
-    if not 1 <= k <= d:
-        raise ValueError("need 1 <= k <= d")
+    _check_pi_args(d, n, k)
     size = 1 << d
-    if not 2 <= n <= size:
-        raise ValueError(f"need 2 <= n <= 2^{d}")
     total = comb(size - 2, n - 2)
     if total > max_subsets:
         raise BudgetExceeded(f"{total} completions exceed max_subsets={max_subsets}",

@@ -52,8 +52,10 @@ def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[in
     """Sample k distinct indices uniformly from range(population).
 
     Rejection sampling while k is small relative to the population; partial
-    Fisher-Yates over the full range otherwise.  Deterministic given the
-    stream state.
+    Fisher-Yates over the full range otherwise.  A population above 2^63
+    exceeds numpy's int64 draws, so its indices are words of
+    (population - 1).bit_length() bits from rand_bits, rejected when out of
+    range.  Deterministic given the stream state.
     """
     if not 0 <= k <= population:
         raise ValueError(f"cannot draw {k} distinct indices from {population}")
@@ -63,8 +65,14 @@ def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[in
         seen: set[int] = set()
         out: list[int] = []
         while len(out) < k:
-            batch = rng.integers(0, population, size=max(64, k - len(out)))
-            for idx in batch.tolist():
+            if population > 1 << 63:
+                nbits = (population - 1).bit_length()
+                batch = [w for w in (rand_bits(rng, nbits)
+                                     for _ in range(max(16, k - len(out))))
+                         if w < population]
+            else:
+                batch = rng.integers(0, population, size=max(64, k - len(out))).tolist()
+            for idx in batch:
                 if idx not in seen:
                     seen.add(idx)
                     out.append(idx)

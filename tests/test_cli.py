@@ -123,6 +123,24 @@ class TestAlphaCommand:
         cfg.write_text("exact-budget=5\n")
         assert "--exact-budget" in _error(argv + ["--config", str(cfg)])
 
+    def test_budget_is_the_enumerators_cap(self, monkeypatch):
+        # 823680 outcomes: above alpha_exact's own default cap, within the
+        # budget, so --exact-budget must reach the enumerator
+        import polydense.cli as cli
+        from polydense.mc import exact_estimate
+
+        seen = []
+
+        def spy(k, m, max_subsets=None):
+            seen.append(max_subsets)
+            return exact_estimate(F(1, 2), samples=1)
+
+        monkeypatch.setattr(cli, "alpha_exact", spy)
+        code, text = _run(["alpha", "--k", "5", "--m", "7", "--method", "exact",
+                           "--exact-budget", "900000"])
+        assert code == 0 and seen == [900_000]
+        assert list(csv.DictReader(io.StringIO(text)))[0]["method"] == "exhaustive"
+
     def test_exact_over_budget_is_an_error(self):
         # as for tau: --method exact never falls back to Monte Carlo
         assert "alpha(6,10) enumeration exceeds exact budget" in _error(
@@ -278,8 +296,13 @@ class TestConfigFile:
          "must be nonnegative, got -1"),
         (["alpha", "--k", "3", "--m", "2"], "exact-budget=-1",
          "must be nonnegative, got -1"),
+        (["tau", "--m", "0"], "k=0", "must be positive, got 0"),
+        (["tau", "--m", "0"], "k=-1", "must be positive, got -1"),
+        (["alpha", "--m", "0"], "k=0", "must be positive, got 0"),
+        (["alpha", "--m", "0"], "k=3,0:2", "must be positive, got 0"),
     ], ids=["pi-samples", "density-samples", "tau-samples", "tau-exact-budget",
-            "alpha-exact-budget"])
+            "alpha-exact-budget", "tau-k-zero", "tau-k-negative", "alpha-k-zero",
+            "alpha-k-range"])
     def test_bad_budget_names_its_flag(self, tmp_path, argv, line, message):
         cfg = tmp_path / "c.conf"
         cfg.write_text(line + "\n")

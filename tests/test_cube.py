@@ -132,6 +132,25 @@ class TestSampling:
         assert any(b >> 64 for b in X)
         assert sample_vertex_bits(70, 40, stream(6, "wide")) == X
 
+    def test_wide_draws_are_pinned(self):
+        # the 70-bit words of one seeded stream, fixed so that a change to the
+        # sampler that moves a draw shows here
+        assert sample_vertex_bits(70, 40, stream(6, "wide")) == [
+            476444056618990960686, 988566056548062365991, 236210172092618975906,
+            416458002843937326714, 111641162940389388854, 1095675133054328215514,
+            691416074162201552985, 262189907631608105419, 415139853040042976979,
+            801910586060629815201, 354752760968972197030, 1170215175938739328371,
+            968791799089094859600, 98222971446390157677, 1020162621500849454853,
+            621174763172894190503, 957818334786264788458, 571043178526909392048,
+            633155236695186917796, 587203258157924658311, 8131430847518796321,
+            1022710352392461276064, 607765474344806886580, 95567707212850741603,
+            134294238769815583309, 494621069101698344047, 1140180739141420835629,
+            1144386669083119993847, 359723481993152944073, 597182883363247704684,
+            667549704164877960714, 1156811714459796028445, 403886975483835406486,
+            717903732477931878785, 1052037124250301036918, 3873813281442491124,
+            436370614901559857578, 1063658870350979858090, 277690000755346222598,
+            446052818325835659748]
+
 
 class TestCutPolytope:
     def test_k3(self):

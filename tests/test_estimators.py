@@ -2,14 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from polydense import BudgetExceeded
+from polydense import BudgetExceeded, estimators
 from polydense.estimators import (PROV_EXHAUSTIVE, PROV_MONTE_CARLO,
                                   PROV_STRUCTURAL_ZERO, alpha_exact, alpha_mc,
                                   alpha_via_chambers, alpha_via_chambers_exact,
                                   build_tau_table, density_threshold_sweep,
                                   monotonicity_check, pi_exact, pi_from_pk,
                                   pi_k_exact, pi_k_mc, pi_k_semianalytic, pi_mc,
-                                  tau_exact, tau_from_alpha, tau_mc,
+                                  tau_cell, tau_exact, tau_from_alpha, tau_mc,
                                   tau_threshold_sweep, tau_upper_bound, xi_exact)
 from polydense.estimators import (_alpha_block, _pik_block, _sample_star_subset,
                                   _tau_block)
@@ -90,6 +90,13 @@ class TestTauMc:
         with pytest.raises(ValueError):
             tau_mc(3, 7, samples=10, seed=0)
 
+    def test_populations_beyond_int64(self):
+        # 2^70 - 2 face points for tau, 2^65 - 1 classes for alpha and a
+        # 2^64-vertex cube for pi_k all sample through rand_bits words
+        for est in (tau_mc(70, 3, 50, SEED), alpha_mc(66, 3, 20, SEED),
+                    pi_k_mc(64, 10, 3, 20, SEED)):
+            assert est.samples in (20, 50) and 0 <= est.value <= 1
+
 
 class TestAlpha:
     def test_zero_m(self):
@@ -104,6 +111,14 @@ class TestAlpha:
             alpha_exact(3, 4)
         with pytest.raises(ValueError):
             alpha_mc(3, 4, samples=10, seed=0)
+
+    @pytest.mark.parametrize("fn", [alpha_exact, alpha_via_chambers_exact,
+                                    lambda k, m: alpha_mc(k, m, 10, 0),
+                                    lambda k, m: alpha_via_chambers(k, m, 10, 0)],
+                             ids=["exact", "chambers-exact", "mc", "chambers"])
+    def test_nonpositive_k_is_named(self, fn):
+        with pytest.raises(ValueError, match="k must be positive"):
+            fn(0, 1)
 
     def test_exhaustive_oracle_via_unconditioned_enumeration(self):
         # independent route: enumerate all subsets, filter the conditioning
@@ -201,6 +216,34 @@ class TestXi:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             xi_exact(3, 4, 3, 3)
+
+
+class TestTauCell:
+    def test_budget_is_the_enumerators_cap(self, monkeypatch):
+        # C(30, 6) = 593775 subsets: above tau_exact's own default cap, within
+        # the cell's budget, so the cell's budget must reach the enumerator
+        seen = []
+
+        def spy(k, m, max_subsets=None):
+            seen.append(max_subsets)
+            return exact_estimate(F(1, 2), samples=1)
+
+        monkeypatch.setattr(estimators, "tau_exact", spy)
+        est, prov = tau_cell(5, 6, samples=1, seed=1, exact_budget=600_000)
+        assert prov == PROV_EXHAUSTIVE and est.exact_value == F(1, 2)
+        assert seen == [600_000]
+
+    def test_exact_over_budget_reports_the_cell(self):
+        with pytest.raises(BudgetExceeded,
+                           match=r"tau\(5,6\) enumeration exceeds exact budget") as err:
+            tau_cell(5, 6, samples=1, seed=1, exact_budget=593_774, method="exact")
+        assert err.value.required == 593_775
+
+    def test_unknown_method_is_an_error(self):
+        with pytest.raises(ValueError, match="'exhaustive'"):
+            tau_cell(3, 2, 50, 1, method="exhaustive")
+        with pytest.raises(ValueError, match="'exhaustive'"):
+            build_tau_table(3, 2, 50, 1, method="exhaustive")
 
 
 class TestTauTable:

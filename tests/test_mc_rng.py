@@ -140,6 +140,16 @@ class TestSampleIndices:
         with pytest.raises(ValueError):
             sample_indices(stream(0, "z"), 4, 5)
 
+    def test_populations_beyond_int64(self):
+        # above 2^63 the indices are rand_bits words, rejected when out of range
+        rng = stream(5, "wide")
+        for pop in (1 << 63, (1 << 64) + 1, 3 << 70, (1 << 70) - 2):
+            got = sample_indices(rng, pop, 200)
+            assert len(set(got)) == 200
+            assert all(0 <= i < pop for i in got)
+            if pop > 1 << 70:
+                assert any(i >> 70 for i in got)
+
     def test_draws_and_stream_state_are_pinned(self):
         """The rejection path's draws, and the draw after them, as the
         sampler has always produced them at this seed."""
