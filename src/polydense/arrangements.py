@@ -41,6 +41,11 @@ __all__ = [
 
 DELETION_RESTRICTION = "deletion-restriction"
 BRUTE_FORCE = "brute-force"
+# caps: vectors of build_config_plus, and hyperplanes of chamber_count and
+# of its brute force, which solves 2^m LPs
+CONFIG_PLUS_BUDGET = 1_000_000
+CHAMBER_BUDGET = 24
+BRUTE_FORCE_BUDGET = 14
 
 
 @dataclass(frozen=True)
@@ -92,24 +97,16 @@ def phi_project(v: CubeVertex) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=32)
-def _config_plus_cached(r: int) -> VectorConfig:
-    top = 1 << r
-    vectors = []
-    for low in range((1 << r) - 1):  # skip all-ones: that vertex is the diagonal tip
-        vectors.append(phi_project(CubeVertex(r + 1, top | low)))
-    return VectorConfig(r=r, vectors=tuple(vectors))
-
-
-def build_config_plus(r: int, max_vectors: int = 1_000_000) -> VectorConfig:
+def build_config_plus(r: int) -> VectorConfig:
     """The projected half configuration: images of all vertices with last
     coordinate +1, excluding the diagonal endpoint.  Exactly 2**r - 1
     pairwise distinct nonzero vectors.
     """
     if r < 1:
         raise ValueError("r must be positive")
-    if (1 << r) - 1 > max_vectors:
-        raise BudgetExceeded(f"2^{r} - 1 vectors exceed the budget", required=(1 << r) - 1)
-    return _config_plus_cached(r)
+    BudgetExceeded.check((1 << r) - 1, CONFIG_PLUS_BUDGET, "vectors")
+    return VectorConfig(r=r, vectors=tuple(phi_project(CubeVertex(r + 1, 1 << r | low))
+                                           for low in range((1 << r) - 1)))
 
 
 def _primitive(v: Sequence) -> tuple[int, ...]:
@@ -125,16 +122,14 @@ def _primitive(v: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def _dedupe(S, max_m: int) -> tuple[list[tuple[int, ...]], int | None]:
+def _dedupe(S, cap: int) -> tuple[list[tuple[int, ...]], int | None]:
     """One primitive vector per distinct hyperplane of S, sorted, at most
-    max_m of them, and the dimension r of S (None for an empty S that is
+    cap of them, and the dimension r of S (None for an empty S that is
     not a VectorConfig)."""
     vectors, r = (S.vectors, S.r) if isinstance(S, VectorConfig) else (S, None)
     vecs, r = _coerce_config(vectors, r)
     lines = sorted({_primitive(v) for v in vecs})
-    if len(lines) > max_m:
-        raise BudgetExceeded(f"{len(lines)} hyperplanes exceed max_m={max_m}",
-                             required=len(lines))
+    BudgetExceeded.check(len(lines), cap, "hyperplanes")
     return lines, r
 
 
@@ -160,7 +155,7 @@ def _chambers(lines: list[tuple[int, ...]], dim: int) -> int:
     return _chambers(rest, dim) + _chambers(list(restricted), dim - 1)
 
 
-def chamber_count(S: "VectorConfig | Iterable[Sequence]", max_m: int = 24) -> ChamberCount:
+def chamber_count(S: "VectorConfig | Iterable[Sequence]") -> ChamberCount:
     """Number of chambers of the central arrangement defined by S.
 
     Vectors that are nonzero multiples of one another define the same
@@ -168,15 +163,14 @@ def chamber_count(S: "VectorConfig | Iterable[Sequence]", max_m: int = 24) -> Ch
     (1975) deletion–restriction identity r(A) = r(A - H) + r(A^H) in exact
     integer arithmetic, with no LP.
     """
-    lines, r = _dedupe(S, max_m)
+    lines, r = _dedupe(S, CHAMBER_BUDGET)
     return ChamberCount(count=_chambers(lines, r or 0), method=DELETION_RESTRICTION)
 
 
-def chamber_count_bruteforce(S: "VectorConfig | Iterable[Sequence]",
-                             max_m: int = 14) -> ChamberCount:
+def chamber_count_bruteforce(S: "VectorConfig | Iterable[Sequence]") -> ChamberCount:
     """Oracle twin of chamber_count: iterate all 2**m sign vectors and count
     those whose signed set misses the origin in its convex hull."""
-    vecs, _ = _dedupe(S, max_m)
+    vecs, _ = _dedupe(S, BRUTE_FORCE_BUDGET)
     count = 0
     for signs in product((1, -1), repeat=len(vecs)):
         signed = [v if s == 1 else tuple(-x for x in v) for v, s in zip(vecs, signs)]

@@ -19,6 +19,7 @@ import csv
 import math
 import sys
 import time
+from contextlib import nullcontext
 
 from . import verify as verify_mod
 from .arrangements import (build_config_plus, chamber_count,
@@ -82,7 +83,10 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(part) for part in _fields(text)]
+    values = [float(part) for part in _fields(text)]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return values
 
 
 def _parse_bool(text: str) -> bool:
@@ -135,17 +139,11 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _emit(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    if path:
-        fh = open(path, "w", newline="", encoding="utf-8")
-    else:
-        fh = sys.stdout
-    try:
+    out = open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout)
+    with out as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if path:
-            fh.close()
 
 
 _SHARED_FLAGS = {
@@ -168,6 +166,12 @@ def _shared_flags(sub: argparse.ArgumentParser, *names: str) -> None:
         sub.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
+def _check_default_m(ns: argparse.Namespace) -> None:
+    """Without --m, every m of each k (about 2^k cells) runs: require --m above k = 16."""
+    if ns.m is None and max(ns.k) > 16:
+        raise ValueError(f"--m is needed for k > 16, got k={max(ns.k)}")
+
+
 def cmd_density(ns: argparse.Namespace) -> int:
     workers = ns.workers or default_workers()
     header = ["experiment", "d", "base", "n", "estimate", "stderr", "ci_lo",
@@ -178,7 +182,8 @@ def cmd_density(ns: argparse.Namespace) -> int:
             t0 = time.time()
             row = density_threshold_sweep([d], [base], samples=ns.samples,
                                           seed=ns.seed, workers=workers)[0]
-            rows.append(["density", str(d), _fmt(base), str(row.n)]
+            rows.append(["density", str(d), _fmt(base),
+                         "" if row.n is None else str(row.n)]
                         + _est_fields(row.estimate)
                         + [str(ns.seed), row.note, f"{time.time() - t0:.3f}"])
     _emit(ns.out, header, rows)
@@ -194,6 +199,8 @@ def cmd_tau(ns: argparse.Namespace) -> int:
         if given:
             raise ValueError("--ratio runs Monte Carlo at m = ceil(ratio * k) "
                              f"and takes no {', '.join(given)}")
+    else:
+        _check_default_m(ns)
     exact_budget = EXACT_BUDGET if ns.exact_budget is None else ns.exact_budget
     header = ["experiment", "k", "m", "ratio", "provenance", "estimate", "stderr",
               "ci_lo", "ci_hi", "exact_value", "samples", "seed", "note",
@@ -210,8 +217,7 @@ def cmd_tau(ns: argparse.Namespace) -> int:
                             + _est_fields(row.estimate)
                             + [str(ns.seed), row.note, f"{time.time() - t0:.3f}"])
         else:
-            ms = ns.m if ns.m is not None else list(range(0, (1 << k) - 1))
-            for m in ms:
+            for m in ns.m or range((1 << k) - 1):
                 t0 = time.time()
                 estv, prov = tau_cell(k, m, samples=ns.samples, seed=ns.seed,
                                       exact_budget=exact_budget,
@@ -226,13 +232,13 @@ def cmd_alpha(ns: argparse.Namespace) -> int:
     workers = ns.workers or default_workers()
     if ns.method == "chambers" and ns.exact_budget is not None:
         raise ValueError("--method chambers takes no --exact-budget")
+    _check_default_m(ns)
     exact_budget = EXACT_BUDGET if ns.exact_budget is None else ns.exact_budget
     header = ["experiment", "k", "m", "method", "estimate", "stderr", "ci_lo",
               "ci_hi", "exact_value", "samples", "seed", "wall_time_s"]
     rows = []
     for k in ns.k:
-        ms = ns.m if ns.m is not None else list(range(0, 1 << (k - 1)))
-        for m in ms:
+        for m in ns.m or range(1 << (k - 1)):
             t0 = time.time()
             estv = None
             if ns.method == "chambers":
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=_parse_positive_ints, default=[3],
                      help="face dimensions, e.g. 3 or 6,8,10,12")
     sub.add_argument("--m", type=_parse_ints,
-                     help="obstruction counts, e.g. 0:6 (default: all)")
+                     help="obstruction counts, e.g. 0:6 (default: all, for k <= 16)")
     sub.add_argument("--ratio", type=_parse_floats,
                      help="m = ceil(ratio*k) sweep, e.g. 1.5,2,2.5,3")
     sub.add_argument("--method", choices=["auto", "exact", "mc", "via-alpha"],
@@ -362,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("alpha", "antipodal-free conditional probability")
     sub.add_argument("--k", type=_parse_positive_ints, default=[3],
                      help="face dimensions")
-    sub.add_argument("--m", type=_parse_ints, help="class counts, e.g. 0:7")
+    sub.add_argument("--m", type=_parse_ints,
+                     help="class counts, e.g. 0:7 (default: all, for k <= 16)")
     sub.add_argument("--method", choices=["auto", "exact", "mc", "chambers"],
                      default="auto")
     _shared_flags(sub, "exact-budget", "seed", "samples", "workers", "out")

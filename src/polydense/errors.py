@@ -22,3 +22,10 @@ class BudgetExceeded(PolydenseError):
     def __init__(self, message: str, required: int | None = None):
         super().__init__(message)
         self.required = required
+
+    @staticmethod
+    def check(required: int, cap: int, what: str) -> None:
+        """The guard every exhaustive computation calls before any work."""
+        if required > cap:
+            raise BudgetExceeded(f"{required} {what} exceed the budget of {cap}",
+                                 required=required)

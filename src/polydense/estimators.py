@@ -9,9 +9,9 @@ levels together, decomposing pi over the pair distance k and the number m
 of obstructing face points.
 
 A tau or alpha cell is enumerated when its enumeration fits a budget
-(EXACT_BUDGET by default) and sampled otherwise.  The enumerator is the one
-place that sizes an enumeration: it raises BudgetExceeded, carrying the
-size, when the size exceeds its max_subsets.
+(EXACT_BUDGET by default) and sampled otherwise.  Every exhaustive routine
+passes its enumeration size to BudgetExceeded.check before any edge test,
+and caches nothing, so a repeated call enumerates again.
 
 Every Monte-Carlo routine cuts its budget into fixed blocks with derived
 RNG streams and merges integer block results, so results do not depend on
@@ -23,15 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .arrangements import build_config_plus, chamber_count, partial_binomial_sum
 from .cube import sample_vertex_bits
 from .errors import BudgetExceeded
-from .graph import edge_kernel, long_edges_survive
+from .graph import _edge_count, edge_kernel, long_edges_survive
 # Not called here: perfbench/spans.py wraps both names in estimators and
 # fails to install without them.
 from .graph import _long_edge_survives_cached, long_edge_survives  # noqa: F401
@@ -81,6 +80,10 @@ PROV_STRUCTURAL_ZERO = "structural-zero"
 # the enumeration size up to which tau_cell, and the CLI's alpha, enumerate
 # a cell instead of sampling it
 EXACT_BUDGET = 20_000
+# the caps of alpha_via_chambers_exact, pi_k_exact and pi_exact
+ALPHA_CHAMBERS_BUDGET = 100_000
+PI_K_EXACT_BUDGET = 200_000
+PI_EXACT_BUDGET = 400_000
 
 
 def _comb0(n: int, k: int) -> int:
@@ -114,40 +117,30 @@ def _check_pi_args(d: int, n: int, k: int | None = None) -> None:
 # tau and alpha, exact
 
 
-@lru_cache(maxsize=4096)
-def _tau_exact_hits(k: int, m: int) -> int:
-    return sum(long_edges_survive(k, combinations(range(1, (1 << k) - 1), m)))
+def _exact_share(k: int, total: int, cap: int, what: str, faces: Callable) -> Estimate:
+    """The share of the ``total`` face sets of faces() whose k-diagonal survives."""
+    BudgetExceeded.check(total, cap, what)
+    return exact_estimate(Fraction(sum(long_edges_survive(k, faces())), total),
+                          samples=total)
 
 
 def tau_exact(k: int, m: int, max_subsets: int = 200_000) -> Estimate:
     """Exact long-edge probability by enumerating all m-subsets of the
     interior face points."""
     _check_tau_args(k, m)
-    total = comb((1 << k) - 2, m)
-    if total > max_subsets:
-        raise BudgetExceeded(f"{total} subsets exceed max_subsets={max_subsets}",
-                             required=total)
-    return exact_estimate(Fraction(_tau_exact_hits(k, m), total), samples=total)
-
-
-@lru_cache(maxsize=4096)
-def _alpha_exact_hits(k: int, m: int) -> int:
-    mask = (1 << k) - 1
-    outcomes = ([p ^ (mask if orient >> j & 1 else 0) for j, p in enumerate(combo)]
-                for combo in combinations(range(1 << (k - 1), mask), m)
-                for orient in range(1 << m))
-    return sum(long_edges_survive(k, outcomes))
+    return _exact_share(k, comb((1 << k) - 2, m), max_subsets, "subsets",
+                        lambda: combinations(range(1, (1 << k) - 1), m))
 
 
 def alpha_exact(k: int, m: int, max_subsets: int = 400_000) -> Estimate:
     """Exact conditional long-edge probability given no antipodal pair,
     by enumerating antipodal classes times orientations."""
     _check_alpha_args(k, m)
-    total = comb((1 << (k - 1)) - 1, m) << m
-    if total > max_subsets:
-        raise BudgetExceeded(f"{total} outcomes exceed max_subsets={max_subsets}",
-                             required=total)
-    return exact_estimate(Fraction(_alpha_exact_hits(k, m), total), samples=total)
+    mask = (1 << k) - 1
+    return _exact_share(k, comb((1 << (k - 1)) - 1, m) << m, max_subsets, "outcomes",
+                        lambda: ([p ^ flip for p, flip in zip(combo, flips)]
+                                 for combo in combinations(range(1 << (k - 1), mask), m)
+                                 for flips in product((0, mask), repeat=m)))
 
 
 def tau_from_alpha(k: int, m: int, alpha: Estimate) -> Estimate:
@@ -181,21 +174,15 @@ def tau_upper_bound(k: int, m: int) -> Fraction:
     return Fraction(partial_binomial_sum(k - 2, m - 1), 1 << (m - 1))
 
 
-def alpha_via_chambers_exact(k: int, m: int, max_subsets: int = 100_000) -> Estimate:
+def alpha_via_chambers_exact(k: int, m: int) -> Estimate:
     """alpha through the arrangement identity, fully enumerated: average the
-    chamber count over all m-subsets of the projected half configuration
-    and divide by 2^m."""
+    chamber count over all m-subsets of the 2^(k-1) - 1 vectors of the
+    projected half configuration and divide by 2^m."""
     _check_alpha_args(k, m)
-    if k == 1:  # m = 0: the empty configuration has one chamber
-        return exact_estimate(Fraction(1), samples=1)
-    cfg = build_config_plus(k - 1)
-    total = comb(len(cfg), m)
-    if total > max_subsets:
-        raise BudgetExceeded(f"{total} subsets exceed max_subsets={max_subsets}",
-                             required=total)
-    chi_sum = 0
-    for subset in combinations(cfg.vectors, m):
-        chi_sum += chamber_count(subset).count
+    total = comb((1 << (k - 1)) - 1, m)
+    BudgetExceeded.check(total, ALPHA_CHAMBERS_BUDGET, "subsets")
+    vectors = build_config_plus(k - 1).vectors if k > 1 else ()  # k = 1 means m = 0
+    chi_sum = sum(chamber_count(subset).count for subset in combinations(vectors, m))
     return exact_estimate(Fraction(chi_sum, total * (1 << m)), samples=total)
 
 
@@ -516,38 +503,24 @@ def decompose_pi(d: int, n: int, tau_samples: int, seed: int,
 # exact enumeration over whole vertex-set ensembles (small d)
 
 
-def pi_exact(d: int, n: int, max_work: int = 400_000) -> Estimate:
+def pi_exact(d: int, n: int) -> Estimate:
     """Exact pi(d, n) by enumerating every n-subset and every pair."""
     _check_pi_args(d, n)
-    size = 1 << d
-    work = comb(size, n) * comb(n, 2)
-    if work > max_work:
-        raise BudgetExceeded(f"{work} edge tests exceed max_work={max_work}",
-                             required=work)
-    hits = 0
-    for X in combinations(range(size), n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if edge_kernel(d, X[i], X[j], X):
-                    hits += 1
+    work = comb(1 << d, n) * comb(n, 2)
+    BudgetExceeded.check(work, PI_EXACT_BUDGET, "edge tests")
+    hits = sum(_edge_count(d, X) for X in combinations(range(1 << d), n))
     return exact_estimate(Fraction(hits, work), samples=work)
 
 
-def pi_k_exact(d: int, n: int, k: int, max_subsets: int = 200_000) -> Estimate:
+def pi_k_exact(d: int, n: int, k: int) -> Estimate:
     """Exact conditional edge probability at distance k by enumerating every
     completion of the canonical pair."""
     _check_pi_args(d, n, k)
-    size = 1 << d
-    total = comb(size - 2, n - 2)
-    if total > max_subsets:
-        raise BudgetExceeded(f"{total} completions exceed max_subsets={max_subsets}",
-                             required=total)
     wb = (1 << k) - 1
-    universe = [p for p in range(size) if p not in (0, wb)]
-    faces = ([p for p in rest if not p & ~wb]
-             for rest in combinations(universe, n - 2))
-    hits = sum(long_edges_survive(k, faces))
-    return exact_estimate(Fraction(hits, total), samples=total)
+    universe = (p for p in range(1, 1 << d) if p != wb)
+    return _exact_share(k, comb((1 << d) - 2, n - 2), PI_K_EXACT_BUDGET, "completions",
+                        lambda: ([p for p in rest if not p & ~wb]
+                                 for rest in combinations(universe, n - 2)))
 
 
 @dataclass(frozen=True)
@@ -589,7 +562,7 @@ class TauSweepRow:
 class DensitySweepRow:
     d: int
     base: float
-    n: int
+    n: int | None  # None when base ** d is beyond the float range
     estimate: Estimate | None
     note: str = ""
 
@@ -617,8 +590,11 @@ def density_threshold_sweep(d_list: Sequence[int], base_list: Sequence[float],
     rows = []
     for d in d_list:
         for base in base_list:
-            n = round(base ** d)
-            if not 2 <= n <= (1 << d):
+            try:
+                n = round(base ** d)
+            except OverflowError:
+                n = None
+            if n is None or not 2 <= n <= (1 << d):
                 rows.append(DensitySweepRow(d=d, base=base, n=n, estimate=None,
                                             note="n out of range"))
                 continue

@@ -15,7 +15,8 @@ p(y) = ((y_i - y_0) / 2) for i = 1..k-1, a point of {-1, 0, 1}^(k-1) whose
 entries are bit_i - bit_0 of the point's mask.  So the diagonal meets
 conv(Y) iff origin_in_conv holds for the p(y): an LP of k rows (with the
 convexity row) and m columns, where exactlp.segment_hull_intersect lifts
-the same query to k + 2 rows and m + 2 columns.
+the same query to k + 2 rows and m + 2 columns.  Exact densities (here and
+in estimators.pi_exact) count edges pair by pair with edge_kernel.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations, islice
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +45,8 @@ __all__ = [
     "is_edge",
     "graph_density_exact",
 ]
+
+DENSITY_EXACT_BUDGET = 200_000  # the most vertex pairs graph_density_exact tests
 
 
 @dataclass(frozen=True)
@@ -160,20 +163,17 @@ def is_edge(X: VertexSet, v: CubeVertex, w: CubeVertex) -> bool:
     return edge_kernel(X.dim, v.bits, w.bits, [u.bits for u in X])
 
 
-def graph_density_exact(X: VertexSet, max_pairs: int = 200_000) -> DensityReport:
+def _edge_count(d: int, points: Sequence[int]) -> int:
+    """Edges of the hull of the distinct d-bit masks ``points``, pair by pair."""
+    return sum(edge_kernel(d, v, w, points) for v, w in combinations(points, 2))
+
+
+def graph_density_exact(X: VertexSet) -> DensityReport:
     """Exact density: test every vertex pair of X."""
     n = len(X)
     if n < 2:
         raise ValueError("density needs at least two vertices")
     pairs = comb(n, 2)
-    if pairs > max_pairs:
-        raise BudgetExceeded(f"{pairs} pair tests exceed max_pairs={max_pairs}",
-                             required=pairs)
-    members = X.members
-    edges = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if is_edge(X, members[i], members[j]):
-                edges += 1
+    BudgetExceeded.check(pairs, DENSITY_EXACT_BUDGET, "pair tests")
+    edges = _edge_count(X.dim, [u.bits for u in X])
     return DensityReport(n=n, edge_count=edges, density=Fraction(edges, pairs))
-

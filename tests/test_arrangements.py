@@ -267,6 +267,17 @@ class TestChamberCount:
         with pytest.raises(BudgetExceeded):
             chamber_count_bruteforce(vecs)
 
+    @pytest.mark.parametrize("r, m", [(2, 7), (3, 9), (4, 12), (5, 12)])
+    def test_bruteforce_share_is_wendels_probability(self, r, m):
+        """Wendel (1962): m points in general position in R^r, each negated
+        with probability 1/2, miss the origin's hull, that is lie in an open
+        half-space, with probability 2^(1-m) * sum_{i<r} C(m-1, i).  The
+        brute force decides each of the 2^m sign vectors by LP, so its count
+        over 2^m must equal that closed form exactly (Cover 1965)."""
+        vecs = _general_position_config(stream(1962, f"wendel:r={r}:m={m}"), r, m)
+        wendel = F(sum(math.comb(m - 1, i) for i in range(r)), 2 ** (m - 1))
+        assert F(chamber_count_bruteforce(vecs).count, 2 ** m) == wendel
+
 
 class TestVectorConfig:
     def test_rejects_zero_vector(self):

@@ -71,6 +71,28 @@ class TestTauCommand:
         rows = list(csv.DictReader(io.StringIO(text)))
         assert [r["m"] for r in rows] == ["0", "1", "2"]
 
+    @pytest.mark.parametrize("argv, line", [
+        (["tau", "--k", "70"], None),
+        (["alpha", "--k", "30"], None),
+        (["tau", "--k", "3,17"], None),
+        (["tau", "--samples", "5"], "k=70"),
+    ], ids=["tau-k70", "alpha-k30", "tau-k3-and-17", "tau-config-k70"])
+    def test_default_m_range_is_bounded(self, tmp_path, argv, line):
+        # every m of k = 70 is 2^70 - 1 cells: --m is required above k = 16,
+        # before any cell runs
+        if line:
+            cfg = tmp_path / "k.conf"
+            cfg.write_text(line + "\n")
+            argv = argv + ["--config", str(cfg)]
+        assert "--m is needed for k > 16" in _error(argv)
+
+    def test_given_m_runs_at_any_k(self):
+        code, text = _run(["tau", "--k", "70", "--m", "1", "--samples", "5"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [(r["k"], r["m"], r["provenance"]) for r in rows] == [
+            ("70", "1", "monte-carlo")]
+
 
 class TestDensityCommand:
     def test_rows_and_range_guard(self):
@@ -83,6 +105,15 @@ class TestDensityCommand:
         assert rows[0]["estimate"] != ""
         assert rows[1]["estimate"] == ""
         assert rows[1]["note"] == "n out of range"
+
+    def test_base_power_beyond_the_float_range_is_out_of_range(self):
+        # 1e300 ** 10 overflows a float: the row carries the note and no n
+        code, text = _run(["density", "--d", "10", "--base", "1e300,1.3",
+                           "--samples", "50", "--seed", "11"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [(r["n"], r["note"]) for r in rows] == [("", "n out of range"),
+                                                       (str(round(1.3 ** 10)), "")]
 
     def test_descending_range_is_an_error(self):
         assert "range '6:4' is descending" in _error(
@@ -300,9 +331,19 @@ class TestConfigFile:
         (["tau", "--m", "0"], "k=-1", "must be positive, got -1"),
         (["alpha", "--m", "0"], "k=0", "must be positive, got 0"),
         (["alpha", "--m", "0"], "k=3,0:2", "must be positive, got 0"),
+        (["density", "--d", "6", "--samples", "10"], "base=inf",
+         "must be finite, got 'inf'"),
+        (["density", "--d", "6", "--samples", "10"], "base=1.2,nan",
+         "must be finite, got '1.2,nan'"),
+        (["tau", "--k", "3", "--samples", "10"], "ratio=inf",
+         "must be finite, got 'inf'"),
+        (["tau", "--k", "3", "--samples", "10"], "ratio=nan",
+         "must be finite, got 'nan'"),
+        (["moivre", "--q", "100"], "mu=-inf", "must be finite, got '-inf'"),
     ], ids=["pi-samples", "density-samples", "tau-samples", "tau-exact-budget",
             "alpha-exact-budget", "tau-k-zero", "tau-k-negative", "alpha-k-zero",
-            "alpha-k-range"])
+            "alpha-k-range", "density-base-inf", "density-base-nan", "tau-ratio-inf",
+            "tau-ratio-nan", "moivre-mu-inf"])
     def test_bad_budget_names_its_flag(self, tmp_path, argv, line, message):
         cfg = tmp_path / "c.conf"
         cfg.write_text(line + "\n")

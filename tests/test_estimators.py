@@ -1,8 +1,11 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
-from polydense import BudgetExceeded, estimators
+from polydense import (BudgetExceeded, arrangements, build_config_plus, chamber_count,
+                       chamber_count_bruteforce, estimators, full_cube, graph,
+                       graph_density_exact)
 from polydense.estimators import (PROV_EXHAUSTIVE, PROV_MONTE_CARLO,
                                   PROV_STRUCTURAL_ZERO, alpha_exact, alpha_mc,
                                   alpha_via_chambers, alpha_via_chambers_exact,
@@ -49,6 +52,60 @@ class TestTauExact:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             tau_exact(5, 15)
+
+    def test_budget_message_names_the_size_and_the_cap(self):
+        with pytest.raises(BudgetExceeded,
+                           match=r"^593775 subsets exceed the budget of 200000$"):
+            tau_exact(5, 6)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work ran before the budget guard")
+
+
+@pytest.mark.parametrize("call, required", [
+    (lambda: tau_exact(5, 15), comb(30, 15)),
+    (lambda: tau_exact(70, 3), comb(2 ** 70 - 2, 3)),
+    (lambda: alpha_exact(5, 8), comb(15, 8) * 2 ** 8),
+    (lambda: alpha_via_chambers_exact(6, 5), comb(31, 5)),
+    (lambda: pi_exact(4, 9), comb(16, 9) * comb(9, 2)),
+    (lambda: pi_k_exact(5, 8, 3), comb(30, 6)),
+    (lambda: pi_k_exact(40, 4, 3), comb(2 ** 40 - 2, 2)),
+    (lambda: graph_density_exact(full_cube(10)), comb(1024, 2)),
+    (lambda: build_config_plus(20), 2 ** 20 - 1),
+    (lambda: chamber_count([(1, i, i * i) for i in range(25)]), 25),
+    (lambda: chamber_count_bruteforce([(1, i) for i in range(15)]), 15),
+], ids=["tau", "tau-k70", "alpha", "alpha-chambers", "pi", "pi-k", "pi-k-d40",
+        "density", "config-plus", "chambers", "chambers-bruteforce"])
+def test_every_exhaustive_guard_runs_before_any_work(monkeypatch, call, required):
+    """Each exhaustive computation raises with its enumeration size before a
+    single edge test, LP, chamber count or projection runs."""
+    for module, name in [(estimators, "long_edges_survive"),
+                         (estimators, "chamber_count"), (estimators, "_edge_count"),
+                         (graph, "edge_kernel"), (graph, "long_edges_survive"),
+                         (graph, "origin_in_conv_batch"),
+                         (arrangements, "origin_in_conv"), (arrangements, "_chambers"),
+                         (arrangements, "phi_project")]:
+        monkeypatch.setattr(module, name, _no_work)
+    with pytest.raises(BudgetExceeded) as err:
+        call()
+    assert err.value.required == required
+
+
+@pytest.mark.parametrize("exact", [tau_exact, alpha_exact])
+def test_a_repeated_exact_cell_enumerates_again(monkeypatch, exact):
+    # nothing is cached: the second call decides every verdict again
+    calls = []
+    real = estimators.long_edges_survive
+
+    def spy(k, faces):
+        calls.append(k)
+        return real(k, faces)
+
+    monkeypatch.setattr(estimators, "long_edges_survive", spy)
+    first = exact(4, 3)
+    assert exact(4, 3) == first
+    assert calls == [4, 4]
 
 
 class TestTauMonotoneAndBound:

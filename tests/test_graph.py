@@ -282,7 +282,7 @@ class TestDensityExact:
         assert rep.edge_count == 28
 
     def test_budget(self):
-        X = full_cube(4)
+        X = full_cube(10)  # C(1024, 2) pairs, above DENSITY_EXACT_BUDGET
         with pytest.raises(BudgetExceeded) as err:
-            graph_density_exact(X, max_pairs=10)
-        assert err.value.required == 120
+            graph_density_exact(X)
+        assert err.value.required == 523776
