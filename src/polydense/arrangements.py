@@ -36,6 +36,7 @@ __all__ = [
     "partial_binomial_sum",
     "harding_bound",
     "normal_cdf",
+    "moivre_cutoff",
     "moivre_laplace_ratio",
 ]
 
@@ -219,12 +220,19 @@ def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
+def moivre_cutoff(q: int, mu: float) -> int:
+    """floor(q/2 + mu*sqrt(q)); ValueError naming q and mu if that is not finite."""
+    if q < 1:
+        raise ValueError("q must be positive")
+    cutoff = q / 2 + mu * math.sqrt(q)
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff q/2 + mu*sqrt(q) is not finite at q={q}, mu={mu}")
+    return math.floor(cutoff)
+
+
 def moivre_laplace_ratio(q: int, mu: float) -> float:
-    """Exact big-integer ratio b(floor(q/2 + mu*sqrt(q)), q) / 2**q.
+    """Exact big-integer ratio b(moivre_cutoff(q, mu), q) / 2**q.
 
     Converges to normal_cdf(2*mu) as q grows; monotone in mu for fixed q.
     """
-    if q < 1:
-        raise ValueError("q must be positive")
-    p = math.floor(q / 2 + mu * math.sqrt(q))
-    return float(Fraction(partial_binomial_sum(p, q), 1 << q))
+    return float(Fraction(partial_binomial_sum(moivre_cutoff(q, mu), q), 1 << q))

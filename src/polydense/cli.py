@@ -1,9 +1,12 @@
 """Command-line surface: seeded experiments, CSV emission, verification.
 
-Every subcommand writes CSV with a fixed header, 12-significant-digit
-numeric fields, exact rationals duplicated as "p/q" strings, and a trailing
-wall-time column that is informational only (strip it before comparing
-outputs byte for byte).  Identical configuration and seed produce identical
+Every subcommand but verify is a generator that yields its CSV header and
+then its rows: fixed columns, 12-significant-digit numeric fields and exact
+rationals as "p/q" strings.  main resolves the worker count once and hands
+the rows to one writer, which appends a wall_time_s column (the seconds
+spent producing each row, informational only: strip it before comparing
+outputs byte for byte) and writes only after the last row, so a command that
+fails writes nothing.  Identical configuration and seed produce identical
 bytes for any worker count.
 
 A --config file is read through the same parser as the command line: each
@@ -20,15 +23,17 @@ import math
 import sys
 import time
 from contextlib import nullcontext
+from typing import Iterator
 
 from . import verify as verify_mod
 from .arrangements import (build_config_plus, chamber_count,
                            chamber_count_bruteforce, harding_bound,
-                           moivre_laplace_ratio, normal_cdf, random_rational_config)
+                           moivre_cutoff, moivre_laplace_ratio, normal_cdf,
+                           random_rational_config)
 from .errors import BudgetExceeded, PolydenseError
-from .estimators import (EXACT_BUDGET, alpha_exact, alpha_mc, alpha_via_chambers,
-                         decompose_pi, density_threshold_sweep, pi_mc, tau_cell,
-                         tau_threshold_sweep)
+from .estimators import (EXACT_BUDGET, PROV_EXHAUSTIVE, PROV_MONTE_CARLO, alpha_exact,
+                         alpha_mc, alpha_via_chambers, decompose_pi,
+                         density_threshold_sweep, pi_mc, tau_cell, tau_threshold_sweep)
 from .mc import Estimate, default_workers, parse_workers
 from .rng import sample_indices, stream
 
@@ -43,18 +48,12 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _fmt_exact(e: Estimate | None) -> str:
-    if e is None or e.exact_value is None:
-        return ""
-    return str(e.exact_value)
-
-
 def _est_fields(e: Estimate | None) -> list[str]:
     """estimate, stderr, ci_lo, ci_hi, exact_value, samples columns."""
     if e is None:
         return ["", "", "", "", "", ""]
     return [_fmt(e.value), _fmt(e.stderr), _fmt(e.ci95[0]), _fmt(e.ci95[1]),
-            _fmt_exact(e), str(e.samples)]
+            "" if e.exact_value is None else str(e.exact_value), str(e.samples)]
 
 
 # argparse types.  An ArgumentTypeError's message is printed after the flag's
@@ -138,12 +137,20 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _emit(path: str | None, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(rows: Iterator[list[str]], path: str | None) -> None:
+    """Write a command's header and rows, each row ending in the seconds spent
+    producing it.  Every row is produced before anything is written, so a
+    command that fails on any row leaves no output and no --out file."""
+    table = [next(rows) + ["wall_time_s"]]
+    start = time.perf_counter()
+    for row in rows:
+        now = time.perf_counter()
+        table.append(row + [f"{now - start:.3f}"])
+        start = now
+    # stdout is looked up now, so a caller's redirect_stdout is honoured
     out = open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout)
     with out as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerows(table)
 
 
 _SHARED_FLAGS = {
@@ -172,26 +179,20 @@ def _check_default_m(ns: argparse.Namespace) -> None:
         raise ValueError(f"--m is needed for k > 16, got k={max(ns.k)}")
 
 
-def cmd_density(ns: argparse.Namespace) -> int:
-    workers = ns.workers or default_workers()
-    header = ["experiment", "d", "base", "n", "estimate", "stderr", "ci_lo",
-              "ci_hi", "exact_value", "samples", "seed", "note", "wall_time_s"]
-    rows = []
+def cmd_density(ns: argparse.Namespace) -> Iterator[list[str]]:
+    yield ["experiment", "d", "base", "n", "estimate", "stderr", "ci_lo", "ci_hi",
+           "exact_value", "samples", "seed", "note"]
     for d in ns.d:
         for base in ns.base:
-            t0 = time.time()
             row = density_threshold_sweep([d], [base], samples=ns.samples,
-                                          seed=ns.seed, workers=workers)[0]
-            rows.append(["density", str(d), _fmt(base),
-                         "" if row.n is None else str(row.n)]
-                        + _est_fields(row.estimate)
-                        + [str(ns.seed), row.note, f"{time.time() - t0:.3f}"])
-    _emit(ns.out, header, rows)
-    return 0
+                                          seed=ns.seed, workers=ns.workers)[0]
+            yield (["density", str(d), _fmt(base), "" if row.n is None else str(row.n)]
+                   + _est_fields(row.estimate) + [str(ns.seed), row.note])
 
 
-def cmd_tau(ns: argparse.Namespace) -> int:
-    workers = ns.workers or default_workers()
+def cmd_tau(ns: argparse.Namespace) -> Iterator[list[str]]:
+    yield ["experiment", "k", "m", "ratio", "provenance", "estimate", "stderr",
+           "ci_lo", "ci_hi", "exact_value", "samples", "seed", "note"]
     if ns.ratio is not None:
         given = [flag for flag, value in (("--m", ns.m), ("--method", ns.method),
                                           ("--exact-budget", ns.exact_budget))
@@ -202,95 +203,70 @@ def cmd_tau(ns: argparse.Namespace) -> int:
     else:
         _check_default_m(ns)
     exact_budget = EXACT_BUDGET if ns.exact_budget is None else ns.exact_budget
-    header = ["experiment", "k", "m", "ratio", "provenance", "estimate", "stderr",
-              "ci_lo", "ci_hi", "exact_value", "samples", "seed", "note",
-              "wall_time_s"]
-    rows = []
     for k in ns.k:
         if ns.ratio is not None:
             for ratio in ns.ratio:
-                t0 = time.time()
                 row = tau_threshold_sweep([k], [ratio], samples=ns.samples,
-                                          seed=ns.seed, workers=workers)[0]
-                prov = "monte-carlo" if row.estimate is not None else ""
-                rows.append(["tau", str(k), str(row.m), _fmt(ratio), prov]
-                            + _est_fields(row.estimate)
-                            + [str(ns.seed), row.note, f"{time.time() - t0:.3f}"])
+                                          seed=ns.seed, workers=ns.workers)[0]
+                yield (["tau", str(k), "" if row.m is None else str(row.m), _fmt(ratio),
+                        PROV_MONTE_CARLO if row.estimate is not None else ""]
+                       + _est_fields(row.estimate) + [str(ns.seed), row.note])
         else:
             for m in ns.m or range((1 << k) - 1):
-                t0 = time.time()
                 estv, prov = tau_cell(k, m, samples=ns.samples, seed=ns.seed,
                                       exact_budget=exact_budget,
-                                      method=ns.method or "auto", workers=workers)
-                rows.append(["tau", str(k), str(m), "", prov] + _est_fields(estv)
-                            + [str(ns.seed), "", f"{time.time() - t0:.3f}"])
-    _emit(ns.out, header, rows)
-    return 0
+                                      method=ns.method or "auto", workers=ns.workers)
+                yield (["tau", str(k), str(m), "", prov] + _est_fields(estv)
+                       + [str(ns.seed), ""])
 
 
-def cmd_alpha(ns: argparse.Namespace) -> int:
-    workers = ns.workers or default_workers()
+def cmd_alpha(ns: argparse.Namespace) -> Iterator[list[str]]:
+    yield ["experiment", "k", "m", "method", "estimate", "stderr", "ci_lo", "ci_hi",
+           "exact_value", "samples", "seed"]
     if ns.method == "chambers" and ns.exact_budget is not None:
         raise ValueError("--method chambers takes no --exact-budget")
     _check_default_m(ns)
     exact_budget = EXACT_BUDGET if ns.exact_budget is None else ns.exact_budget
-    header = ["experiment", "k", "m", "method", "estimate", "stderr", "ci_lo",
-              "ci_hi", "exact_value", "samples", "seed", "wall_time_s"]
-    rows = []
     for k in ns.k:
         for m in ns.m or range(1 << (k - 1)):
-            t0 = time.time()
             estv = None
             if ns.method == "chambers":
                 estv, how = alpha_via_chambers(k, m, ns.samples, ns.seed,
-                                               workers=workers), "chambers"
+                                               workers=ns.workers), "chambers"
             elif ns.method in ("auto", "exact"):
                 try:
-                    estv, how = alpha_exact(k, m, max_subsets=exact_budget), "exhaustive"
+                    estv, how = alpha_exact(k, m, max_subsets=exact_budget), PROV_EXHAUSTIVE
                 except BudgetExceeded as exc:
                     if ns.method == "exact":
                         raise BudgetExceeded(
                             f"alpha({k},{m}) enumeration exceeds exact budget",
                             required=exc.required) from None
             if estv is None:
-                estv, how = alpha_mc(k, m, ns.samples, ns.seed, workers=workers), \
-                    "monte-carlo"
-            rows.append(["alpha", str(k), str(m), how] + _est_fields(estv)
-                        + [str(ns.seed), f"{time.time() - t0:.3f}"])
-    _emit(ns.out, header, rows)
-    return 0
+                estv, how = alpha_mc(k, m, ns.samples, ns.seed,
+                                     workers=ns.workers), PROV_MONTE_CARLO
+            yield ["alpha", str(k), str(m), how] + _est_fields(estv) + [str(ns.seed)]
 
 
-def cmd_pi(ns: argparse.Namespace) -> int:
-    workers = ns.workers or default_workers()
+def cmd_pi(ns: argparse.Namespace) -> Iterator[list[str]]:
     d, n, seed = ns.d, ns.n, ns.seed
-    header = ["experiment", "d", "n", "k", "method", "estimate", "stderr",
-              "ci_lo", "ci_hi", "exact_value", "samples", "seed", "wall_time_s"]
-    rows = []
+    yield ["experiment", "d", "n", "k", "method", "estimate", "stderr", "ci_lo",
+           "ci_hi", "exact_value", "samples", "seed"]
     if ns.method in ("mc", "both"):
-        t0 = time.time()
-        estv = pi_mc(d, n, ns.samples, seed, workers=workers)
-        rows.append(["pi", str(d), str(n), "", "mc"] + _est_fields(estv)
-                    + [str(seed), f"{time.time() - t0:.3f}"])
+        estv = pi_mc(d, n, ns.samples, seed, workers=ns.workers)
+        yield ["pi", str(d), str(n), "", "mc"] + _est_fields(estv) + [str(seed)]
     if ns.method in ("decomp", "both"):
-        t0 = time.time()
         dec = decompose_pi(d, n, tau_samples=ns.tau_samples, seed=seed,
-                           workers=workers)
-        wall = f"{time.time() - t0:.3f}"
-        rows.append(["pi", str(d), str(n), "", "decomp"]
-                    + _est_fields(dec.combined) + [str(seed), wall])
+                           workers=ns.workers)
+        yield ["pi", str(d), str(n), "", "decomp"] + _est_fields(dec.combined) + [str(seed)]
         for k in sorted(dec.pi_k):
-            rows.append(["pi_k", str(d), str(n), str(k), "decomp"]
-                        + _est_fields(dec.pi_k[k]) + [str(seed), wall])
-    _emit(ns.out, header, rows)
-    return 0
+            yield (["pi_k", str(d), str(n), str(k), "decomp"]
+                   + _est_fields(dec.pi_k[k]) + [str(seed)])
 
 
-def cmd_chambers(ns: argparse.Namespace) -> int:
+def cmd_chambers(ns: argparse.Namespace) -> Iterator[list[str]]:
     r, m, source, seed = ns.r, ns.m, ns.source, ns.seed
-    header = ["experiment", "config_id", "source", "r", "m", "chambers", "method",
-              "harding_bound", "bound_ok", "bruteforce", "seed", "wall_time_s"]
-    rows = []
+    yield ["experiment", "config_id", "source", "r", "m", "chambers", "method",
+           "harding_bound", "bound_ok", "bruteforce", "seed"]
     bound = harding_bound(r, m)
     for i in range(ns.configs):
         rng = stream(seed, f"chambers:r={r}:m={m}:src={source}", i)
@@ -301,36 +277,21 @@ def cmd_chambers(ns: argparse.Namespace) -> int:
             vecs = [cfg.vectors[j] for j in sample_indices(rng, len(cfg), m)]
         else:
             vecs = random_rational_config(rng, r, m)
-        t0 = time.time()
         cc = chamber_count(vecs)
         bf = str(chamber_count_bruteforce(vecs).count) if ns.crosscheck else ""
-        rows.append(["chambers", str(i), source, str(r), str(m), str(cc.count),
-                     cc.method, str(bound), str(cc.count <= bound).lower(), bf,
-                     str(seed), f"{time.time() - t0:.3f}"])
-    _emit(ns.out, header, rows)
-    return 0
+        yield ["chambers", str(i), source, str(r), str(m), str(cc.count), cc.method,
+               str(bound), str(cc.count <= bound).lower(), bf, str(seed)]
 
 
-def cmd_moivre(ns: argparse.Namespace) -> int:
-    header = ["experiment", "q", "mu", "cutoff", "ratio", "limit_value",
-              "abs_dev", "wall_time_s"]
-    rows = []
+def cmd_moivre(ns: argparse.Namespace) -> Iterator[list[str]]:
+    yield ["experiment", "q", "mu", "cutoff", "ratio", "limit_value", "abs_dev"]
     for q in ns.q:
         for mu in ns.mu:
-            t0 = time.time()
+            cutoff = moivre_cutoff(q, mu)
             ratio = moivre_laplace_ratio(q, mu)
             limit = normal_cdf(2 * mu)
-            cutoff = math.floor(q / 2 + mu * math.sqrt(q))
-            rows.append(["moivre", str(q), _fmt(mu), str(cutoff), _fmt(ratio),
-                         _fmt(limit), _fmt(abs(ratio - limit)),
-                         f"{time.time() - t0:.3f}"])
-    _emit(ns.out, header, rows)
-    return 0
-
-
-def cmd_verify(ns: argparse.Namespace) -> int:
-    workers = ns.workers or default_workers()
-    return verify_mod.run(level=ns.level, workers=workers, seed=ns.seed)
+            yield ["moivre", str(q), _fmt(mu), str(cutoff), _fmt(ratio), _fmt(limit),
+                   _fmt(abs(ratio - limit))]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("verify", "run the verification suite")
     sub.add_argument("--level", choices=["quick", "full"], default="quick")
     _shared_flags(sub, "seed", "workers")
-    sub.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -425,7 +385,12 @@ def main(argv: list[str] | None = None) -> int:
             # argv[0] is the subcommand: the top-level parser has no flags
             lines = [f"--{key}={value}" for key, value in load_config(ns.config).items()]
             ns = parser.parse_args(argv[:1] + lines + argv[1:])
-        return ns.func(ns)
+        if "workers" in ns:
+            ns.workers = ns.workers or default_workers()
+        if ns.command == "verify":
+            return verify_mod.run(level=ns.level, workers=ns.workers, seed=ns.seed)
+        _write_csv(ns.func(ns), ns.out)
+        return 0
     except SystemExit as exc:  # argparse has printed usage and the error
         return exc.code
     except (PolydenseError, ValueError, OSError) as exc:

@@ -553,7 +553,7 @@ def monotonicity_check(d: int) -> MonotonicityReport:
 class TauSweepRow:
     k: int
     ratio: float
-    m: int
+    m: int | None  # None when ratio * k is beyond the float range
     estimate: Estimate | None
     note: str = ""
 
@@ -573,8 +573,10 @@ def tau_threshold_sweep(k_list: Sequence[int], ratio_list: Sequence[float],
     rows = []
     for k in k_list:
         for ratio in ratio_list:
-            m = math.ceil(ratio * k)
-            if m > (1 << k) - 2:
+            if ratio * k == -math.inf:
+                raise ValueError(f"m must lie in 0..2^{k}-2, got ceil({ratio} * {k})")
+            m = math.ceil(ratio * k) if ratio * k < math.inf else None
+            if m is None or m > (1 << k) - 2:
                 rows.append(TauSweepRow(k=k, ratio=ratio, m=m, estimate=None,
                                         note="m exceeds 2^k - 2"))
                 continue

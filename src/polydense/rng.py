@@ -62,23 +62,22 @@ def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[in
     if k == 0:
         return []
     if k <= population // 2:
-        seen: set[int] = set()
-        out: list[int] = []
-        while len(out) < k:
+        seen: dict[int, None] = {}  # insertion-ordered: the distinct draws so far
+        while len(seen) < k:
             if population > 1 << 63:
                 nbits = (population - 1).bit_length()
                 batch = [w for w in (rand_bits(rng, nbits)
-                                     for _ in range(max(16, k - len(out))))
+                                     for _ in range(max(16, k - len(seen))))
                          if w < population]
             else:
-                batch = rng.integers(0, population, size=max(64, k - len(out))).tolist()
-            for idx in batch:
-                if idx not in seen:
-                    seen.add(idx)
-                    out.append(idx)
-                    if len(out) == k:
-                        break
-        return out
+                batch = rng.integers(0, population, size=max(64, k - len(seen))).tolist()
+            # slices of the number still missing: a small k stops after a few draws
+            pos = 0
+            while len(seen) < k and pos < len(batch):
+                take = k - len(seen)
+                seen.update(dict.fromkeys(batch[pos:pos + take]))
+                pos += take
+        return list(seen)
     pool = list(range(population))
     for i in range(k):
         j = i + int(rng.integers(0, population - i))

@@ -1,7 +1,9 @@
 import math
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,10 @@ from polydense import (BudgetExceeded, CubeVertex, DegenerateInput, DimensionMis
                        arrangements, build_config_plus, chamber_count,
                        chamber_count_bruteforce, harding_bound, moivre_laplace_ratio,
                        normal_cdf, partial_binomial_sum, phi_project)
-from polydense.arrangements import BRUTE_FORCE, DELETION_RESTRICTION, VectorConfig
+from polydense.arrangements import (BRUTE_FORCE, DELETION_RESTRICTION, VectorConfig,
+                                    moivre_cutoff)
+from polydense.estimators import _run_blocks
+from polydense.exactlp import origin_in_conv_batch
 from polydense.rng import stream
 
 
@@ -49,6 +54,16 @@ def _general_position_config(rng, r, m):
     while any(_det(sub) == 0 for sub in combinations(vecs, r)):
         vecs = _random_config(rng, r, m)
     return vecs
+
+
+def _wendel_block(args):
+    """Hits of one block: uniform sign vectors s for which the points s_i v_i
+    miss the origin's hull, v_i = (1, t, ..., t^(r-1)) on the moment curve at
+    m distinct t centred on 0, so every r of them are independent."""
+    r, m, count, seed, index = args
+    vecs = np.vander(2 * np.arange(m) - (m - 1), r, increasing=True)
+    signs = stream(seed, f"wendel-signs:r={r}:m={m}", index).choice([-1, 1], (count, m))
+    return count - sum(origin_in_conv_batch(signs[:, :, None] * vecs))
 
 
 _small_int = st.integers(-3, 3)
@@ -278,6 +293,19 @@ class TestChamberCount:
         wendel = F(sum(math.comb(m - 1, i) for i in range(r)), 2 ** (m - 1))
         assert F(chamber_count_bruteforce(vecs).count, 2 ** m) == wendel
 
+    @pytest.mark.parametrize("r, m, samples", [(4, 8, 2000), (6, 14, 2000),
+                                               (8, 18, 2000), (11, 22, 500)])
+    def test_sampled_share_matches_wendel(self, r, m, samples):
+        """Wendel's probability again, now sampled: random sign vectors run
+        through the block runner and the batched LP, with the same hits at
+        one and two workers, within 4 sigma of the closed form."""
+        blocks = [_run_blocks(_wendel_block, (r, m), samples, 1962, workers)
+                  for workers in (1, 2)]
+        assert blocks[0] == blocks[1]
+        p = sum(math.comb(m - 1, i) for i in range(r)) / 2 ** (m - 1)
+        sigma = math.sqrt(p * (1 - p) / samples)
+        assert abs(sum(blocks[0]) / samples - p) <= 4 * sigma
+
 
 class TestVectorConfig:
     def test_rejects_zero_vector(self):
@@ -375,6 +403,13 @@ class TestMoivreLaplace:
     def test_monotone_in_mu(self):
         values = [moivre_laplace_ratio(144, mu) for mu in (-1.0, -0.3, 0.0, 0.4, 1.2)]
         assert values == sorted(values)
+
+    def test_cutoff_beyond_the_float_range_names_q_and_mu(self):
+        assert moivre_cutoff(1600, 1e15) == 40_000_000_000_000_800
+        assert moivre_laplace_ratio(1600, 1e15) == 1.0
+        for mu in (1e308, -1e308):
+            with pytest.raises(ValueError, match=re.escape(f"q=1600, mu={mu}")):
+                moivre_laplace_ratio(1600, mu)
 
     def test_convergence_toward_limit(self):
         for mu in (-0.5, 0.0, 0.5):

@@ -86,6 +86,14 @@ class TestTauCommand:
             argv = argv + ["--config", str(cfg)]
         assert "--m is needed for k > 16" in _error(argv)
 
+    def test_ratio_beyond_the_float_range_has_no_m(self):
+        # 1e308 * 12 overflows a float; 1e15 * 12 is printed as before
+        code, text = _run(["tau", "--k", "12", "--ratio", "1e15,1e308", "--samples", "5"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [(r["m"], r["note"]) for r in rows] == [
+            ("12000000000000000", "m exceeds 2^k - 2"), ("", "m exceeds 2^k - 2")]
+
     def test_given_m_runs_at_any_k(self):
         code, text = _run(["tau", "--k", "70", "--m", "1", "--samples", "5"])
         assert code == 0
@@ -270,6 +278,68 @@ class TestMoivreCommand:
         code, from_config = _run(["moivre", "--q", "100", "--config", str(cfg)])
         assert code == 0
         assert _strip_wall_time(from_config) == _strip_wall_time(text)
+
+    def test_cutoff_beyond_the_float_range_is_an_error(self):
+        assert "q=1600, mu=1e+308" in _error(["moivre", "--q", "1600", "--mu", "1e308"])
+        code, text = _run(["moivre", "--q", "1600", "--mu", "1e15"])
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(text)))
+        assert (row["cutoff"], row["ratio"]) == ("40000000000000800", "1")
+
+
+class TestCsvWriter:
+    """One writer for every CSV command: it appends wall_time_s, the seconds
+    spent producing each row, and writes only after the last row."""
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--d", "5", "--base", "1.3,3.0", "--samples", "50"],
+        ["tau", "--k", "3", "--m", "0:2"],
+        ["alpha", "--k", "3"],
+        ["pi", "--d", "4", "--n", "6", "--samples", "50", "--tau-samples", "50"],
+        ["chambers", "--r", "2", "--m", "4", "--configs", "2"],
+        ["moivre", "--q", "100", "--mu", "0,0.5"],
+    ], ids=["density", "tau", "alpha", "pi", "chambers", "moivre"])
+    def test_every_row_ends_in_its_wall_time(self, argv):
+        code, text = _run(argv)
+        assert code == 0
+        header, *rows = list(csv.reader(io.StringIO(text)))
+        assert header[-1] == "wall_time_s" and rows
+        assert all(len(row) == len(header) and float(row[-1]) >= 0 for row in rows)
+
+    def test_failure_on_a_later_row_writes_nothing(self, tmp_path, monkeypatch):
+        # the m = 0 cell is produced, then m = 1 exceeds the budget of 3
+        import polydense.cli as cli
+
+        cells, real = [], cli.tau_cell
+
+        def spy(k, m, **kwargs):
+            cells.append(m)
+            return real(k, m, **kwargs)
+
+        monkeypatch.setattr(cli, "tau_cell", spy)
+        argv = ["tau", "--k", "3", "--m", "0:3", "--method", "exact", "--exact-budget", "3"]
+        assert "tau(3,1) enumeration exceeds exact budget" in _error(argv)
+        assert cells == [0, 1]
+        out = tmp_path / "tau.csv"
+        _error(argv + ["--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, status", [
+        (["density", "--d", "5", "--base", "1.3", "--samples", "20"], 2),
+        (["tau", "--k", "3", "--m", "0"], 2),
+        (["alpha", "--k", "3", "--m", "0"], 2),
+        (["pi", "--d", "3", "--n", "4", "--method", "mc", "--samples", "20"], 2),
+        (["verify", "--level", "quick"], 2),
+        (["chambers", "--r", "2", "--m", "4", "--configs", "1"], 0),
+        (["moivre", "--q", "100", "--mu", "0"], 0),
+    ], ids=["density", "tau", "alpha", "pi", "verify", "chambers", "moivre"])
+    def test_bad_worker_env_is_read_by_the_commands_with_workers(self, monkeypatch,
+                                                                 argv, status):
+        monkeypatch.setenv("POLYDENSE_WORKERS", "abc")
+        if status:
+            assert "POLYDENSE_WORKERS must be a positive integer, got 'abc'" in _error(argv)
+        else:
+            assert _run(argv)[0] == 0
 
 
 class TestConfigFile:

@@ -488,6 +488,14 @@ class TestSweeps:
         assert rows[0].estimate is None
         assert rows[0].note
 
+    def test_tau_sweep_ratio_beyond_the_float_range(self):
+        # 1e308 * 12 overflows a float: the row has no m, like density's n
+        big, huge = tau_threshold_sweep([12], [1e15, 1e308], samples=5, seed=1)
+        assert (big.m, big.estimate, big.note) == (12 * 10 ** 15, None, "m exceeds 2^k - 2")
+        assert (huge.m, huge.estimate, huge.note) == (None, None, "m exceeds 2^k - 2")
+        with pytest.raises(ValueError, match="m must lie in"):
+            tau_threshold_sweep([12], [-1e308], samples=5, seed=1)
+
     def test_tau_non_increasing_in_ratio_at_fixed_k(self):
         rows = tau_threshold_sweep([7], [0.5, 1.0, 2.0, 3.0], samples=1200,
                                    seed=SEED, workers=2)
