@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         return subs.add_parser(name, help=summary, allow_abbrev=False)
 
     sub = add("density", "expected graph density over a (d, base) grid")
-    sub.add_argument("--d", type=_parse_ints, default=[10, 12, 14],
+    sub.add_argument("--d", type=_parse_positive_ints, default=[10, 12, 14],
                      help="dimensions, e.g. 10,12,14")
     sub.add_argument("--base", type=_parse_floats, default=[1.2, 1.7],
                      help="growth bases, e.g. 1.2,1.7 (n = round(base^d))")
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_alpha, samples=20_000)
 
     sub = add("pi", "edge probability pi(d, n)")
-    sub.add_argument("--d", type=int, default=8)
+    sub.add_argument("--d", type=_positive, default=8)
     sub.add_argument("--n", type=int, default=32)
     sub.add_argument("--method", choices=["mc", "decomp", "both"], default="both")
     sub.add_argument("--tau-samples", type=_positive, default=3000,

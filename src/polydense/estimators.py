@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .arrangements import build_config_plus, chamber_count, partial_binomial_sum
 from .cube import sample_vertex_bits
@@ -107,6 +107,8 @@ def _check_alpha_args(k: int, m: int) -> None:
 
 def _check_pi_args(d: int, n: int, k: int | None = None) -> None:
     """The (d, n) guard of the pi estimators, and 1 <= k <= d when k is given."""
+    if d < 1:
+        raise ValueError("d must be positive")
     if k is not None and not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d")
     if not 2 <= n <= (1 << d):
@@ -115,6 +117,12 @@ def _check_pi_args(d: int, n: int, k: int | None = None) -> None:
 
 # ---------------------------------------------------------------------------
 # tau and alpha, exact
+
+
+def _subsets(pool: Iterable, m: int) -> Iterable[tuple]:
+    """combinations(pool, m), except that m = 0 yields the empty subset
+    without reading the pool (combinations copies all of it first)."""
+    return combinations(pool, m) if m else iter([()])
 
 
 def _exact_share(k: int, total: int, cap: int, what: str, faces: Callable) -> Estimate:
@@ -129,7 +137,7 @@ def tau_exact(k: int, m: int, max_subsets: int = 200_000) -> Estimate:
     interior face points."""
     _check_tau_args(k, m)
     return _exact_share(k, comb((1 << k) - 2, m), max_subsets, "subsets",
-                        lambda: combinations(range(1, (1 << k) - 1), m))
+                        lambda: _subsets(range(1, (1 << k) - 1), m))
 
 
 def alpha_exact(k: int, m: int, max_subsets: int = 400_000) -> Estimate:
@@ -139,7 +147,7 @@ def alpha_exact(k: int, m: int, max_subsets: int = 400_000) -> Estimate:
     mask = (1 << k) - 1
     return _exact_share(k, comb((1 << (k - 1)) - 1, m) << m, max_subsets, "outcomes",
                         lambda: ([p ^ flip for p, flip in zip(combo, flips)]
-                                 for combo in combinations(range(1 << (k - 1), mask), m)
+                                 for combo in _subsets(range(1 << (k - 1), mask), m)
                                  for flips in product((0, mask), repeat=m)))
 
 
@@ -162,8 +170,7 @@ def tau_from_alpha(k: int, m: int, alpha: Estimate) -> Estimate:
     scale = float(pref)
     lo, hi = alpha.ci95
     return Estimate(value=scale * alpha.value, stderr=scale * alpha.stderr,
-                    ci95=(scale * lo, scale * hi), samples=alpha.samples,
-                    seed=alpha.seed, exact=False)
+                    ci95=(scale * lo, scale * hi), samples=alpha.samples, seed=alpha.seed)
 
 
 def tau_upper_bound(k: int, m: int) -> Fraction:
@@ -181,7 +188,7 @@ def alpha_via_chambers_exact(k: int, m: int) -> Estimate:
     _check_alpha_args(k, m)
     total = comb((1 << (k - 1)) - 1, m)
     BudgetExceeded.check(total, ALPHA_CHAMBERS_BUDGET, "subsets")
-    vectors = build_config_plus(k - 1).vectors if k > 1 else ()  # k = 1 means m = 0
+    vectors = build_config_plus(k - 1).vectors if m else ()  # k = 1 forces m = 0
     chi_sum = sum(chamber_count(subset).count for subset in combinations(vectors, m))
     return exact_estimate(Fraction(chi_sum, total * (1 << m)), samples=total)
 
@@ -309,8 +316,7 @@ def alpha_via_chambers(k: int, m: int, samples: int, seed: int,
         se = Z95 / (2 * (samples + Z95 * Z95))  # conservative floor: no zero
     lo = max(0.0, value - Z95 * se)
     hi = min(1.0, value + Z95 * se)
-    return Estimate(value=value, stderr=se, ci95=(lo, hi), samples=samples,
-                    seed=seed, exact=False)
+    return Estimate(value=value, stderr=se, ci95=(lo, hi), samples=samples, seed=seed)
 
 
 def pi_mc(d: int, n: int, samples: int, seed: int, workers: int = 1) -> Estimate:
@@ -347,22 +353,19 @@ def xi_exact(d: int, n: int, k: int, m: int) -> Fraction:
 
 @dataclass(frozen=True)
 class TauTable:
-    """tau(k, m) for m = 0..max_m with per-entry provenance."""
+    """tau(k, m) and its provenance, each a tuple indexed by m = 0..max_m."""
 
     k: int
-    entries: dict[int, Estimate]
-    provenance: dict[int, str]
+    entries: tuple[Estimate, ...]
+    provenance: tuple[str, ...]
 
     def __post_init__(self):
-        if 0 in self.entries and self.entries[0].value != 1.0:
+        if self.entries and self.entries[0].value != 1.0:
             raise ValueError("tau(k, 0) must be 1")
 
     @property
     def max_m(self) -> int:
-        m = -1
-        while m + 1 in self.entries:
-            m += 1
-        return m
+        return len(self.entries) - 1
 
 
 def tau_cell(k: int, m: int, samples: int, seed: int,
@@ -389,91 +392,84 @@ def tau_cell(k: int, m: int, samples: int, seed: int,
     return tau_mc(k, m, samples, seed, workers=workers), PROV_MONTE_CARLO
 
 
-def _tau_cell_task(args) -> tuple[int, int, Estimate, str]:
-    k, m, samples, seed, exact_budget, method = args
-    est, prov = tau_cell(k, m, samples, seed, exact_budget, method)
-    return k, m, est, prov
+def _tau_cell_task(args) -> tuple[Estimate, str]:
+    return tau_cell(*args)
 
 
 def _tau_tables(m_max: Mapping[int, int], samples: int, seed: int,
-                exact_budget: int, workers: int, method: str) -> dict[int, TauTable]:
+                workers: int = 1) -> dict[int, TauTable]:
     """A TauTable for each k of ``m_max``, with m = 0..min(m_max[k], 2^k - 2),
     every cell of every table computed in one parallel_map."""
-    tasks = [(k, m, samples, seed, exact_budget, method)
-             for k, top in m_max.items() for m in range(min(top, (1 << k) - 2) + 1)]
-    entries: dict[int, dict[int, Estimate]] = {k: {} for k in m_max}
-    provenance: dict[int, dict[int, str]] = {k: {} for k in m_max}
-    for k, m, est, prov in parallel_map(_tau_cell_task, tasks, workers):
-        entries[k][m] = est
-        provenance[k][m] = prov
-    return {k: TauTable(k=k, entries=entries[k], provenance=provenance[k])
-            for k in m_max}
+    tops = {k: min(top, (1 << k) - 2) for k, top in m_max.items()}
+    tasks = [(k, m, samples, seed) for k, top in tops.items() for m in range(top + 1)]
+    # parallel_map keeps the tasks' k-then-m order
+    cells = iter(parallel_map(_tau_cell_task, tasks, workers))
+    tables = {}
+    for k, top in tops.items():
+        column = [next(cells) for _ in range(top + 1)]
+        tables[k] = TauTable(k=k, entries=tuple(est for est, _ in column),
+                             provenance=tuple(prov for _, prov in column))
+    return tables
 
 
 def build_tau_table(k: int, m_max: int, samples: int, seed: int,
-                    exact_budget: int = EXACT_BUDGET, workers: int = 1,
-                    method: str = "auto") -> TauTable:
+                    workers: int = 1) -> TauTable:
     """tau(k, m) for m = 0..m_max: exhaustive where the subset count fits
-    the budget, Monte Carlo (or the alpha route) otherwise."""
-    return _tau_tables({k: m_max}, samples, seed, exact_budget, workers, method)[k]
+    EXACT_BUDGET, Monte Carlo otherwise."""
+    return _tau_tables({k: m_max}, samples, seed, workers)[k]
 
 
-def pi_k_semianalytic(d: int, n: int, k: int, tau: TauTable) -> Estimate:
-    """Conditional edge probability as the xi-weighted sum of tau values.
+def pi_k_semianalytic(d: int, n: int, tau: TauTable) -> Estimate:
+    """Conditional edge probability at distance tau.k as the xi-weighted sum
+    of the table's tau values.
 
     If the table stops before the full support, the remaining tail lies in
     [0, tau(k, M) * leftover-weight] because tau is non-increasing in m; the
     midpoint is reported and the bracket is folded into the interval.
     """
-    if tau.k != k:
-        raise ValueError(f"tau table is for k={tau.k}, not {k}")
+    k = tau.k
+    if not tau.entries:
+        raise ValueError(f"tau table for k={k} is empty")
     m_target = min((1 << k) - 2, n - 2)
-    table_top = tau.max_m
-    if table_top < 0:
-        raise ValueError("tau table has no contiguous entries from m=0")
-    use = min(table_top, m_target)
+    use = min(tau.max_m, m_target)
     weights = [xi_exact(d, n, k, m) for m in range(use + 1)]
-    entries = [tau.entries[m] for m in range(use + 1)]
-    covered = sum(weights, start=Fraction(0))
+    entries = tau.entries[:use + 1]
+    samples = sum(e.samples for e in entries)
     if use == m_target and all(e.exact for e in entries):
         total = sum((w * e.exact_value for w, e in zip(weights, entries)),
                     start=Fraction(0))
-        return exact_estimate(total, samples=sum(e.samples for e in entries))
+        return exact_estimate(total, samples=samples)
     value = sum(float(w) * e.value for w, e in zip(weights, entries))
     quad = math.sqrt(sum((float(w) * e.stderr) ** 2 for w, e in zip(weights, entries)))
     half = 0.0
     if use < m_target:
-        rest = float(1 - covered)
-        half = entries[use].value * rest / 2
+        half = entries[use].value * float(1 - sum(weights)) / 2
         value += half
     lo = max(0.0, value - Z95 * quad - half)
     hi = min(1.0, value + Z95 * quad + half)
     se = (hi - lo) / (2 * Z95)
     if se == 0.0:
-        se = Z95 / (2 * (max(1, sum(e.samples for e in entries)) + Z95 * Z95))
-    return Estimate(value=value, stderr=se, ci95=(lo, hi),
-                    samples=sum(e.samples for e in entries), seed=None, exact=False)
+        se = Z95 / (2 * (max(1, samples) + Z95 * Z95))
+    return Estimate(value=value, stderr=se, ci95=(lo, hi), samples=samples, seed=None)
 
 
-def pi_from_pk(d: int, n: int, pik: Mapping[int, Estimate]) -> Estimate:
+def pi_from_pk(d: int, pik: Mapping[int, Estimate]) -> Estimate:
     """Combine conditional edge probabilities over the distance distribution:
     pi = sum_k C(d, k) pi_k / (2^d - 1), with stderr by weighted quadrature."""
     missing = [k for k in range(1, d + 1) if k not in pik]
     if missing:
         raise ValueError(f"missing pi_k entries for k in {missing}")
-    weights = {k: Fraction(comb(d, k), (1 << d) - 1) for k in range(1, d + 1)}
-    ests = {k: pik[k] for k in range(1, d + 1)}
-    samples = sum(e.samples for e in ests.values())
-    if all(e.exact for e in ests.values()):
-        total = sum((weights[k] * ests[k].exact_value for k in weights),
-                    start=Fraction(0))
+    weights = [Fraction(comb(d, k), (1 << d) - 1) for k in range(1, d + 1)]
+    ests = [pik[k] for k in range(1, d + 1)]
+    samples = sum(e.samples for e in ests)
+    if all(e.exact for e in ests):
+        total = sum((w * e.exact_value for w, e in zip(weights, ests)), start=Fraction(0))
         return exact_estimate(total, samples=samples)
-    value = sum(float(weights[k]) * ests[k].value for k in weights)
-    se = math.sqrt(sum((float(weights[k]) * ests[k].stderr) ** 2 for k in weights))
+    value = sum(float(w) * e.value for w, e in zip(weights, ests))
+    se = math.sqrt(sum((float(w) * e.stderr) ** 2 for w, e in zip(weights, ests)))
     lo = max(0.0, value - Z95 * se)
     hi = min(1.0, value + Z95 * se)
-    return Estimate(value=value, stderr=se, ci95=(lo, hi), samples=samples,
-                    seed=None, exact=False)
+    return Estimate(value=value, stderr=se, ci95=(lo, hi), samples=samples, seed=None)
 
 
 @dataclass(frozen=True)
@@ -493,9 +489,9 @@ def decompose_pi(d: int, n: int, tau_samples: int, seed: int,
     hypergeometric weights and the distance distribution."""
     # tau cells beyond m = 6k are left to pi_k_semianalytic's tail bracket
     m_cut = {k: min((1 << k) - 2, n - 2, 6 * k) for k in range(1, d + 1)}
-    tables = _tau_tables(m_cut, tau_samples, seed, EXACT_BUDGET, workers, "auto")
-    pik = {k: pi_k_semianalytic(d, n, k, table) for k, table in tables.items()}
-    combined = pi_from_pk(d, n, pik)
+    tables = _tau_tables(m_cut, tau_samples, seed, workers)
+    pik = {k: pi_k_semianalytic(d, n, table) for k, table in tables.items()}
+    combined = pi_from_pk(d, pik)
     return PiDecomposition(d=d, n=n, pi_k=pik, combined=combined)
 
 
@@ -520,7 +516,7 @@ def pi_k_exact(d: int, n: int, k: int) -> Estimate:
     universe = (p for p in range(1, 1 << d) if p != wb)
     return _exact_share(k, comb((1 << d) - 2, n - 2), PI_K_EXACT_BUDGET, "completions",
                         lambda: ([p for p in rest if not p & ~wb]
-                                 for rest in combinations(universe, n - 2)))
+                                 for rest in _subsets(universe, n - 2)))
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,9 @@ BLOCK_SAMPLES = 500
 class Estimate:
     """A point estimate with uncertainty, or an exact value.
 
-    ``exact`` implies stderr 0 and a collapsed interval; ``exact_value`` then
-    holds the underlying rational.  For sampled estimates the interval is the
-    95% Wilson score interval and stderr is never zero.
+    An estimate is exact when ``exact_value`` holds the underlying rational;
+    its stderr is then 0 and its interval collapsed.  For sampled estimates
+    the interval is the 95% Wilson score interval and stderr is never zero.
     """
 
     value: float
@@ -47,8 +47,11 @@ class Estimate:
     ci95: tuple[float, float]
     samples: int
     seed: int | None
-    exact: bool
     exact_value: Fraction | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.exact_value is not None
 
     def __post_init__(self):
         if self.exact and self.stderr != 0.0:
@@ -80,15 +83,14 @@ def bernoulli_estimate(successes: int, trials: int, seed: int | None) -> Estimat
         se = math.sqrt(p * (1.0 - p) / trials)
     else:
         se = (hi - lo) / (2 * Z95)
-    return Estimate(value=p, stderr=se, ci95=(lo, hi), samples=trials,
-                    seed=seed, exact=False)
+    return Estimate(value=p, stderr=se, ci95=(lo, hi), samples=trials, seed=seed)
 
 
 def exact_estimate(value: Fraction, samples: int = 0, seed: int | None = None) -> Estimate:
     """Wrap an exactly computed rational as an Estimate."""
     v = float(value)
     return Estimate(value=v, stderr=0.0, ci95=(v, v), samples=samples,
-                    seed=seed, exact=True, exact_value=Fraction(value))
+                    seed=seed, exact_value=Fraction(value))
 
 
 def split_blocks(total: int) -> list[tuple[int, int]]:

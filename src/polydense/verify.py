@@ -108,7 +108,7 @@ def _pi_decrease_and_reconstruction(workers: int, seed: int):
         return False, f"pi(3,8) = {rep.values[8]} != 3/7"
     for n in range(3, 9):
         pik = {k: est.pi_k_exact(3, n, k) for k in (1, 2, 3)}
-        if est.pi_from_pk(3, n, pik).exact_value != rep.values[n]:
+        if est.pi_from_pk(3, pik).exact_value != rep.values[n]:
             return False, f"n={n}: distance reconstruction mismatch"
     return True, " > ".join(str(rep.values[n]) for n in range(3, 9))
 

@@ -294,7 +294,7 @@ class TestChamberCount:
         assert F(chamber_count_bruteforce(vecs).count, 2 ** m) == wendel
 
     @pytest.mark.parametrize("r, m, samples", [(4, 8, 2000), (6, 14, 2000),
-                                               (8, 18, 2000), (11, 22, 500)])
+                                               (8, 18, 2000), (11, 22, 1000)])
     def test_sampled_share_matches_wendel(self, r, m, samples):
         """Wendel's probability again, now sampled: random sign vectors run
         through the block runner and the batched LP, with the same hits at

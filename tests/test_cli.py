@@ -401,6 +401,8 @@ class TestConfigFile:
         (["tau", "--m", "0"], "k=-1", "must be positive, got -1"),
         (["alpha", "--m", "0"], "k=0", "must be positive, got 0"),
         (["alpha", "--m", "0"], "k=3,0:2", "must be positive, got 0"),
+        (["pi", "--n", "4", "--samples", "10"], "d=-1", "must be positive, got -1"),
+        (["density", "--samples", "10"], "d=0", "must be positive, got 0"),
         (["density", "--d", "6", "--samples", "10"], "base=inf",
          "must be finite, got 'inf'"),
         (["density", "--d", "6", "--samples", "10"], "base=1.2,nan",
@@ -412,8 +414,8 @@ class TestConfigFile:
         (["moivre", "--q", "100"], "mu=-inf", "must be finite, got '-inf'"),
     ], ids=["pi-samples", "density-samples", "tau-samples", "tau-exact-budget",
             "alpha-exact-budget", "tau-k-zero", "tau-k-negative", "alpha-k-zero",
-            "alpha-k-range", "density-base-inf", "density-base-nan", "tau-ratio-inf",
-            "tau-ratio-nan", "moivre-mu-inf"])
+            "alpha-k-range", "pi-d-negative", "density-d-zero", "density-base-inf",
+            "density-base-nan", "tau-ratio-inf", "tau-ratio-nan", "moivre-mu-inf"])
     def test_bad_budget_names_its_flag(self, tmp_path, argv, line, message):
         cfg = tmp_path / "c.conf"
         cfg.write_text(line + "\n")

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 from math import comb
 
@@ -106,6 +107,25 @@ def test_a_repeated_exact_cell_enumerates_again(monkeypatch, exact):
     first = exact(4, 3)
     assert exact(4, 3) == first
     assert calls == [4, 4]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tau_exact(20, 0),
+    lambda: alpha_exact(21, 0),
+    lambda: pi_k_exact(20, 2, 3),
+    lambda: alpha_via_chambers_exact(24, 0),
+], ids=["tau", "alpha", "pi-k", "alpha-chambers"])
+def test_an_empty_subset_cell_builds_no_pool(call):
+    """m = 0 enumerates the one empty subset without copying the 2^20-odd
+    points it would be drawn from, or projecting the half configuration."""
+    tracemalloc.start()
+    try:
+        est = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.exact_value == 1 and est.samples == 1
+    assert peak < 1 << 20
 
 
 class TestTauMonotoneAndBound:
@@ -299,19 +319,18 @@ class TestTauCell:
     def test_unknown_method_is_an_error(self):
         with pytest.raises(ValueError, match="'exhaustive'"):
             tau_cell(3, 2, 50, 1, method="exhaustive")
-        with pytest.raises(ValueError, match="'exhaustive'"):
-            build_tau_table(3, 2, 50, 1, method="exhaustive")
 
 
 class TestTauTable:
     def test_provenance_mix(self):
-        table = build_tau_table(5, 20, samples=300, seed=SEED, exact_budget=5000)
+        table = build_tau_table(5, 20, samples=300, seed=SEED)
         assert table.provenance[0] == PROV_EXHAUSTIVE
         assert table.provenance[3] == PROV_EXHAUSTIVE  # C(30,3) = 4060
-        assert table.provenance[4] == PROV_MONTE_CARLO
+        assert table.provenance[4] == PROV_MONTE_CARLO  # C(30,4) = 27405
         assert table.provenance[16] == PROV_STRUCTURAL_ZERO
         assert table.entries[16].exact_value == 0
         assert table.max_m == 20
+        assert len(table.entries) == len(table.provenance) == 21
 
     def test_entry_zero_is_one(self):
         table = build_tau_table(4, 6, samples=100, seed=1)
@@ -339,34 +358,34 @@ def test_decomposition_maps_every_cell_at_once(monkeypatch):
 class TestPiKSemianalytic:
     def test_d3_n8_cases(self):
         t1 = build_tau_table(1, 0, samples=10, seed=1)
-        assert pi_k_semianalytic(3, 8, 1, t1).exact_value == 1
+        assert pi_k_semianalytic(3, 8, t1).exact_value == 1
         t2 = build_tau_table(2, 2, samples=10, seed=1)
-        assert pi_k_semianalytic(3, 8, 2, t2).exact_value == 0
+        assert pi_k_semianalytic(3, 8, t2).exact_value == 0
         t3 = build_tau_table(3, 6, samples=10, seed=1)
-        assert pi_k_semianalytic(3, 8, 3, t3).exact_value == 0
+        assert pi_k_semianalytic(3, 8, t3).exact_value == 0
 
     def test_exact_equals_enumerated_conditional(self):
         # weighted tau sum against direct conditional enumeration, d=3
         for n in range(3, 9):
             for k in (1, 2, 3):
-                table = build_tau_table(k, min(2 ** k - 2, n - 2), samples=10,
-                                        seed=1, exact_budget=10_000)
-                semi = pi_k_semianalytic(3, n, k, table)
+                table = build_tau_table(k, min(2 ** k - 2, n - 2), samples=10, seed=1)
+                semi = pi_k_semianalytic(3, n, table)
                 enum = pi_k_exact(3, n, k)
                 assert semi.exact_value == enum.exact_value, (n, k)
 
+    def test_empty_table_is_an_error(self):
+        table = build_tau_table(3, -1, samples=10, seed=1)
+        assert table.entries == table.provenance == () and table.max_m == -1
+        with pytest.raises(ValueError, match="tau table for k=3 is empty"):
+            pi_k_semianalytic(4, 8, table)
+
     def test_truncated_table_brackets_the_truth(self):
         # cut the table short: the bracket must still contain the exact value
-        table = build_tau_table(3, 2, samples=10, seed=1, exact_budget=10_000)
-        semi = pi_k_semianalytic(4, 10, 3, table)
+        table = build_tau_table(3, 2, samples=10, seed=1)
+        semi = pi_k_semianalytic(4, 10, table)
         exact = pi_k_exact(4, 10, 3)
         assert semi.ci95[0] - 1e-12 <= exact.value <= semi.ci95[1] + 1e-12
         assert not semi.exact
-
-    def test_table_mismatch(self):
-        table = build_tau_table(3, 4, samples=10, seed=1)
-        with pytest.raises(ValueError):
-            pi_k_semianalytic(4, 8, 2, table)
 
 
 class TestPiExactAndMonotone:
@@ -406,6 +425,8 @@ class TestPiMc:
     def test_validation(self):
         with pytest.raises(ValueError):
             pi_mc(3, 9, samples=10, seed=0)
+        with pytest.raises(ValueError, match="d must be positive"):
+            pi_mc(-1, 4, samples=10, seed=0)
 
 
 class TestPiKMc:
@@ -424,20 +445,20 @@ class TestPiFromPk:
     def test_exact_reconstruction_d3(self):
         for n in (3, 6, 8):
             pik = {k: pi_k_exact(3, n, k) for k in (1, 2, 3)}
-            assert pi_from_pk(3, n, pik).exact_value == pi_exact(3, n).exact_value
+            assert pi_from_pk(3, pik).exact_value == pi_exact(3, n).exact_value
 
     def test_all_ones(self):
         pik = {k: exact_estimate(F(1)) for k in (1, 2, 3, 4)}
-        assert pi_from_pk(4, 5, pik).exact_value == 1
+        assert pi_from_pk(4, pik).exact_value == 1
 
     def test_d3_n8_weights(self):
         pik = {1: exact_estimate(F(1)), 2: exact_estimate(F(0)),
                3: exact_estimate(F(0))}
-        assert pi_from_pk(3, 8, pik).exact_value == F(3, 7)
+        assert pi_from_pk(3, pik).exact_value == F(3, 7)
 
     def test_missing_entries(self):
         with pytest.raises(ValueError):
-            pi_from_pk(3, 8, {1: exact_estimate(F(1))})
+            pi_from_pk(3, {1: exact_estimate(F(1))})
 
 
 def test_pi_k_completion_sampler_is_uniform():
@@ -469,7 +490,7 @@ def test_pi_k_cross_method_at_full_distance():
     # probability is a single tau value; the table route and the direct
     # conditional sampler must agree
     table_route = pi_k_semianalytic(
-        8, 32, 8, build_tau_table(8, 30, samples=800, seed=SEED, workers=2))
+        8, 32, build_tau_table(8, 30, samples=800, seed=SEED, workers=2))
     direct = pi_k_mc(8, 32, 8, samples=3000, seed=SEED, workers=2)
     gap = abs(table_route.value - direct.value)
     assert gap <= 3 * (table_route.stderr ** 2 + direct.stderr ** 2) ** 0.5 + 1e-9

@@ -57,7 +57,7 @@ class TestEstimates:
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             Estimate(value=0.5, stderr=0.1, ci95=(0.4, 0.6), samples=10,
-                     seed=None, exact=True)
+                     seed=None, exact_value=F(1, 2))
 
 
 class TestBlocks:
