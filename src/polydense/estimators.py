@@ -27,13 +27,14 @@ from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .arrangements import build_config_plus, chamber_count, partial_binomial_sum
-from .cube import sample_vertex_bits
+from .arrangements import (build_config_plus, chamber_count, partial_binomial_sum,
+                           phi_project)
+from .cube import CubeVertex, sample_vertex_bits
 from .errors import BudgetExceeded
-from .graph import _edge_count, edge_kernel, long_edges_survive
-# Not called here: perfbench/spans.py wraps both names in estimators and
+from .graph import _edge_count, _face_points, long_edges_survive
+# Not called here: perfbench/spans.py wraps these names in estimators and
 # fails to install without them.
-from .graph import _long_edge_survives_cached, long_edge_survives  # noqa: F401
+from .graph import _long_edge_survives_cached, edge_kernel, long_edge_survives  # noqa: F401
 from .mc import (Z95, Estimate, bernoulli_estimate, exact_estimate, parallel_map,
                  split_blocks)
 from .rng import rand_bits, sample_indices, stream
@@ -227,12 +228,13 @@ def _alpha_block(args) -> int:
 def _alpha_chambers_block(args) -> tuple[int, int]:
     k, m, count, seed, block = args
     rng = stream(seed, f"alphachi:k={k}:m={m}", block)
-    vecs = build_config_plus(k - 1).vectors
+    top = 1 << (k - 1)
     total = 0
     totalsq = 0
     for _ in range(count):
-        idxs = sample_indices(rng, len(vecs), m)
-        chi = chamber_count([vecs[i] for i in idxs]).count
+        # vector i of build_config_plus(k - 1), built alone
+        idxs = sample_indices(rng, top - 1, m)
+        chi = chamber_count([phi_project(CubeVertex(k, top | i)) for i in idxs]).count
         total += chi
         totalsq += chi * chi
     return total, totalsq
@@ -241,13 +243,13 @@ def _alpha_chambers_block(args) -> tuple[int, int]:
 def _pi_block(args) -> int:
     d, n, count, seed, block = args
     rng = stream(seed, f"pi:d={d}:n={n}", block)
-    hits = 0
+    faces: dict[int, list[list[int]]] = {}  # pair distance -> its samples' faces
     for _ in range(count):
         bits = sample_vertex_bits(d, n, rng)
         i, j = sample_indices(rng, n, 2)
-        if edge_kernel(d, bits[i], bits[j], bits):
-            hits += 1
-    return hits
+        k, face = _face_points(d, bits[i], bits[j], bits)
+        faces.setdefault(k, []).append(face)
+    return sum(sum(long_edges_survive(k, group)) for k, group in faces.items())
 
 
 def _pik_block(args) -> int:

@@ -2,11 +2,13 @@
 
 Two vertices v, w of conv(X) form an edge exactly when the segment [v, w]
 misses the convex hull of the other points of X on the smallest cube face
-containing v and w.  The obstruction set is collected by filtering X with a
-bit mask (never by enumerating the 2**k face), and the test itself is
-performed inside the face: dropping the coordinates where v and w agree and
-flipping signs so that v maps to all-minus-one is an affine isometry of the
-face, after which the query is a diagonal-versus-hull test in dimension k.
+containing v and w.  The obstruction set is collected by _face_points, the
+one face filter, which keeps a point when it matches v on the coordinates
+where v and w agree (one masked comparison per point, never enumerating the
+2**k face), and the test itself is performed inside the face: dropping the
+coordinates where v and w agree and flipping signs so that v maps to
+all-minus-one is an affine isometry of the face, after which the query is a
+diagonal-versus-hull test in dimension k.
 
 That test is decided on projected points.  A convex combination of the
 face points y lies on the diagonal exactly when all its coordinates are
@@ -15,8 +17,10 @@ p(y) = ((y_i - y_0) / 2) for i = 1..k-1, a point of {-1, 0, 1}^(k-1) whose
 entries are bit_i - bit_0 of the point's mask.  So the diagonal meets
 conv(Y) iff origin_in_conv holds for the p(y): an LP of k rows (with the
 convexity row) and m columns, where exactlp.segment_hull_intersect lifts
-the same query to k + 2 rows and m + 2 columns.  Exact densities (here and
-in estimators.pi_exact) count edges pair by pair with edge_kernel.
+the same query to k + 2 rows and m + 2 columns.  long_edges_survive solves
+the LP faces of each pass of its input as one batch, padding the ragged
+faces to the longest by repeating a point.  Exact densities (here and in
+estimators.pi_exact) count edges pair by pair with edge_kernel.
 """
 
 from __future__ import annotations
@@ -103,26 +107,29 @@ def long_edges_survive(k: int, subsets: Iterable[Iterable[int]]) -> list[bool]:
 
     Subsets of two points or fewer, antipodal pairs and points that are not
     interior are answered by _verdict_without_lp, with no LP.  The other
-    subsets are grouped by size, and each group's sorted points are
-    projected (see the module docstring) and solved as one exact batch by
-    origin_in_conv_batch.
+    subsets of a pass are projected (see the module docstring) and solved as
+    one exact batch by origin_in_conv_batch, each subset's sorted points
+    padded to the pass's largest subset by repeating its first point, which
+    leaves the hull, and so the verdict, unchanged.
     """
     bits = np.arange(1, k)
     word = np.int64 if k < 64 else object  # object arrays shift Python ints
     out: list[bool] = []
     it = iter(subsets)
     while chunk := list(islice(it, _SUBSETS_PER_PASS)):
-        by_size: dict[int, tuple[list[int], list[list[int]]]] = {}
+        where: list[int] = []
+        rows: list[list[int]] = []
         for face_points in chunk:
             pts = set(face_points)
             verdict = _verdict_without_lp(k, pts)
             if verdict is None:
-                where, rows = by_size.setdefault(len(pts), ([], []))
                 where.append(len(out))
                 rows.append(sorted(pts))
             out.append(verdict)
-        for where, rows in by_size.values():
-            words = np.array(rows, dtype=word)[:, :, None]
+        if rows:
+            width = max(map(len, rows))
+            words = np.array([row + row[:1] * (width - len(row)) for row in rows],
+                             dtype=word)[:, :, None]
             projected = ((words >> bits & 1) - (words & 1)).astype(np.int8)
             for pos, meets in zip(where, origin_in_conv_batch(projected)):
                 out[pos] = not meets
@@ -135,25 +142,35 @@ def _long_edge_survives_cached(k: int, face_points: frozenset[int]) -> bool:
     return long_edge_survives(k, face_points)
 
 
+def _face_points(d: int, v_bits: int, w_bits: int,
+                 points: Iterable[int]) -> tuple[int, list[int]]:
+    """The distance k of v and w, and the points that can obstruct their
+    edge as k-bit masks of the face's free coordinates, relative to v.
+
+    Those are the points other than v and w that agree with v wherever v
+    and w agree: the interior points of the smallest face holding both.
+    """
+    free = v_bits ^ w_bits
+    agree = ((1 << d) - 1) & ~free
+    anchor = v_bits & agree
+    positions = [i for i in range(d) if free >> i & 1]
+    k = len(positions)
+    mask = (1 << k) - 1
+    compressed = [sum((rel >> pos & 1) << j for j, pos in enumerate(positions))
+                  for rel in [u ^ v_bits for u in points if u & agree == anchor]]
+    return k, [c for c in compressed if 0 < c < mask]  # v is 0 and w is mask
+
+
 def edge_kernel(d: int, v_bits: int, w_bits: int, points: Iterable[int]) -> bool:
     """Whether {v, w} is an edge of the hull of ``points``; all raw bitmasks.
 
-    Only the points that agree with v wherever v and w agree, other than v
-    and w themselves, can obstruct the edge; the rest are dropped here, so a
-    list already filtered this way gives the same verdict.
+    Only the points on the open face of v and w can obstruct the edge
+    (_face_points keeps those), so a list already filtered this way gives
+    the same verdict.
     """
     if v_bits == w_bits:
         raise DegenerateInput("v == w has no connecting edge")
-    free = v_bits ^ w_bits
-    agree = ((1 << d) - 1) & ~free
-    obstructions = [u for u in points
-                    if u != v_bits and u != w_bits and not (u ^ v_bits) & agree]
-    positions = [i for i in range(d) if free >> i & 1]
-    compressed = []
-    for u in obstructions:
-        rel = u ^ v_bits
-        compressed.append(sum((rel >> pos & 1) << j for j, pos in enumerate(positions)))
-    return long_edge_survives(len(positions), compressed)
+    return long_edge_survives(*_face_points(d, v_bits, w_bits, points))
 
 
 def is_edge(X: VertexSet, v: CubeVertex, w: CubeVertex) -> bool:

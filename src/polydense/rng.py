@@ -73,6 +73,9 @@ def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[in
                 batch = rng.integers(0, population, size=max(64, k - len(seen))).tolist()
             # slices of the number still missing: a small k stops after a few draws
             pos = 0
+            if not seen:
+                seen = dict.fromkeys(batch[:k])
+                pos = k
             while len(seen) < k and pos < len(batch):
                 take = k - len(seen)
                 seen.update(dict.fromkeys(batch[pos:pos + take]))

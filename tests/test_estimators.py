@@ -7,6 +7,7 @@ import pytest
 from polydense import (BudgetExceeded, arrangements, build_config_plus, chamber_count,
                        chamber_count_bruteforce, estimators, full_cube, graph,
                        graph_density_exact)
+from polydense.cube import sample_vertex_bits
 from polydense.estimators import (PROV_EXHAUSTIVE, PROV_MONTE_CARLO,
                                   PROV_STRUCTURAL_ZERO, alpha_exact, alpha_mc,
                                   alpha_via_chambers, alpha_via_chambers_exact,
@@ -15,9 +16,9 @@ from polydense.estimators import (PROV_EXHAUSTIVE, PROV_MONTE_CARLO,
                                   pi_k_exact, pi_k_mc, pi_k_semianalytic, pi_mc,
                                   tau_cell, tau_exact, tau_from_alpha, tau_mc,
                                   tau_threshold_sweep, tau_upper_bound, xi_exact)
-from polydense.estimators import (_alpha_block, _pik_block, _sample_star_subset,
-                                  _tau_block)
-from polydense.graph import long_edge_survives
+from polydense.estimators import (_alpha_block, _alpha_chambers_block, _pi_block,
+                                  _pik_block, _sample_star_subset, _tau_block)
+from polydense.graph import edge_kernel, long_edge_survives
 from polydense.mc import exact_estimate
 from polydense.rng import rand_bits, sample_indices, stream
 
@@ -271,6 +272,30 @@ class TestAlphaViaChambers:
         est = alpha_via_chambers(3, 1, samples=300, seed=2)
         assert est.stderr > 0
 
+    @pytest.mark.parametrize("k, m", [(2, 1), (3, 2), (5, 4), (6, 3), (8, 5)])
+    def test_block_equals_indexing_the_full_half_configuration(self, k, m):
+        """Each sampled vector, built alone from its index, is the vector
+        that indexing build_config_plus(k - 1) gives."""
+        count, seed, block = 40, 7, 2
+        rng = stream(seed, f"alphachi:k={k}:m={m}", block)
+        vecs = build_config_plus(k - 1).vectors
+        chis = [chamber_count([vecs[i] for i in sample_indices(rng, len(vecs), m)]).count
+                for _ in range(count)]
+        want = (sum(chis), sum(c * c for c in chis))
+        assert _alpha_chambers_block((k, m, count, seed, block)) == want
+
+    def test_a_large_k_builds_only_the_sampled_vectors(self):
+        # 2^29 - 1 vectors would exceed build_config_plus's budget
+        est = alpha_via_chambers(30, 2, 5, seed=3)
+        assert 0 <= est.value <= 1 and est.samples == 5
+        tracemalloc.start()
+        try:
+            alpha_via_chambers(18, 2, 5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+
 
 class TestXi:
     def test_antipodal_pair_forces_full_face(self):
@@ -427,6 +452,24 @@ class TestPiMc:
             pi_mc(3, 9, samples=10, seed=0)
         with pytest.raises(ValueError, match="d must be positive"):
             pi_mc(-1, 4, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("d, n, count", [(3, 8, 200), (8, 32, 150), (10, 202, 60),
+                                         (14, 1684, 20), (64, 3, 100), (80, 40, 60)])
+def test_pi_block_matches_a_per_sample_edge_kernel_loop(d, n, count, seed):
+    """The block, which batches its edge tests by pair distance, counts the
+    hits that one edge_kernel call per sample counts on the same stream."""
+    block = seed + 4
+    rng = stream(seed, f"pi:d={d}:n={n}", block)
+    want = 0
+    for _ in range(count):
+        bits = sample_vertex_bits(d, n, rng)
+        i, j = sample_indices(rng, n, 2)
+        want += edge_kernel(d, bits[i], bits[j], bits)
+    if d <= 10:
+        assert 0 < want < count
+    assert _pi_block((d, n, count, seed, block)) == want
 
 
 class TestPiKMc:

@@ -243,6 +243,79 @@ def test_projected_verdicts_match_the_lifted_test(face):
             assert meets != survives
 
 
+@st.composite
+def _ragged_faces(draw):
+    """A face dimension k = 3..8 and up to 12 face subsets mixing every
+    verdict path: sizes 0 to 2, antipodal pairs and LP faces of different
+    sizes, some with their hull on the diagonal."""
+    k = draw(st.integers(3, 8))
+    mask = (1 << k) - 1
+    point = st.integers(1, mask - 1)
+    subsets = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["small", "antipodal", "lp", "diagonal"]))
+        if kind == "small":
+            pts = draw(st.lists(point, max_size=2))
+        elif kind == "antipodal":
+            p = draw(point)
+            pts = draw(st.lists(point, max_size=4)) + [p, p ^ mask]
+        else:
+            pts = draw(st.lists(point, min_size=3, max_size=3 * k))
+            if kind == "diagonal":
+                # the k rotations of a word sum to a constant vector
+                w = draw(point)
+                pts += [(w << s | w >> (k - s)) & mask for s in range(k)]
+        subsets.append(draw(st.permutations(pts)))
+    return k, subsets
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_ragged_faces())
+def test_ragged_subsets_in_one_batch_match_each_alone(face):
+    """Subsets of different sizes, padded into one batch, get the verdicts
+    that each subset gets alone, where no padding happens."""
+    k, subsets = face
+    assert long_edges_survive(k, subsets) == [long_edge_survives(k, Y) for Y in subsets]
+
+
+def test_padding_repeats_a_point_into_one_batch(monkeypatch):
+    from polydense import graph
+
+    subsets = [[0b0011, 0b0101, 0b0110], [0b0001, 0b0010, 0b0100, 0b1000, 0b0011]]
+    want = [long_edge_survives(4, Y) for Y in subsets]
+    shapes = []
+    real = graph.origin_in_conv_batch
+
+    def spy(points):
+        shapes.append(points.shape)
+        return real(points)
+
+    monkeypatch.setattr(graph, "origin_in_conv_batch", spy)
+    assert long_edges_survive(4, subsets) == want
+    assert shapes == [(2, 5, 3)]
+
+
+def _face_points_by_three_comparisons(d, v, w, points):
+    """The face filter as three comparisons per point, compressed after."""
+    agree = ((1 << d) - 1) & ~(v ^ w)
+    positions = [i for i in range(d) if (v ^ w) >> i & 1]
+    kept = [u for u in points if u != v and u != w and not (u ^ v) & agree]
+    return len(positions), [sum(((u ^ v) >> pos & 1) << j for j, pos in enumerate(positions))
+                            for u in kept]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 70).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.integers(0, (1 << d) - 1), min_size=2, max_size=40,
+                         unique=True))))
+def test_face_points_is_the_three_comparison_filter(case):
+    from polydense.graph import _face_points
+
+    d, points = case
+    v, w = points[0], points[-1]
+    assert _face_points(d, v, w, points) == _face_points_by_three_comparisons(d, v, w, points)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_faces_of_two_points_need_no_lp(monkeypatch, k):
     """Exhaustively at k <= 6: every antipode-free face of at most two

@@ -158,3 +158,19 @@ class TestSampleIndices:
         digest = hashlib.blake2b(repr(got).encode(), digest_size=16).hexdigest()
         assert digest == "3bcf81216cad1fdf870d0a8a23535a0f"
         assert int(rng.integers(0, 1 << 62)) == 2055610829105496260
+
+    @pytest.mark.parametrize("pop, k, digest, after", [
+        (4094, 18, "057583ed7eb0ba1f04c51f798aaca7af", 1641219961583044),
+        (100, 60, "23add2658b7e4d446bd0fbfef3c5ad96", 3611574782125110686),
+        ((1 << 64) + 7, 5, "8bef5190c0d9a08f8a4f98d3ace328ed", 1695374838734128137),
+        (3 << 63, 40, "cda0be10b330a62cdc75f0e18af62d66", 4130748638596286185),
+    ], ids=["rejection-one-batch", "fisher-yates", "rand-bits", "rand-bits-wide-k"])
+    def test_the_other_branches_are_pinned(self, pop, k, digest, after):
+        """As above for one rejection batch, the partial shuffle and the
+        rand_bits words: a faster dedup or shuffle must consume and return
+        exactly these draws."""
+        rng = stream(20250809, "pin", pop)
+        got = sample_indices(rng, pop, k)
+        assert len(set(got)) == k
+        assert hashlib.blake2b(repr(got).encode(), digest_size=16).hexdigest() == digest
+        assert int(rng.integers(0, 1 << 62)) == after
