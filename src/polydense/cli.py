@@ -88,6 +88,22 @@ def _parse_floats(text: str) -> list[float]:
     return values
 
 
+def _parse_positive_floats(text: str) -> list[float]:
+    """_parse_floats, each value positive."""
+    values = _parse_floats(text)
+    if not all(x > 0 for x in values):
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return values
+
+
+def _parse_nonnegative_floats(text: str) -> list[float]:
+    """_parse_floats, each value nonnegative."""
+    values = _parse_floats(text)
+    if not all(x >= 0 for x in values):
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return values
+
+
 def _parse_bool(text: str) -> bool:
     value = text.lower()
     if value not in ("1", "true", "yes", "0", "false", "no"):
@@ -307,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("density", "expected graph density over a (d, base) grid")
     sub.add_argument("--d", type=_parse_positive_ints, default=[10, 12, 14],
                      help="dimensions, e.g. 10,12,14")
-    sub.add_argument("--base", type=_parse_floats, default=[1.2, 1.7],
+    sub.add_argument("--base", type=_parse_positive_floats, default=[1.2, 1.7],
                      help="growth bases, e.g. 1.2,1.7 (n = round(base^d))")
     _shared_flags(sub, "seed", "samples", "workers", "out")
     sub.set_defaults(func=cmd_density, samples=1000)
@@ -319,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="face dimensions, e.g. 3 or 6,8,10,12")
     sub.add_argument("--m", type=_parse_ints,
                      help="obstruction counts, e.g. 0:6 (default: all, for k <= 16)")
-    sub.add_argument("--ratio", type=_parse_floats,
+    sub.add_argument("--ratio", type=_parse_nonnegative_floats,
                      help="m = ceil(ratio*k) sweep, e.g. 1.5,2,2.5,3")
     sub.add_argument("--method", choices=["auto", "exact", "mc", "via-alpha"],
                      help="default: auto")

@@ -27,17 +27,20 @@ from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .arrangements import (build_config_plus, chamber_count, partial_binomial_sum,
                            phi_project)
-from .cube import CubeVertex, sample_vertex_bits
+from .cube import CubeVertex
 from .errors import BudgetExceeded
 from .graph import _edge_count, _face_points, long_edges_survive
 # Not called here: perfbench/spans.py wraps these names in estimators and
 # fails to install without them.
+from .cube import sample_vertex_bits  # noqa: F401
 from .graph import _long_edge_survives_cached, edge_kernel, long_edge_survives  # noqa: F401
 from .mc import (Z95, Estimate, bernoulli_estimate, exact_estimate, parallel_map,
-                 split_blocks)
-from .rng import rand_bits, sample_indices, stream
+                 split_blocks, wilson_interval)
+from .rng import rand_bits, sample_index_array, sample_indices, stream
 
 __all__ = [
     "PROV_EXHAUSTIVE",
@@ -240,15 +243,24 @@ def _alpha_chambers_block(args) -> tuple[int, int]:
     return total, totalsq
 
 
+# vertex samples in one face-filter pass of _pi_block: 64 rows of n = 1684
+# int64 points are about 0.9 MB
+_PI_PASS_ROWS = 64
+
+
 def _pi_block(args) -> int:
     d, n, count, seed, block = args
     rng = stream(seed, f"pi:d={d}:n={n}", block)
+    word = np.int64 if d < 64 else object  # as sample_index_array returns
     faces: dict[int, list[list[int]]] = {}  # pair distance -> its samples' faces
-    for _ in range(count):
-        bits = sample_vertex_bits(d, n, rng)
-        i, j = sample_indices(rng, n, 2)
-        k, face = _face_points(d, bits[i], bits[j], bits)
-        faces.setdefault(k, []).append(face)
+    for done in range(0, count, _PI_PASS_ROWS):
+        points = np.empty((min(_PI_PASS_ROWS, count - done), n), dtype=word)
+        pairs = []
+        for row in points:
+            row[:] = sample_index_array(rng, 1 << d, n)
+            pairs.append(sample_indices(rng, n, 2))
+        for k, face in _face_points(d, points, pairs):
+            faces.setdefault(k, []).append(face)
     return sum(sum(long_edges_survive(k, group)) for k, group in faces.items())
 
 
@@ -315,9 +327,13 @@ def alpha_via_chambers(k: int, m: int, samples: int, seed: int,
     value = mean_chi / denom
     se = math.sqrt(var_chi / samples) / denom
     if se == 0.0:
-        se = Z95 / (2 * (samples + Z95 * Z95))  # conservative floor: no zero
-    lo = max(0.0, value - Z95 * se)
-    hi = min(1.0, value + Z95 * se)
+        # every count equal: the Wilson interval at the observed share, and
+        # its half-width as se, as bernoulli_estimate does at a boundary count
+        lo, hi = wilson_interval(value * samples, samples)
+        se = (hi - lo) / (2 * Z95)
+    else:
+        lo = max(0.0, value - Z95 * se)
+        hi = min(1.0, value + Z95 * se)
     return Estimate(value=value, stderr=se, ci95=(lo, hi), samples=samples, seed=seed)
 
 
@@ -506,7 +522,7 @@ def pi_exact(d: int, n: int) -> Estimate:
     _check_pi_args(d, n)
     work = comb(1 << d, n) * comb(n, 2)
     BudgetExceeded.check(work, PI_EXACT_BUDGET, "edge tests")
-    hits = sum(_edge_count(d, X) for X in combinations(range(1 << d), n))
+    hits = _edge_count(d, combinations(range(1 << d), n), n)
     return exact_estimate(Fraction(hits, work), samples=work)
 
 
@@ -568,11 +584,11 @@ class DensitySweepRow:
 def tau_threshold_sweep(k_list: Sequence[int], ratio_list: Sequence[float],
                         samples: int, seed: int, workers: int = 1) -> list[TauSweepRow]:
     """tau estimates at m = ceil(ratio * k) for each pair from the grids."""
+    if not all(ratio >= 0 for ratio in ratio_list):
+        raise ValueError(f"ratios must be nonnegative, got {list(ratio_list)}")
     rows = []
     for k in k_list:
         for ratio in ratio_list:
-            if ratio * k == -math.inf:
-                raise ValueError(f"m must lie in 0..2^{k}-2, got ceil({ratio} * {k})")
             m = math.ceil(ratio * k) if ratio * k < math.inf else None
             if m is None or m > (1 << k) - 2:
                 rows.append(TauSweepRow(k=k, ratio=ratio, m=m, estimate=None,
@@ -587,6 +603,8 @@ def density_threshold_sweep(d_list: Sequence[int], base_list: Sequence[float],
                             samples: int, seed: int,
                             workers: int = 1) -> list[DensitySweepRow]:
     """Expected graph density at n = round(base**d) over the (d, base) grid."""
+    if not all(base > 0 for base in base_list):
+        raise ValueError(f"bases must be positive, got {list(base_list)}")
     rows = []
     for d in d_list:
         for base in base_list:

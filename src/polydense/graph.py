@@ -2,13 +2,15 @@
 
 Two vertices v, w of conv(X) form an edge exactly when the segment [v, w]
 misses the convex hull of the other points of X on the smallest cube face
-containing v and w.  The obstruction set is collected by _face_points, the
-one face filter, which keeps a point when it matches v on the coordinates
-where v and w agree (one masked comparison per point, never enumerating the
-2**k face), and the test itself is performed inside the face: dropping the
-coordinates where v and w agree and flipping signs so that v maps to
-all-minus-one is an affine isometry of the face, after which the query is a
-diagonal-versus-hull test in dimension k.
+containing v and w.  The obstruction sets are collected by _face_points, the
+one face filter, over a pass of point sets, each row with its own pair: one
+masked comparison over the whole pass keeps a point when it matches v on the
+coordinates where v and w agree (never enumerating the 2**k face), and only
+the kept points are compressed, one numpy step per coordinate.  The test
+itself is performed inside the face: dropping the coordinates where v and w
+agree and flipping signs so that v maps to all-minus-one is an affine
+isometry of the face, after which the query is a diagonal-versus-hull test
+in dimension k.
 
 That test is decided on projected points.  A convex combination of the
 face points y lies on the diagonal exactly when all its coordinates are
@@ -20,7 +22,8 @@ convexity row) and m columns, where exactlp.segment_hull_intersect lifts
 the same query to k + 2 rows and m + 2 columns.  long_edges_survive solves
 the LP faces of each pass of its input as one batch, padding the ragged
 faces to the longest by repeating a point.  Exact densities (here and in
-estimators.pi_exact) count edges pair by pair with edge_kernel.
+estimators.pi_exact) filter every pair of their point sets in passes and
+decide each pass with one long_edges_survive call per distance.
 """
 
 from __future__ import annotations
@@ -142,23 +145,41 @@ def _long_edge_survives_cached(k: int, face_points: frozenset[int]) -> bool:
     return long_edge_survives(k, face_points)
 
 
-def _face_points(d: int, v_bits: int, w_bits: int,
-                 points: Iterable[int]) -> tuple[int, list[int]]:
-    """The distance k of v and w, and the points that can obstruct their
-    edge as k-bit masks of the face's free coordinates, relative to v.
+def _face_points(d: int, points, pairs) -> list[tuple[int, list[int]]]:
+    """For each row of a pass: the distance k of its pair v, w and the points
+    that can obstruct their edge, as k-bit masks of the face's free
+    coordinates, relative to v.
 
-    Those are the points other than v and w that agree with v wherever v
-    and w agree: the interior points of the smallest face holding both.
+    ``points`` holds one point set of d-bit masks per row (an int64 array,
+    or object dtype for d >= 64) and ``pairs`` each row's positions (i, j)
+    of v and w in it.  The obstructions are the points other than v and w
+    that agree with v wherever v and w agree: the interior points of the
+    smallest face holding both.  One masked comparison over the pass keeps
+    them; only the kept points are compressed, one numpy step per coordinate.
     """
-    free = v_bits ^ w_bits
-    agree = ((1 << d) - 1) & ~free
-    anchor = v_bits & agree
-    positions = [i for i in range(d) if free >> i & 1]
-    k = len(positions)
-    mask = (1 << k) - 1
-    compressed = [sum((rel >> pos & 1) << j for j, pos in enumerate(positions))
-                  for rel in [u ^ v_bits for u in points if u & agree == anchor]]
-    return k, [c for c in compressed if 0 < c < mask]  # v is 0 and w is mask
+    word = np.int64 if d < 64 else object  # object arrays shift Python ints
+    points = np.asarray(points, dtype=word)
+    pairs = np.asarray(pairs, dtype=np.intp)
+    rows = np.arange(len(points))
+    v = points[rows, pairs[:, 0]]
+    free = v ^ points[rows, pairs[:, 1]]
+    agree = ~free & ((1 << d) - 1)
+    kept = np.flatnonzero(points & agree[:, None] == (v & agree)[:, None])
+    row_of = kept // points.shape[1]
+    rel = points.ravel()[kept] ^ v[row_of]
+    spread = free[row_of]
+    inner = (rel != 0) & (rel != spread)  # not v or w themselves
+    row_of, rel, spread = row_of[inner], rel[inner], spread[inner]
+    face = np.zeros_like(rel)
+    at = np.zeros_like(rel)  # each point's next compressed bit
+    for i in range(d):
+        bit = spread >> i & 1
+        face |= (rel >> i & bit) << at
+        at += bit
+    ks = [int(f).bit_count() for f in free]
+    ends = np.cumsum(np.bincount(row_of, minlength=len(points))).tolist()
+    flat = face.tolist()
+    return [(k, flat[start:end]) for k, start, end in zip(ks, [0] + ends, ends)]
 
 
 def edge_kernel(d: int, v_bits: int, w_bits: int, points: Iterable[int]) -> bool:
@@ -166,11 +187,12 @@ def edge_kernel(d: int, v_bits: int, w_bits: int, points: Iterable[int]) -> bool
 
     Only the points on the open face of v and w can obstruct the edge
     (_face_points keeps those), so a list already filtered this way gives
-    the same verdict.
+    the same verdict.  This is a face-filter pass of one row.
     """
     if v_bits == w_bits:
         raise DegenerateInput("v == w has no connecting edge")
-    return long_edge_survives(*_face_points(d, v_bits, w_bits, points))
+    row = [v_bits, w_bits, *points]
+    return long_edge_survives(*_face_points(d, [row], [(0, 1)])[0])
 
 
 def is_edge(X: VertexSet, v: CubeVertex, w: CubeVertex) -> bool:
@@ -180,9 +202,26 @@ def is_edge(X: VertexSet, v: CubeVertex, w: CubeVertex) -> bool:
     return edge_kernel(X.dim, v.bits, w.bits, [u.bits for u in X])
 
 
-def _edge_count(d: int, points: Sequence[int]) -> int:
-    """Edges of the hull of the distinct d-bit masks ``points``, pair by pair."""
-    return sum(edge_kernel(d, v, w, points) for v, w in combinations(points, 2))
+# the most point entries one face-filter pass of _edge_count holds
+_ENTRIES_PER_PASS = 1 << 16
+
+
+def _edge_count(d: int, point_sets: Iterable[Sequence[int]], n: int) -> int:
+    """Edges of the hulls of point sets of n distinct d-bit masks each,
+    summed over the sets.  Every pair of every set is a row of a face-filter
+    pass of at most _ENTRIES_PER_PASS point entries, and each pass's faces
+    are decided with one long_edges_survive call per distance."""
+    word = np.int64 if d < 64 else object
+    rows = ((points, pair) for points in (np.array(X, dtype=word) for X in point_sets)
+            for pair in combinations(range(n), 2))
+    edges = 0
+    while chunk := list(islice(rows, max(1, _ENTRIES_PER_PASS // n))):
+        by_k: dict[int, list[list[int]]] = {}
+        for k, face in _face_points(d, np.stack([points for points, _ in chunk]),
+                                    [pair for _, pair in chunk]):
+            by_k.setdefault(k, []).append(face)
+        edges += sum(sum(long_edges_survive(k, faces)) for k, faces in by_k.items())
+    return edges
 
 
 def graph_density_exact(X: VertexSet) -> DensityReport:
@@ -192,5 +231,5 @@ def graph_density_exact(X: VertexSet) -> DensityReport:
         raise ValueError("density needs at least two vertices")
     pairs = comb(n, 2)
     BudgetExceeded.check(pairs, DENSITY_EXACT_BUDGET, "pair tests")
-    edges = _edge_count(X.dim, [u.bits for u in X])
+    edges = _edge_count(X.dim, [[u.bits for u in X]], n)
     return DensityReport(n=n, edge_count=edges, density=Fraction(edges, pairs))

@@ -58,8 +58,9 @@ class Estimate:
             raise ValueError("exact estimates must have stderr 0")
 
 
-def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: float, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion; ``successes``
+    may be fractional, a share times the trials."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:

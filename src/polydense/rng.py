@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stream", "stream_id", "rand_bits", "sample_indices"]
+__all__ = ["stream", "stream_id", "rand_bits", "sample_indices", "sample_index_array"]
 
 _WORD = 64
 _MASK64 = (1 << 64) - 1
@@ -48,41 +48,120 @@ def rand_bits(rng: np.random.Generator, nbits: int) -> int:
     return out
 
 
-def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[int]:
-    """Sample k distinct indices uniformly from range(population).
+# fewest draws in one rejection batch: int64 draws, and rand_bits words
+# above 2^63, which cost a Python call each
+_MIN_BATCH = 64
+_MIN_WIDE_BATCH = 16
 
-    Rejection sampling while k is small relative to the population; partial
-    Fisher-Yates over the full range otherwise.  A population above 2^63
-    exceeds numpy's int64 draws, so its indices are words of
-    (population - 1).bit_length() bits from rand_bits, rejected when out of
-    range.  Deterministic given the stream state.
+
+def _rejection_batch(rng: np.random.Generator, population: int,
+                     missing: int) -> np.ndarray | list[int]:
+    """One rejection batch for ``missing`` more indices: int64 draws, or
+    the in-range rand_bits words of (population - 1).bit_length() bits
+    when the population exceeds numpy's int64 draws."""
+    wide = population > 1 << 63
+    size = max(_MIN_WIDE_BATCH if wide else _MIN_BATCH, missing)
+    if not wide:
+        return rng.integers(0, population, size=size)
+    nbits = (population - 1).bit_length()
+    return [w for w in (rand_bits(rng, nbits) for _ in range(size)) if w < population]
+
+
+def _unsigned_key(population: int) -> type:
+    """The narrowest unsigned dtype that holds every index below population
+    (a stable sort on 8 or 16 bits is a radix sort)."""
+    bits = (population - 1).bit_length()
+    return np.uint8 if bits <= 8 else np.uint16 if bits <= 16 else (
+        np.uint32 if bits <= 32 else np.uint64)
+
+
+def _first_distinct_in_numpy(rng: np.random.Generator, population: int,
+                             k: int) -> np.ndarray:
+    """The first k distinct draws of the rejection batches, in draw order.
+
+    Each batch is sorted stably on its unsigned keys, so the first of each
+    run of equal keys is that value's first occurrence; draws already found
+    are found in the sorted keys of the earlier batches.
     """
+    key = _unsigned_key(population)
+    pieces: list[np.ndarray] = []
+    found = np.empty(0, dtype=key)  # sorted
+    missing = k
+    while True:
+        batch = _rejection_batch(rng, population, missing)
+        keys = batch.astype(key)
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        first = np.empty(len(ranked), dtype=bool)
+        first[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        if len(found):
+            at = np.minimum(np.searchsorted(found, ranked), len(found) - 1)
+            first &= found[at] != ranked
+        kept = np.zeros(len(batch), dtype=bool)
+        kept[order[first]] = True
+        new = batch[kept]  # in draw order
+        if len(new) >= missing:
+            pieces.append(new[:missing])
+            return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        pieces.append(new)
+        missing -= len(new)
+        found = (np.sort(np.concatenate([found, ranked[first]]), kind="stable")
+                 if len(found) else ranked[first])
+
+
+def _sample(rng: np.random.Generator, population: int, k: int) -> np.ndarray | list[int]:
+    """sample_indices' draws, as an int64 array where numpy deduplicated
+    them and as a list otherwise."""
     if not 0 <= k <= population:
         raise ValueError(f"cannot draw {k} distinct indices from {population}")
     if k == 0:
         return []
-    if k <= population // 2:
-        seen: dict[int, None] = {}  # insertion-ordered: the distinct draws so far
-        while len(seen) < k:
-            if population > 1 << 63:
-                nbits = (population - 1).bit_length()
-                batch = [w for w in (rand_bits(rng, nbits)
-                                     for _ in range(max(16, k - len(seen))))
-                         if w < population]
-            else:
-                batch = rng.integers(0, population, size=max(64, k - len(seen))).tolist()
-            # slices of the number still missing: a small k stops after a few draws
-            pos = 0
-            if not seen:
-                seen = dict.fromkeys(batch[:k])
-                pos = k
-            while len(seen) < k and pos < len(batch):
-                take = k - len(seen)
-                seen.update(dict.fromkeys(batch[pos:pos + take]))
-                pos += take
-        return list(seen)
-    pool = list(range(population))
-    for i in range(k):
-        j = i + int(rng.integers(0, population - i))
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+    if k > population // 2:
+        pool = list(range(population))
+        for i in range(k):
+            j = i + int(rng.integers(0, population - i))
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+    if k > _MIN_BATCH and population <= 1 << 63:  # a first batch longer than 64
+        return _first_distinct_in_numpy(rng, population, k)
+    seen: dict[int, None] = {}  # insertion-ordered: the distinct draws so far
+    while len(seen) < k:
+        batch = _rejection_batch(rng, population, k - len(seen))
+        if not isinstance(batch, list):
+            batch = batch.tolist()
+        # slices of the number still missing: a small k stops after a few draws
+        pos = 0
+        if not seen:
+            seen = dict.fromkeys(batch[:k])
+            pos = k
+        while len(seen) < k and pos < len(batch):
+            take = k - len(seen)
+            seen.update(dict.fromkeys(batch[pos:pos + take]))
+            pos += take
+    return list(seen)
+
+
+def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[int]:
+    """Sample k distinct indices uniformly from range(population).
+
+    Rejection sampling while k is small relative to the population: the
+    first k distinct draws of batches of max(64, missing) int64 draws, in
+    draw order, deduplicated in an insertion-ordered dict for k <= 64 and in
+    numpy above.  Partial Fisher-Yates over the full range otherwise.  A
+    population above 2^63 exceeds numpy's int64 draws, so its indices are
+    batches of max(16, missing) words of (population - 1).bit_length() bits
+    from rand_bits, rejected when out of range.  Deterministic given the
+    stream state.
+    """
+    out = _sample(rng, population, k)
+    return out if isinstance(out, list) else out.tolist()
+
+
+def sample_index_array(rng: np.random.Generator, population: int, k: int) -> np.ndarray:
+    """sample_indices' draws, consuming the same stream, as an int64 array
+    (object dtype for a population above 2^63)."""
+    out = _sample(rng, population, k)
+    if isinstance(out, list):
+        return np.array(out, dtype=np.int64 if population <= 1 << 63 else object)
+    return out

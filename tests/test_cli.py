@@ -86,6 +86,11 @@ class TestTauCommand:
             argv = argv + ["--config", str(cfg)]
         assert "--m is needed for k > 16" in _error(argv)
 
+    @pytest.mark.parametrize("ratio", ["-0.1", "-1"])
+    def test_a_negative_ratio_names_its_flag(self, ratio):
+        assert f"argument --ratio: must be nonnegative, got '{ratio}'" in _error(
+            ["tau", "--k", "4", "--ratio", ratio, "--samples", "10"])
+
     def test_ratio_beyond_the_float_range_has_no_m(self):
         # 1e308 * 12 overflows a float; 1e15 * 12 is printed as before
         code, text = _run(["tau", "--k", "12", "--ratio", "1e15,1e308", "--samples", "5"])
@@ -123,6 +128,11 @@ class TestDensityCommand:
         assert [(r["n"], r["note"]) for r in rows] == [("", "n out of range"),
                                                        (str(round(1.3 ** 10)), "")]
 
+    def test_a_negative_base_names_its_flag(self):
+        # n = round((-1.5)^4) = 5 would be a valid size
+        assert "argument --base: must be positive, got '-1.5'" in _error(
+            ["density", "--d", "4", "--base", "-1.5", "--samples", "10"])
+
     def test_descending_range_is_an_error(self):
         assert "range '6:4' is descending" in _error(
             ["density", "--d", "6:4", "--samples", "10"])
@@ -153,6 +163,18 @@ class TestAlphaCommand:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(text)))
         assert rows[0]["method"] == "chambers"
+
+    def test_equal_chamber_counts_read_like_an_all_success_count(self):
+        """Five equal counts get the interval that five of five successes
+        get from tau's Monte Carlo."""
+        rows = []
+        for argv in (["alpha", "--k", "5", "--m", "0", "--method", "chambers"],
+                     ["tau", "--k", "70", "--m", "0", "--method", "mc"]):
+            code, text = _run(argv + ["--samples", "5"])
+            assert code == 0
+            rows += csv.DictReader(io.StringIO(text))
+        assert [(r["ci_lo"], r["stderr"]) for r in rows] == [
+            ("0.565517535217", "0.110839400165")] * 2
 
     def test_chamber_method_takes_no_exact_budget(self, tmp_path):
         argv = ["alpha", "--k", "3", "--m", "2", "--method", "chambers",
@@ -412,10 +434,20 @@ class TestConfigFile:
         (["tau", "--k", "3", "--samples", "10"], "ratio=nan",
          "must be finite, got 'nan'"),
         (["moivre", "--q", "100"], "mu=-inf", "must be finite, got '-inf'"),
+        (["density", "--d", "4", "--samples", "10"], "base=-1.5",
+         "must be positive, got '-1.5'"),
+        (["density", "--d", "4", "--samples", "10"], "base=1.2,0",
+         "must be positive, got '1.2,0'"),
+        (["tau", "--k", "4", "--samples", "10"], "ratio=-0.1",
+         "must be nonnegative, got '-0.1'"),
+        (["tau", "--k", "4", "--samples", "10"], "ratio=-1",
+         "must be nonnegative, got '-1'"),
     ], ids=["pi-samples", "density-samples", "tau-samples", "tau-exact-budget",
             "alpha-exact-budget", "tau-k-zero", "tau-k-negative", "alpha-k-zero",
             "alpha-k-range", "pi-d-negative", "density-d-zero", "density-base-inf",
-            "density-base-nan", "tau-ratio-inf", "tau-ratio-nan", "moivre-mu-inf"])
+            "density-base-nan", "tau-ratio-inf", "tau-ratio-nan", "moivre-mu-inf",
+            "density-base-negative", "density-base-zero", "tau-ratio-negative",
+            "tau-ratio-minus-one"])
     def test_bad_budget_names_its_flag(self, tmp_path, argv, line, message):
         cfg = tmp_path / "c.conf"
         cfg.write_text(line + "\n")

@@ -19,7 +19,7 @@ from polydense.estimators import (PROV_EXHAUSTIVE, PROV_MONTE_CARLO,
 from polydense.estimators import (_alpha_block, _alpha_chambers_block, _pi_block,
                                   _pik_block, _sample_star_subset, _tau_block)
 from polydense.graph import edge_kernel, long_edge_survives
-from polydense.mc import exact_estimate
+from polydense.mc import Z95, bernoulli_estimate, exact_estimate, wilson_interval
 from polydense.rng import rand_bits, sample_indices, stream
 
 SEED = 20250809
@@ -272,6 +272,18 @@ class TestAlphaViaChambers:
         est = alpha_via_chambers(3, 1, samples=300, seed=2)
         assert est.stderr > 0
 
+    @pytest.mark.parametrize("k, m, value", [(5, 0, 1.0), (3, 1, 1.0), (3, 3, 0.75)])
+    def test_equal_counts_get_the_wilson_interval(self, k, m, value):
+        """With every chamber count equal the interval is Wilson's at the
+        observed share, and se its half-width over Z95, as for a boundary
+        count of bernoulli_estimate."""
+        est = alpha_via_chambers(k, m, samples=5, seed=1)
+        lo, hi = wilson_interval(value * 5, 5)
+        assert (est.value, est.ci95, est.stderr) == (value, (lo, hi), (hi - lo) / (2 * Z95))
+        if value == 1.0:
+            assert est.ci95 == bernoulli_estimate(5, 5, 1).ci95
+            assert round(est.ci95[0], 4) == 0.5655
+
     @pytest.mark.parametrize("k, m", [(2, 1), (3, 2), (5, 4), (6, 3), (8, 5)])
     def test_block_equals_indexing_the_full_half_configuration(self, k, m):
         """Each sampled vector, built alone from its index, is the vector
@@ -472,6 +484,38 @@ def test_pi_block_matches_a_per_sample_edge_kernel_loop(d, n, count, seed):
     assert _pi_block((d, n, count, seed, block)) == want
 
 
+def _pi_block_one_by_one(d, n, count, seed, block):
+    rng = stream(seed, f"pi:d={d}:n={n}", block)
+    hits = 0
+    for _ in range(count):
+        bits = sample_vertex_bits(d, n, rng)
+        i, j = sample_indices(rng, n, 2)
+        hits += edge_kernel(d, bits[i], bits[j], bits)
+    return hits
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 500])
+@pytest.mark.parametrize("d, n", [(8, 32), (14, 1684), (64, 3), (80, 40)])
+def test_pi_block_passes_count_the_per_sample_hits(d, n, count):
+    """The block fills face-filter passes of up to 64 samples: a partial
+    pass, one full pass, one more sample and many passes all count the
+    hits of one edge_kernel call per sample on the same stream."""
+    args = (d, n, count, 11, 3)
+    assert _pi_block(args) == _pi_block_one_by_one(*args)
+
+
+def test_pi_block_memory_stays_bounded():
+    """A block holds one pass of samples, not all of them: 500 samples at
+    (d, n) = (14, 1684) are 6.7 MB of int64 points."""
+    tracemalloc.start()
+    try:
+        _pi_block((14, 1684, 500, 1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 class TestPiKMc:
     def test_k1_always_edge(self):
         assert pi_k_mc(4, 6, 1, samples=400, seed=1).value == 1.0
@@ -557,8 +601,18 @@ class TestSweeps:
         big, huge = tau_threshold_sweep([12], [1e15, 1e308], samples=5, seed=1)
         assert (big.m, big.estimate, big.note) == (12 * 10 ** 15, None, "m exceeds 2^k - 2")
         assert (huge.m, huge.estimate, huge.note) == (None, None, "m exceeds 2^k - 2")
-        with pytest.raises(ValueError, match="m must lie in"):
+        with pytest.raises(ValueError, match="must be nonnegative"):
             tau_threshold_sweep([12], [-1e308], samples=5, seed=1)
+
+    @pytest.mark.parametrize("ratio", [-0.1, -1.0, float("nan")])
+    def test_tau_sweep_rejects_a_negative_ratio(self, ratio):
+        with pytest.raises(ValueError, match="ratios must be nonnegative"):
+            tau_threshold_sweep([4], [1.5, ratio], samples=5, seed=1)
+
+    @pytest.mark.parametrize("base", [0.0, -1.5, -2.0])
+    def test_density_sweep_rejects_a_non_positive_base(self, base):
+        with pytest.raises(ValueError, match="bases must be positive"):
+            density_threshold_sweep([4], [1.2, base], samples=5, seed=1)
 
     def test_tau_non_increasing_in_ratio_at_fixed_k(self):
         rows = tau_threshold_sweep([7], [0.5, 1.0, 2.0, 3.0], samples=1200,

@@ -304,16 +304,27 @@ def _face_points_by_three_comparisons(d, v, w, points):
                             for u in kept]
 
 
+@st.composite
+def _face_pass(draw):
+    """A pass of the face filter: d, rows of n distinct d-bit masks and each
+    row's pair of distinct positions."""
+    d = draw(st.integers(1, 70))
+    n = draw(st.integers(2, min(40, 1 << d)))
+    row = st.lists(st.integers(0, (1 << d) - 1), min_size=n, max_size=n, unique=True)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    return d, rows, [tuple(draw(pair)) for _ in rows]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 70).flatmap(lambda d: st.tuples(
-    st.just(d), st.lists(st.integers(0, (1 << d) - 1), min_size=2, max_size=40,
-                         unique=True))))
+@given(_face_pass())
 def test_face_points_is_the_three_comparison_filter(case):
     from polydense.graph import _face_points
 
-    d, points = case
-    v, w = points[0], points[-1]
-    assert _face_points(d, v, w, points) == _face_points_by_three_comparisons(d, v, w, points)
+    d, rows, pairs = case
+    assert _face_points(d, rows, pairs) == [
+        _face_points_by_three_comparisons(d, row[i], row[j], row)
+        for row, (i, j) in zip(rows, pairs)]
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -3,12 +3,15 @@ import math
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydense.mc import (BLOCK_SAMPLES, Estimate, bernoulli_estimate,
                           exact_estimate, parallel_map, split_blocks,
                           wilson_interval)
-from polydense.rng import rand_bits, sample_indices, stream, stream_id
+from polydense.rng import rand_bits, sample_index_array, sample_indices, stream, stream_id
 
 
 class TestWilson:
@@ -174,3 +177,73 @@ class TestSampleIndices:
         assert len(set(got)) == k
         assert hashlib.blake2b(repr(got).encode(), digest_size=16).hexdigest() == digest
         assert int(rng.integers(0, 1 << 62)) == after
+
+
+class _CountingStream:
+    """A stream that counts its integers calls: one per rejection batch, or
+    per rand_bits word."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def _first_distinct_by_dict(rng, population, k):
+    """The rejection sampler as an insertion-ordered dict over batches of
+    max(64, missing) int64 draws: the first k distinct draws."""
+    seen = {}
+    while len(seen) < k:
+        for x in rng.integers(0, population, size=max(64, k - len(seen))).tolist():
+            if len(seen) == k:
+                break
+            seen[x] = None
+    return list(seen)
+
+
+class TestSampleIndexArray:
+    @pytest.mark.parametrize("pop, k, calls, dtype", [
+        (4094, 18, 1, np.int64),
+        (1 << 20, 64, 1, np.int64),
+        (200, 60, 2, np.int64),
+        (16384, 1684, 3, np.int64),
+        (200, 70, 2, np.int64),
+        (1 << 63, 100, 1, np.int64),
+        (100, 60, 60, np.int64),
+        ((1 << 64) + 7, 5, 2 * 16, object),  # one batch of 65-bit words
+        (3 << 63, 40, 2 * (40 + 16), object),  # two batches
+    ], ids=["one-batch-of-64", "k-64", "dict-multi-round", "numpy-multi-round",
+            "numpy-uint8-keys", "numpy-uint64-keys", "fisher-yates", "rand-bits",
+            "rand-bits-wide-k"])
+    def test_same_draws_and_next_draw_as_sample_indices(self, pop, k, calls, dtype):
+        """Both samplers draw the same indices and leave the stream in the
+        same state, on every branch.  calls counts the integers calls: one
+        per batch of int64 draws, per Fisher-Yates step or per 64-bit word."""
+        spy = _CountingStream(stream(20250809, "array", pop))
+        got = sample_index_array(spy, pop, k)
+        rng = stream(20250809, "array", pop)
+        want = sample_indices(rng, pop, k)
+        assert got.dtype == dtype and got.shape == (k,)
+        assert got.tolist() == want
+        assert spy.calls == calls
+        assert int(spy.rng.integers(0, 1 << 62)) == int(rng.integers(0, 1 << 62))
+
+    def test_empty_draw(self):
+        got = sample_index_array(stream(0, "z"), 10, 0)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(130, 70_000).flatmap(lambda pop: st.tuples(
+        st.just(pop), st.integers(65, pop // 2), st.integers(0, 2 ** 32))))
+    def test_numpy_dedup_keeps_the_first_distinct_draws(self, case):
+        """Above 64 draws the batches are deduplicated in numpy: the result
+        is still the first k distinct draws in draw order, and the stream
+        ends where an insertion-ordered dict leaves it."""
+        pop, k, seed = case
+        rng = stream(seed, "dedup")
+        ref = stream(seed, "dedup")
+        assert sample_index_array(rng, pop, k).tolist() == _first_distinct_by_dict(ref, pop, k)
+        assert int(rng.integers(0, 1 << 62)) == int(ref.integers(0, 1 << 62))
