@@ -27,19 +27,17 @@ from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .arrangements import (build_config_plus, chamber_count, partial_binomial_sum,
                            phi_project)
 from .cube import CubeVertex
 from .errors import BudgetExceeded
-from .graph import _edge_count, _face_points, long_edges_survive
+from .graph import _edge_count, count_edges, long_edges_survive
 # Not called here: perfbench/spans.py wraps these names in estimators and
 # fails to install without them.
 from .cube import sample_vertex_bits  # noqa: F401
 from .graph import _long_edge_survives_cached, edge_kernel, long_edge_survives  # noqa: F401
-from .mc import (Z95, Estimate, bernoulli_estimate, exact_estimate, parallel_map,
-                 split_blocks, wilson_interval)
+from .mc import (Z95, Estimate, bernoulli_estimate, exact_estimate, normal_estimate,
+                 parallel_map, split_blocks, weighted_sum)
 from .rng import rand_bits, sample_index_array, sample_indices, stream
 
 __all__ = [
@@ -243,25 +241,11 @@ def _alpha_chambers_block(args) -> tuple[int, int]:
     return total, totalsq
 
 
-# vertex samples in one face-filter pass of _pi_block: 64 rows of n = 1684
-# int64 points are about 0.9 MB
-_PI_PASS_ROWS = 64
-
-
 def _pi_block(args) -> int:
     d, n, count, seed, block = args
     rng = stream(seed, f"pi:d={d}:n={n}", block)
-    word = np.int64 if d < 64 else object  # as sample_index_array returns
-    faces: dict[int, list[list[int]]] = {}  # pair distance -> its samples' faces
-    for done in range(0, count, _PI_PASS_ROWS):
-        points = np.empty((min(_PI_PASS_ROWS, count - done), n), dtype=word)
-        pairs = []
-        for row in points:
-            row[:] = sample_index_array(rng, 1 << d, n)
-            pairs.append(sample_indices(rng, n, 2))
-        for k, face in _face_points(d, points, pairs):
-            faces.setdefault(k, []).append(face)
-    return sum(sum(long_edges_survive(k, group)) for k, group in faces.items())
+    return count_edges(d, n, ((sample_index_array(rng, 1 << d, n), sample_indices(rng, n, 2))
+                              for _ in range(count)))
 
 
 def _pik_block(args) -> int:
@@ -317,24 +301,14 @@ def alpha_via_chambers(k: int, m: int, samples: int, seed: int,
     if k < 2:
         raise ValueError("chamber route needs k >= 2")
     parts = _run_blocks(_alpha_chambers_block, (k, m), samples, seed, workers)
-    total = sum(p[0] for p in parts)
-    totalsq = sum(p[1] for p in parts)
+    total, totalsq = map(sum, zip(*parts))
     mean_chi = total / samples
     var_chi = max(0.0, totalsq / samples - mean_chi * mean_chi)
     if samples > 1:
         var_chi *= samples / (samples - 1)
     denom = float(1 << m)
-    value = mean_chi / denom
-    se = math.sqrt(var_chi / samples) / denom
-    if se == 0.0:
-        # every count equal: the Wilson interval at the observed share, and
-        # its half-width as se, as bernoulli_estimate does at a boundary count
-        lo, hi = wilson_interval(value * samples, samples)
-        se = (hi - lo) / (2 * Z95)
-    else:
-        lo = max(0.0, value - Z95 * se)
-        hi = min(1.0, value + Z95 * se)
-    return Estimate(value=value, stderr=se, ci95=(lo, hi), samples=samples, seed=seed)
+    return normal_estimate(mean_chi / denom, math.sqrt(var_chi / samples) / denom,
+                           samples, seed)
 
 
 def pi_mc(d: int, n: int, samples: int, seed: int, workers: int = 1) -> Estimate:
@@ -443,7 +417,8 @@ def pi_k_semianalytic(d: int, n: int, tau: TauTable) -> Estimate:
 
     If the table stops before the full support, the remaining tail lies in
     [0, tau(k, M) * leftover-weight] because tau is non-increasing in m; the
-    midpoint is reported and the bracket is folded into the interval.
+    midpoint is reported and the bracket is folded into the interval; an
+    exact tau(k, M) = 0 closes the bracket.
     """
     k = tau.k
     if not tau.entries:
@@ -451,24 +426,17 @@ def pi_k_semianalytic(d: int, n: int, tau: TauTable) -> Estimate:
     m_target = min((1 << k) - 2, n - 2)
     use = min(tau.max_m, m_target)
     weights = [xi_exact(d, n, k, m) for m in range(use + 1)]
-    entries = tau.entries[:use + 1]
-    samples = sum(e.samples for e in entries)
-    if use == m_target and all(e.exact for e in entries):
-        total = sum((w * e.exact_value for w, e in zip(weights, entries)),
-                    start=Fraction(0))
-        return exact_estimate(total, samples=samples)
-    value = sum(float(w) * e.value for w, e in zip(weights, entries))
-    quad = math.sqrt(sum((float(w) * e.stderr) ** 2 for w, e in zip(weights, entries)))
-    half = 0.0
-    if use < m_target:
-        half = entries[use].value * float(1 - sum(weights)) / 2
-        value += half
-    lo = max(0.0, value - Z95 * quad - half)
-    hi = min(1.0, value + Z95 * quad + half)
+    mix = weighted_sum(weights, tau.entries[:use + 1])
+    if mix.exact and (use == m_target or tau.entries[use].exact_value == 0):
+        return mix
+    half = tau.entries[use].value * float(1 - sum(weights)) / 2
+    value = mix.value + half
+    lo = max(0.0, value - Z95 * mix.stderr - half)
+    hi = min(1.0, value + Z95 * mix.stderr + half)
     se = (hi - lo) / (2 * Z95)
     if se == 0.0:
-        se = Z95 / (2 * (max(1, samples) + Z95 * Z95))
-    return Estimate(value=value, stderr=se, ci95=(lo, hi), samples=samples, seed=None)
+        return normal_estimate(value, 0.0, mix.samples)
+    return Estimate(value=value, stderr=se, ci95=(lo, hi), samples=mix.samples, seed=None)
 
 
 def pi_from_pk(d: int, pik: Mapping[int, Estimate]) -> Estimate:
@@ -477,17 +445,8 @@ def pi_from_pk(d: int, pik: Mapping[int, Estimate]) -> Estimate:
     missing = [k for k in range(1, d + 1) if k not in pik]
     if missing:
         raise ValueError(f"missing pi_k entries for k in {missing}")
-    weights = [Fraction(comb(d, k), (1 << d) - 1) for k in range(1, d + 1)]
-    ests = [pik[k] for k in range(1, d + 1)]
-    samples = sum(e.samples for e in ests)
-    if all(e.exact for e in ests):
-        total = sum((w * e.exact_value for w, e in zip(weights, ests)), start=Fraction(0))
-        return exact_estimate(total, samples=samples)
-    value = sum(float(w) * e.value for w, e in zip(weights, ests))
-    se = math.sqrt(sum((float(w) * e.stderr) ** 2 for w, e in zip(weights, ests)))
-    lo = max(0.0, value - Z95 * se)
-    hi = min(1.0, value + Z95 * se)
-    return Estimate(value=value, stderr=se, ci95=(lo, hi), samples=samples, seed=None)
+    return weighted_sum([Fraction(comb(d, k), (1 << d) - 1) for k in range(1, d + 1)],
+                        [pik[k] for k in range(1, d + 1)])
 
 
 @dataclass(frozen=True)
@@ -509,8 +468,7 @@ def decompose_pi(d: int, n: int, tau_samples: int, seed: int,
     m_cut = {k: min((1 << k) - 2, n - 2, 6 * k) for k in range(1, d + 1)}
     tables = _tau_tables(m_cut, tau_samples, seed, workers)
     pik = {k: pi_k_semianalytic(d, n, table) for k, table in tables.items()}
-    combined = pi_from_pk(d, pik)
-    return PiDecomposition(d=d, n=n, pi_k=pik, combined=combined)
+    return PiDecomposition(d=d, n=n, pi_k=pik, combined=pi_from_pk(d, pik))
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +505,12 @@ class MonotonicityReport:
 
 def monotonicity_check(d: int) -> MonotonicityReport:
     """Exact pi(d, n) for n = 3..2^d by full enumeration; reports whether the
-    sequence strictly decreases."""
-    if d > 3:
-        raise BudgetExceeded("exact monotonicity mode is limited to d <= 3",
-                             required=1 << d)
+    sequence strictly decreases.  Those n-subsets hold C(2^d, 2) * (2^(2^d-2) - 1)
+    pairs; d <= 12 keeps that count a small integer (1,233 digits at d = 12)."""
+    if not 1 <= d <= 12:
+        raise ValueError(f"d must lie in 1..12, got {d}")
+    BudgetExceeded.check(comb(1 << d, 2) * ((1 << (1 << d) - 2) - 1), PI_EXACT_BUDGET,
+                         "edge tests")
     values = {n: pi_exact(d, n).exact_value for n in range(3, (1 << d) + 1)}
     violations = [(n, n + 1) for n in range(3, 1 << d)
                   if not values[n] > values[n + 1]]

@@ -21,9 +21,10 @@ conv(Y) iff origin_in_conv holds for the p(y): an LP of k rows (with the
 convexity row) and m columns, where exactlp.segment_hull_intersect lifts
 the same query to k + 2 rows and m + 2 columns.  long_edges_survive solves
 the LP faces of each pass of its input as one batch, padding the ragged
-faces to the longest by repeating a point.  Exact densities (here and in
-estimators.pi_exact) filter every pair of their point sets in passes and
-decide each pass with one long_edges_survive call per distance.
+faces to the longest by repeating a point.  count_edges is the one loop
+from (point set, pair) rows to an edge count: the exact densities here and
+in estimators.pi_exact and the Monte-Carlo pi block all stream their rows
+through it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "long_edges_survive",
     "edge_kernel",
     "is_edge",
+    "count_edges",
     "graph_density_exact",
 ]
 
@@ -150,8 +152,8 @@ def _face_points(d: int, points, pairs) -> list[tuple[int, list[int]]]:
     that can obstruct their edge, as k-bit masks of the face's free
     coordinates, relative to v.
 
-    ``points`` holds one point set of d-bit masks per row (an int64 array,
-    or object dtype for d >= 64) and ``pairs`` each row's positions (i, j)
+    ``points`` holds one point set of d-bit masks per row (rows that make an
+    int64 array, or object dtype for d >= 64) and ``pairs`` each row's positions (i, j)
     of v and w in it.  The obstructions are the points other than v and w
     that agree with v wherever v and w agree: the interior points of the
     smallest face holding both.  One masked comparison over the pass keeps
@@ -202,26 +204,42 @@ def is_edge(X: VertexSet, v: CubeVertex, w: CubeVertex) -> bool:
     return edge_kernel(X.dim, v.bits, w.bits, [u.bits for u in X])
 
 
-# the most point entries one face-filter pass of _edge_count holds
+# the most point entries one face-filter pass of count_edges holds, and the
+# most entries (one per face, plus its points) it files before deciding them
 _ENTRIES_PER_PASS = 1 << 16
+
+
+def count_edges(d: int, n: int, rows: Iterable[tuple[Sequence[int], Sequence[int]]]) -> int:
+    """How many rows' pairs are edges: each row is a point set of n distinct
+    d-bit masks and the positions (i, j) of a pair in it.
+
+    The rows are read in face-filter passes of at most _ENTRIES_PER_PASS
+    point entries, and the faces are filed by pair distance; whenever the
+    filed faces reach the same cap, and once after the last row, they are
+    decided with one long_edges_survive call per distance.
+    """
+    edges = filed = 0
+    by_k: dict[int, list[list[int]]] = {}
+    it = iter(rows)
+    while chunk := list(islice(it, max(1, _ENTRIES_PER_PASS // n))):
+        for k, face in _face_points(d, [points for points, _ in chunk],
+                                    [pair for _, pair in chunk]):
+            by_k.setdefault(k, []).append(face)
+            filed += 1 + len(face)
+        if filed >= _ENTRIES_PER_PASS:
+            edges += sum(sum(long_edges_survive(k, faces)) for k, faces in by_k.items())
+            filed, by_k = 0, {}
+    return edges + sum(sum(long_edges_survive(k, faces)) for k, faces in by_k.items())
 
 
 def _edge_count(d: int, point_sets: Iterable[Sequence[int]], n: int) -> int:
     """Edges of the hulls of point sets of n distinct d-bit masks each,
-    summed over the sets.  Every pair of every set is a row of a face-filter
-    pass of at most _ENTRIES_PER_PASS point entries, and each pass's faces
-    are decided with one long_edges_survive call per distance."""
+    summed over the sets: count_edges over every pair of every set, each
+    set made an array once."""
     word = np.int64 if d < 64 else object
-    rows = ((points, pair) for points in (np.array(X, dtype=word) for X in point_sets)
-            for pair in combinations(range(n), 2))
-    edges = 0
-    while chunk := list(islice(rows, max(1, _ENTRIES_PER_PASS // n))):
-        by_k: dict[int, list[list[int]]] = {}
-        for k, face in _face_points(d, np.stack([points for points, _ in chunk]),
-                                    [pair for _, pair in chunk]):
-            by_k.setdefault(k, []).append(face)
-        edges += sum(sum(long_edges_survive(k, faces)) for k, faces in by_k.items())
-    return edges
+    sets = (np.array(points, dtype=word) for points in point_sets)
+    return count_edges(d, n, ((points, pair) for points in sets
+                              for pair in combinations(range(n), 2)))
 
 
 def graph_density_exact(X: VertexSet) -> DensityReport:

@@ -1,4 +1,4 @@
-"""Monte-Carlo bookkeeping: estimates, Wilson intervals, block scheduling.
+"""Monte-Carlo bookkeeping: estimates and their intervals, block scheduling.
 
 All estimators follow the same contract: the sample budget is cut into
 fixed-size blocks, each block consumes its own derived RNG stream and
@@ -22,7 +22,9 @@ __all__ = [
     "Estimate",
     "wilson_interval",
     "bernoulli_estimate",
+    "normal_estimate",
     "exact_estimate",
+    "weighted_sum",
     "split_blocks",
     "parallel_map",
     "default_workers",
@@ -38,8 +40,8 @@ class Estimate:
     """A point estimate with uncertainty, or an exact value.
 
     An estimate is exact when ``exact_value`` holds the underlying rational;
-    its stderr is then 0 and its interval collapsed.  For sampled estimates
-    the interval is the 95% Wilson score interval and stderr is never zero.
+    its stderr is then 0 and its interval collapsed.  A sampled estimate's
+    stderr is positive.
     """
 
     value: float
@@ -77,14 +79,27 @@ def wilson_interval(successes: float, trials: int) -> tuple[float, float]:
 
 
 def bernoulli_estimate(successes: int, trials: int, seed: int | None) -> Estimate:
-    """Estimate from a success count; stderr stays positive even at 0 or 1."""
+    """Estimate from a success count: the Wilson interval, stderr > 0 even at 0 or 1."""
     lo, hi = wilson_interval(successes, trials)
     p = successes / trials
     if 0 < successes < trials:
-        se = math.sqrt(p * (1.0 - p) / trials)
+        return Estimate(value=p, stderr=math.sqrt(p * (1.0 - p) / trials), ci95=(lo, hi),
+                        samples=trials, seed=seed)
+    return normal_estimate(p, 0.0, trials, seed)
+
+
+def normal_estimate(value: float, stderr: float, samples: int,
+                    seed: int | None = None) -> Estimate:
+    """A sampled share with the interval value ± Z95·stderr clipped to [0, 1];
+    at stderr 0 (every sample alike) Wilson's interval at the observed share,
+    and its half-width over Z95 as stderr, as at a boundary count."""
+    if stderr == 0.0:
+        lo, hi = wilson_interval(value * samples, samples)
+        stderr = (hi - lo) / (2 * Z95)
     else:
-        se = (hi - lo) / (2 * Z95)
-    return Estimate(value=p, stderr=se, ci95=(lo, hi), samples=trials, seed=seed)
+        lo = max(0.0, value - Z95 * stderr)
+        hi = min(1.0, value + Z95 * stderr)
+    return Estimate(value=value, stderr=stderr, ci95=(lo, hi), samples=samples, seed=seed)
 
 
 def exact_estimate(value: Fraction, samples: int = 0, seed: int | None = None) -> Estimate:
@@ -92,6 +107,19 @@ def exact_estimate(value: Fraction, samples: int = 0, seed: int | None = None) -
     v = float(value)
     return Estimate(value=v, stderr=0.0, ci95=(v, v), samples=samples,
                     seed=seed, exact_value=Fraction(value))
+
+
+def weighted_sum(weights: Sequence[Fraction], estimates: Sequence[Estimate]) -> Estimate:
+    """The sum of w·e over exact weights: exact when every estimate of nonzero
+    weight is, else the float sum with stderr by quadrature."""
+    samples = sum(e.samples for e in estimates)
+    terms = [(w, e) for w, e in zip(weights, estimates, strict=True) if w]
+    if all(e.exact for _, e in terms):
+        return exact_estimate(sum((w * e.exact_value for w, e in terms), start=Fraction(0)),
+                              samples=samples)
+    value = sum(float(w) * e.value for w, e in terms)
+    stderr = math.sqrt(sum((float(w) * e.stderr) ** 2 for w, e in terms))
+    return normal_estimate(value, stderr, samples)
 
 
 def split_blocks(total: int) -> list[tuple[int, int]]:
@@ -102,15 +130,8 @@ def split_blocks(total: int) -> list[tuple[int, int]]:
     """
     if total <= 0:
         raise ValueError("sample budget must be positive")
-    out = []
-    index = 0
-    remaining = total
-    while remaining > 0:
-        take = min(BLOCK_SAMPLES, remaining)
-        out.append((index, take))
-        index += 1
-        remaining -= take
-    return out
+    return [(index, min(BLOCK_SAMPLES, total - start))
+            for index, start in enumerate(range(0, total, BLOCK_SAMPLES))]
 
 
 def parse_workers(value, source: str = "worker count") -> int:

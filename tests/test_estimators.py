@@ -11,7 +11,7 @@ from polydense.cube import sample_vertex_bits
 from polydense.estimators import (PROV_EXHAUSTIVE, PROV_MONTE_CARLO,
                                   PROV_STRUCTURAL_ZERO, alpha_exact, alpha_mc,
                                   alpha_via_chambers, alpha_via_chambers_exact,
-                                  build_tau_table, density_threshold_sweep,
+                                  build_tau_table, decompose_pi, density_threshold_sweep,
                                   monotonicity_check, pi_exact, pi_from_pk,
                                   pi_k_exact, pi_k_mc, pi_k_semianalytic, pi_mc,
                                   tau_cell, tau_exact, tau_from_alpha, tau_mc,
@@ -77,8 +77,9 @@ def _no_work(*args, **kwargs):
     (lambda: build_config_plus(20), 2 ** 20 - 1),
     (lambda: chamber_count([(1, i, i * i) for i in range(25)]), 25),
     (lambda: chamber_count_bruteforce([(1, i) for i in range(15)]), 15),
+    (lambda: monotonicity_check(4), comb(16, 2) * (2 ** 14 - 1)),
 ], ids=["tau", "tau-k70", "alpha", "alpha-chambers", "pi", "pi-k", "pi-k-d40",
-        "density", "config-plus", "chambers", "chambers-bruteforce"])
+        "density", "config-plus", "chambers", "chambers-bruteforce", "monotonicity"])
 def test_every_exhaustive_guard_runs_before_any_work(monkeypatch, call, required):
     """Each exhaustive computation raises with its enumeration size before a
     single edge test, LP, chamber count or projection runs."""
@@ -416,6 +417,12 @@ class TestPiKSemianalytic:
         with pytest.raises(ValueError, match="tau table for k=3 is empty"):
             pi_k_semianalytic(4, 8, table)
 
+    def test_a_truncated_table_past_an_exact_zero_is_exact(self):
+        # tau(3, m) = 0 for m >= 4: the tail beyond m = 4 adds nothing
+        table = build_tau_table(3, 4, samples=10, seed=1)
+        assert table.entries[4].exact_value == 0
+        assert pi_k_semianalytic(4, 10, table).exact_value == pi_k_exact(4, 10, 3).exact_value
+
     def test_truncated_table_brackets_the_truth(self):
         # cut the table short: the bracket must still contain the exact value
         table = build_tau_table(3, 2, samples=10, seed=1)
@@ -423,6 +430,26 @@ class TestPiKSemianalytic:
         exact = pi_k_exact(4, 10, 3)
         assert semi.ci95[0] - 1e-12 <= exact.value <= semi.ci95[1] + 1e-12
         assert not semi.exact
+
+
+def _sampled_intervals_are_open(est):
+    return est.exact or (est.stderr > 0 and est.ci95[0] < est.ci95[1])
+
+
+class TestDecomposePi:
+    def test_the_full_cube_is_exact(self):
+        """At n = 2^d every point is drawn: sampled tau cells of zero weight
+        drop out and pi is the full cube's density exactly."""
+        dec = decompose_pi(5, 32, tau_samples=20, seed=1)
+        assert dec.combined.exact_value == graph_density_exact(full_cube(5)).density == F(5, 31)
+        assert all(e.exact for e in dec.pi_k.values())
+
+    @pytest.mark.parametrize("d, n", [(5, 32), (5, 20), (6, 40), (8, 32), (100, 3)])
+    def test_no_sampled_estimate_has_a_collapsed_interval(self, d, n):
+        """At (100, 3) the sampled tau(k, 1) cells of k = 15..47 all hit:
+        their pi_k intervals collapse at 1 and take Wilson's instead."""
+        dec = decompose_pi(d, n, tau_samples=20, seed=3)
+        assert all(map(_sampled_intervals_are_open, [dec.combined, *dec.pi_k.values()]))
 
 
 class TestPiExactAndMonotone:
@@ -441,8 +468,23 @@ class TestPiExactAndMonotone:
             assert ns == list(range(3, 2 ** d + 1))
 
     def test_monotonicity_rejects_large_d(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as err:
             monotonicity_check(4)
+        assert err.value.required == 1_965_960
+
+    def test_monotonicity_counts_every_pair_of_every_subset(self, monkeypatch):
+        # the guard's count is the sum of pi_exact's over n = 3..2^d
+        for d, want in ((2, 18), (3, 1764)):
+            assert sum(comb(2 ** d, n) * comb(n, 2) for n in range(3, 2 ** d + 1)) == want
+        monkeypatch.setattr(estimators, "PI_EXACT_BUDGET", 1763)
+        with pytest.raises(BudgetExceeded) as err:
+            monotonicity_check(3)
+        assert err.value.required == 1764
+
+    @pytest.mark.parametrize("d", [0, -1, 13])
+    def test_monotonicity_rejects_d_out_of_range(self, d):
+        with pytest.raises(ValueError, match="d must lie in 1..12"):
+            monotonicity_check(d)
 
 
 class TestPiMc:
@@ -497,11 +539,23 @@ def _pi_block_one_by_one(d, n, count, seed, block):
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 500])
 @pytest.mark.parametrize("d, n", [(8, 32), (14, 1684), (64, 3), (80, 40)])
 def test_pi_block_passes_count_the_per_sample_hits(d, n, count):
-    """The block fills face-filter passes of up to 64 samples: a partial
-    pass, one full pass, one more sample and many passes all count the
+    """The block reads face-filter passes of up to 65536 point entries (38
+    samples at n = 1684): one partial pass and many passes all count the
     hits of one edge_kernel call per sample on the same stream."""
     args = (d, n, count, 11, 3)
     assert _pi_block(args) == _pi_block_one_by_one(*args)
+
+
+@pytest.mark.parametrize("cap", [1, 7, 64])
+def test_every_pass_and_filing_cap_counts_the_same_edges(monkeypatch, cap):
+    """graph.count_edges gives the same count whatever its cap on a pass's
+    point entries and on the faces it files before deciding them."""
+    calls = [lambda: _pi_block((8, 32, 150, 5, 1)), lambda: _pi_block((14, 1684, 40, 5, 1)),
+             lambda: pi_exact(3, 5).exact_value,
+             lambda: graph_density_exact(full_cube(5)).edge_count]
+    want = [call() for call in calls]
+    monkeypatch.setattr(graph, "_ENTRIES_PER_PASS", cap)
+    assert [call() for call in calls] == want
 
 
 def test_pi_block_memory_stays_bounded():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydense.mc import (BLOCK_SAMPLES, Estimate, bernoulli_estimate,
-                          exact_estimate, parallel_map, split_blocks,
-                          wilson_interval)
+from polydense.mc import (BLOCK_SAMPLES, Z95, Estimate, bernoulli_estimate,
+                          exact_estimate, normal_estimate, parallel_map, split_blocks,
+                          weighted_sum, wilson_interval)
 from polydense.rng import rand_bits, sample_index_array, sample_indices, stream, stream_id
 
 
@@ -61,6 +61,51 @@ class TestEstimates:
         with pytest.raises(ValueError):
             Estimate(value=0.5, stderr=0.1, ci95=(0.4, 0.6), samples=10,
                      seed=None, exact_value=F(1, 2))
+
+
+class TestNormalEstimate:
+    def test_the_interval_is_clipped_to_the_unit_range(self):
+        est = normal_estimate(0.3, 0.05, 40, seed=7)
+        assert est.ci95 == (0.3 - Z95 * 0.05, 0.3 + Z95 * 0.05)
+        assert (est.value, est.stderr, est.samples, est.seed) == (0.3, 0.05, 40, 7)
+        assert normal_estimate(0.95, 0.05, 40).ci95 == (0.95 - Z95 * 0.05, 1.0)
+        assert normal_estimate(0.01, 0.05, 40).ci95 == (0.0, 0.01 + Z95 * 0.05)
+
+    @pytest.mark.parametrize("value, samples", [(0.0, 12), (0.25, 12), (1.0, 12), (0.5, 1)])
+    def test_zero_stderr_takes_the_wilson_interval(self, value, samples):
+        est = normal_estimate(value, 0.0, samples)
+        lo, hi = wilson_interval(value * samples, samples)
+        assert est.ci95 == (lo, hi) and lo < hi
+        assert est.stderr == (hi - lo) / (2 * Z95) > 0
+        assert not est.exact
+
+    def test_a_boundary_count_reads_like_a_zero_stderr_share(self):
+        for x in (0, 30):
+            assert bernoulli_estimate(x, 30, 3) == normal_estimate(x / 30, 0.0, 30, 3)
+
+
+class TestWeightedSum:
+    def test_all_exact_is_exact(self):
+        est = weighted_sum([F(1, 3), F(2, 3)], [exact_estimate(F(1, 2), 4),
+                                                exact_estimate(F(1, 4), 6)])
+        assert est.exact_value == F(1, 3) and est.samples == 10
+
+    def test_a_sampled_estimate_of_zero_weight_drops_out(self):
+        sampled = bernoulli_estimate(3, 10, 1)
+        est = weighted_sum([F(1), F(0)], [exact_estimate(F(2, 7), 1), sampled])
+        assert est.exact_value == F(2, 7) and est.samples == 11
+
+    def test_sampled_terms_add_in_quadrature(self):
+        a, b = bernoulli_estimate(3, 10, 1), exact_estimate(F(1, 2), 5)
+        est = weighted_sum([F(1, 4), F(3, 4)], [a, b])
+        assert not est.exact and est.samples == 15
+        assert est.value == 0.25 * a.value + 0.75 * 0.5
+        assert est.stderr == math.sqrt((0.25 * a.stderr) ** 2)
+        assert est.ci95 == normal_estimate(est.value, est.stderr, 15).ci95
+
+    def test_the_weights_and_estimates_pair_up(self):
+        with pytest.raises(ValueError):
+            weighted_sum([F(1)], [exact_estimate(F(1)), exact_estimate(F(0))])
 
 
 class TestBlocks:
