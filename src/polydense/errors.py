@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class PolydenseError(Exception):
     """Base class for all package-specific errors."""
@@ -27,5 +29,18 @@ class BudgetExceeded(PolydenseError):
     def check(required: int, cap: int, what: str) -> None:
         """The guard every exhaustive computation calls before any work."""
         if required > cap:
-            raise BudgetExceeded(f"{required} {what} exceed the budget of {cap}",
+            raise BudgetExceeded(f"{_count(required)} {what} exceed the budget of {cap}",
                                  required=required)
+
+
+def _count(n: int) -> str:
+    """A positive count written out, or above 30 digits named by its digit
+    count: str() of an int of more than 4,300 digits raises ValueError."""
+    if n < 10 ** 30:
+        return str(n)
+    digits = int(math.log10(n)) + 1  # the float logarithm may be off by one
+    if 10 ** (digits - 1) > n:
+        digits -= 1
+    elif 10 ** digits <= n:
+        digits += 1
+    return f"a {digits}-digit number of"

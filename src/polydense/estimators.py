@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .arrangements import (build_config_plus, chamber_count, partial_binomial_sum,
                            phi_project)
@@ -136,9 +136,19 @@ def _exact_share(k: int, total: int, cap: int, what: str, faces: Callable) -> Es
 
 def tau_exact(k: int, m: int, max_subsets: int = 200_000) -> Estimate:
     """Exact long-edge probability by enumerating all m-subsets of the
-    interior face points."""
+    interior face points.
+
+    Above 2^(k-1) - 1 points every subset holds an antipodal pair (the
+    pigeonhole principle on the antipodal classes), so once the subset count
+    fits the budget the value is the exact 0 over all of them, without
+    enumerating.
+    """
     _check_tau_args(k, m)
-    return _exact_share(k, comb((1 << k) - 2, m), max_subsets, "subsets",
+    total = comb((1 << k) - 2, m)
+    if m > (1 << (k - 1)) - 1:
+        BudgetExceeded.check(total, max_subsets, "subsets")
+        return exact_estimate(Fraction(0), samples=total)
+    return _exact_share(k, total, max_subsets, "subsets",
                         lambda: _subsets(range(1, (1 << k) - 1), m))
 
 
@@ -204,11 +214,15 @@ def _sample_star_subset(rng, k: int, m: int) -> list[int]:
     return [i + 1 for i in sample_indices(rng, (1 << k) - 2, m)]
 
 
+def _tau_draws(k: int, m: int, count: int, seed: int, block: int) -> Iterator[list[int]]:
+    """The count m-subsets of a tau(k, m) block, drawn lazily from its stream."""
+    rng = stream(seed, f"tau:k={k}:m={m}", block)
+    return (_sample_star_subset(rng, k, m) for _ in range(count))
+
+
 def _tau_block(args) -> int:
     k, m, count, seed, block = args
-    rng = stream(seed, f"tau:k={k}:m={m}", block)
-    return sum(long_edges_survive(k, [_sample_star_subset(rng, k, m)
-                                      for _ in range(count)]))
+    return sum(long_edges_survive(k, _tau_draws(k, m, count, seed, block)))
 
 
 def _alpha_block(args) -> int:
@@ -360,15 +374,12 @@ class TauTable:
         return len(self.entries) - 1
 
 
-def tau_cell(k: int, m: int, samples: int, seed: int,
-             exact_budget: int = EXACT_BUDGET, method: str = "auto",
-             workers: int = 1) -> tuple[Estimate, str]:
-    """One tau(k, m) value with its provenance: exhaustive when the subset
-    count fits the budget, the structural zero when m exceeds the antipodal
-    class count, Monte Carlo (direct or through alpha) otherwise."""
-    _check_tau_args(k, m)
-    if method not in ("auto", "exact", "mc", "via-alpha"):
-        raise ValueError(f"unknown method {method!r}")
+def _settled_cell(k: int, m: int, exact_budget: int,
+                  method: str) -> tuple[Estimate, str] | None:
+    """tau(k, m) with its provenance when no sampling is needed: exhaustive
+    when method is auto or exact and the subset count fits the budget, else
+    the structural zero when m exceeds the antipodal class count; None when
+    the cell must be sampled.  Over budget, method exact raises."""
     if method in ("auto", "exact"):
         try:
             return tau_exact(k, m, max_subsets=exact_budget), PROV_EXHAUSTIVE
@@ -378,30 +389,66 @@ def tau_cell(k: int, m: int, samples: int, seed: int,
                                      required=exc.required) from None
     if m > (1 << (k - 1)) - 1:
         return exact_estimate(Fraction(0)), PROV_STRUCTURAL_ZERO
+    return None
+
+
+def tau_cell(k: int, m: int, samples: int, seed: int,
+             exact_budget: int = EXACT_BUDGET, method: str = "auto",
+             workers: int = 1) -> tuple[Estimate, str]:
+    """One tau(k, m) value with its provenance: exhaustive when the subset
+    count fits the budget, the structural zero when m exceeds the antipodal
+    class count, Monte Carlo (direct or through alpha) otherwise."""
+    _check_tau_args(k, m)
+    if method not in ("auto", "exact", "mc", "via-alpha"):
+        raise ValueError(f"unknown method {method!r}")
+    settled = _settled_cell(k, m, exact_budget, method)
+    if settled is not None:
+        return settled
     if method == "via-alpha":
         a = alpha_mc(k, m, samples, seed, workers=workers)
         return tau_from_alpha(k, m, a), PROV_VIA_ALPHA
     return tau_mc(k, m, samples, seed, workers=workers), PROV_MONTE_CARLO
 
 
-def _tau_cell_task(args) -> tuple[Estimate, str]:
-    return tau_cell(*args)
+def _tau_cell_task(args) -> list[tuple[Estimate, str]]:
+    """tau_cell(k, m, samples, seed) for m = 0..top, one column per pool task.
+
+    The exhaustive and structural-zero cells are settled as tau_cell settles
+    them.  Every sampled cell draws the blocks of tau_mc from its own streams,
+    and all those draws are decided lazily in one long_edges_survive call,
+    which batches faces of different m in one pass; its verdicts are split
+    back into each cell's hit count, samples at a time.
+    """
+    k, top, samples, seed = args
+    cells = [_settled_cell(k, m, EXACT_BUDGET, "auto") for m in range(top + 1)]
+    sampled = [m for m, cell in enumerate(cells) if cell is None]
+    if sampled:
+        blocks = split_blocks(samples)
+        verdicts = iter(long_edges_survive(k, chain.from_iterable(
+            _tau_draws(k, m, count, seed, block) for m in sampled for block, count in blocks)))
+        for m in sampled:
+            hits = sum(islice(verdicts, samples))
+            cells[m] = bernoulli_estimate(hits, samples, seed), PROV_MONTE_CARLO
+    return cells
 
 
 def _tau_tables(m_max: Mapping[int, int], samples: int, seed: int,
                 workers: int = 1) -> dict[int, TauTable]:
     """A TauTable for each k of ``m_max``, with m = 0..min(m_max[k], 2^k - 2),
-    every cell of every table computed in one parallel_map."""
+    every column in one parallel_map with one task per k.
+
+    The tasks go in descending k, so the heaviest columns start first; each
+    cell's draws come from its own streams, so the tables are the same for
+    any worker count.
+    """
     tops = {k: min(top, (1 << k) - 2) for k, top in m_max.items()}
-    tasks = [(k, m, samples, seed) for k, top in tops.items() for m in range(top + 1)]
-    # parallel_map keeps the tasks' k-then-m order
-    cells = iter(parallel_map(_tau_cell_task, tasks, workers))
-    tables = {}
-    for k, top in tops.items():
-        column = [next(cells) for _ in range(top + 1)]
-        tables[k] = TauTable(k=k, entries=tuple(est for est, _ in column),
-                             provenance=tuple(prov for _, prov in column))
-    return tables
+    order = sorted(tops, reverse=True)
+    columns = dict(zip(order, parallel_map(_tau_cell_task,
+                                           [(k, tops[k], samples, seed) for k in order],
+                                           workers)))
+    return {k: TauTable(k=k, entries=tuple(est for est, _ in columns[k]),
+                        provenance=tuple(prov for _, prov in columns[k]))
+            for k in tops}
 
 
 def build_tau_table(k: int, m_max: int, samples: int, seed: int,
@@ -463,7 +510,11 @@ def decompose_pi(d: int, n: int, tau_samples: int, seed: int,
                  workers: int = 1) -> PiDecomposition:
     """Semianalytic pi(d, n): per-distance tau tables (cut off at m = 6k,
     tail bracketed by monotonicity) combined through the exact
-    hypergeometric weights and the distance distribution."""
+    hypergeometric weights and the distance distribution.
+
+    The tables are built by _tau_tables, one pool task per distance k; the
+    draws, and so the result, are the same for any worker count.
+    """
     # tau cells beyond m = 6k are left to pi_k_semianalytic's tail bracket
     m_cut = {k: min((1 << k) - 2, n - 2, 6 * k) for k in range(1, d + 1)}
     tables = _tau_tables(m_cut, tau_samples, seed, workers)

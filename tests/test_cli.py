@@ -65,6 +65,19 @@ class TestTauCommand:
         assert flag[0] in _error(["tau", "--k", "3", "--ratio", "1.5", "--samples",
                                   "100", "--seed", "1"] + flag)
 
+    def test_a_cell_far_over_budget_falls_back_to_monte_carlo(self):
+        # C(16382, 8000) has 4,928 digits, more than str() of an int converts
+        code, text = _run(["tau", "--k", "14", "--m", "8000", "--samples", "10",
+                           "--seed", "1"])
+        assert code == 0
+        row, = csv.DictReader(io.StringIO(text))
+        assert (row["provenance"], row["samples"]) == ("monte-carlo", "10")
+
+    def test_exact_far_over_budget_names_the_budget(self):
+        assert "tau(14,8000) enumeration exceeds exact budget" in _error(
+            ["tau", "--k", "14", "--m", "8000", "--samples", "10", "--seed", "1",
+             "--method", "exact"])
+
     def test_m_range_spec(self):
         code, text = _run(["tau", "--k", "4", "--m", "0:2", "--seed", "3"])
         assert code == 0

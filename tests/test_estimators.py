@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -59,6 +60,40 @@ class TestTauExact:
         with pytest.raises(BudgetExceeded,
                            match=r"^593775 subsets exceed the budget of 200000$"):
             tau_exact(5, 6)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_a_count_above_the_classes_is_the_enumerated_zero(self, k):
+        """Above 2^(k-1) - 1 points every subset holds an antipodal pair:
+        the same Estimate as the enumeration, samples included."""
+        pool = range(1, (1 << k) - 1)
+        for m in range(1 << (k - 1), (1 << k) - 1):
+            total = comb((1 << k) - 2, m)
+            if total > 30_000:
+                continue
+            enumerated = estimators._exact_share(k, total, total, "subsets",
+                                                 lambda: combinations(pool, m))
+            assert enumerated.exact_value == 0
+            assert tau_exact(k, m) == enumerated, m
+
+    def test_the_zero_above_the_classes_enumerates_nothing(self, monkeypatch):
+        monkeypatch.setattr(estimators, "long_edges_survive", _no_work)
+        est = tau_exact(5, 16, max_subsets=comb(30, 16))
+        assert est.exact_value == 0 and est.samples == comb(30, 16)
+
+    def test_the_zero_above_the_classes_keeps_the_budget(self):
+        with pytest.raises(BudgetExceeded) as err:
+            tau_exact(5, 27, max_subsets=100)
+        assert err.value.required == comb(30, 27)
+
+
+def test_a_count_beyond_str_names_its_digits():
+    """comb(2^14, 8000) * C(8000, 2) has 4,936 digits, above the 4,300 that
+    str() of an int converts."""
+    with pytest.raises(BudgetExceeded,
+                       match=r"^a 4936-digit number of edge tests exceed the budget of 400000$"
+                       ) as err:
+        pi_exact(14, 8000)
+    assert err.value.required == comb(1 << 14, 8000) * comb(8000, 2)
 
 
 def _no_work(*args, **kwargs):
@@ -376,21 +411,64 @@ class TestTauTable:
 
 
 def test_decomposition_maps_every_cell_at_once(monkeypatch):
-    """decompose_pi hands every tau cell of every k to one parallel_map; at
-    d = 4, n = 6 the 1 + 3 + 5 + 5 cells are all exhaustive."""
+    """decompose_pi hands one tau column per k to one parallel_map, the
+    largest k first; at d = 4, n = 6 the 1 + 3 + 5 + 5 cells are all
+    exhaustive."""
     from polydense import estimators
 
     calls = []
     real = estimators.parallel_map
 
     def counted(fn, tasks, workers=1):
-        calls.append(len(tasks))
+        calls.append([task[0] for task in tasks])
         return real(fn, tasks, workers)
 
     monkeypatch.setattr(estimators, "parallel_map", counted)
     dec = estimators.decompose_pi(4, 6, tau_samples=10, seed=1)
-    assert calls == [14]
+    assert calls == [[4, 3, 2, 1]]
     assert dec.combined.exact_value == F(1888, 2145)
+
+
+@pytest.mark.parametrize("samples", [75, 600])
+@pytest.mark.parametrize("k, provenances", [
+    (5, {PROV_EXHAUSTIVE, PROV_MONTE_CARLO, PROV_STRUCTURAL_ZERO}),
+    (6, {PROV_EXHAUSTIVE, PROV_MONTE_CARLO}),
+])
+def test_a_tau_column_is_its_cells(k, provenances, samples):
+    """The column task gives tau_cell's Estimate and provenance at every m,
+    with 600 samples spanning two blocks of each sampled cell."""
+    column = estimators._tau_cell_task((k, 30, samples, 11))
+    assert column == [tau_cell(k, m, samples, 11) for m in range(31)]
+    assert {prov for _, prov in column} == provenances
+
+
+def test_a_tau_column_draws_lazily(monkeypatch):
+    """The column's one long_edges_survive call reads one pass of draws at a
+    time: 5,000 draws of one sampled cell reach the first LP batch after at
+    most _SUBSETS_PER_PASS of them."""
+    drawn, at_batch = [0], []
+    real_draw, real_batch = estimators._sample_star_subset, graph.origin_in_conv_batch
+
+    def draw(*args):
+        drawn[0] += 1
+        return real_draw(*args)
+
+    def batch(points):
+        at_batch.append(drawn[0])
+        return real_batch(points)
+
+    monkeypatch.setattr(estimators, "_sample_star_subset", draw)
+    monkeypatch.setattr(graph, "origin_in_conv_batch", batch)
+    column = estimators._tau_cell_task((6, 3, 5000, 2))
+    assert [prov for _, prov in column] == [PROV_EXHAUSTIVE] * 3 + [PROV_MONTE_CARLO]
+    assert drawn[0] == 5000
+    assert at_batch[0] <= graph._SUBSETS_PER_PASS < at_batch[-1]
+
+
+def test_decomposition_is_the_same_on_two_workers():
+    one = decompose_pi(8, 32, tau_samples=75, seed=5, workers=1)
+    assert decompose_pi(8, 32, tau_samples=75, seed=5, workers=2) == one
+    assert not one.combined.exact
 
 
 class TestPiKSemianalytic:
