@@ -2,7 +2,8 @@
 
 Every subcommand but verify is a generator that yields its CSV header and
 then its rows: fixed columns, 12-significant-digit numeric fields and exact
-rationals as "p/q" strings.  main resolves the worker count once and hands
+rationals as "p/q" strings.  main resolves the worker count once, runs a
+command on more than one worker inside one mc.worker_pool scope, and hands
 the rows to one writer, which appends a wall_time_s column (the seconds
 spent producing each row, informational only: strip it before comparing
 outputs byte for byte) and writes only after the last row, so a command that
@@ -25,7 +26,6 @@ import time
 from contextlib import nullcontext
 from typing import Iterator
 
-from . import verify as verify_mod
 from .arrangements import (build_config_plus, chamber_count,
                            chamber_count_bruteforce, harding_bound,
                            moivre_cutoff, moivre_laplace_ratio, normal_cdf,
@@ -34,7 +34,7 @@ from .errors import BudgetExceeded, PolydenseError
 from .estimators import (EXACT_BUDGET, PROV_EXHAUSTIVE, PROV_MONTE_CARLO, alpha_exact,
                          alpha_mc, alpha_via_chambers, decompose_pi,
                          density_threshold_sweep, pi_mc, tau_cell, tau_threshold_sweep)
-from .mc import Estimate, default_workers, parse_workers
+from .mc import Estimate, default_workers, parse_workers, worker_pool
 from .rng import sample_indices, stream
 
 __all__ = ["main"]
@@ -392,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and return the exit status: 2 on bad input, from a
-    flag or a config line, with the error on stderr and nothing on stdout."""
+    flag or a config line, with the error on stderr and nothing on stdout.
+    A command run on more than one worker runs inside one worker_pool
+    scope."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
@@ -403,9 +405,13 @@ def main(argv: list[str] | None = None) -> int:
             ns = parser.parse_args(argv[:1] + lines + argv[1:])
         if "workers" in ns:
             ns.workers = ns.workers or default_workers()
-        if ns.command == "verify":
-            return verify_mod.run(level=ns.level, workers=ns.workers, seed=ns.seed)
-        _write_csv(ns.func(ns), ns.out)
+        # one pool serves every parallel_map of the command and ends with it
+        with worker_pool(getattr(ns, "workers", 1)):
+            if ns.command == "verify":
+                from . import verify  # only this command needs it
+
+                return verify.run(level=ns.level, workers=ns.workers, seed=ns.seed)
+            _write_csv(ns.func(ns), ns.out)
         return 0
     except SystemExit as exc:  # argparse has printed usage and the error
         return exc.code

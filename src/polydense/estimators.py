@@ -27,24 +27,27 @@ from itertools import chain, combinations, islice, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .arrangements import (build_config_plus, chamber_count, partial_binomial_sum,
                            phi_project)
 from .cube import CubeVertex
 from .errors import BudgetExceeded
-from .graph import _edge_count, count_edges, long_edges_survive
+from .graph import _SUBSETS_PER_PASS, _edge_count, count_edges, long_edges_survive
 # Not called here: perfbench/spans.py wraps these names in estimators and
 # fails to install without them.
 from .cube import sample_vertex_bits  # noqa: F401
 from .graph import _long_edge_survives_cached, edge_kernel, long_edge_survives  # noqa: F401
 from .mc import (Z95, Estimate, bernoulli_estimate, exact_estimate, normal_estimate,
                  parallel_map, split_blocks, weighted_sum)
-from .rng import rand_bits, sample_index_array, sample_indices, stream
+from .rng import rand_bits, sample_index_array, sample_index_rows, sample_indices, stream
 
 __all__ = [
     "PROV_EXHAUSTIVE",
     "PROV_MONTE_CARLO",
     "PROV_VIA_ALPHA",
     "PROV_STRUCTURAL_ZERO",
+    "PROV_CLOSED_FORM",
     "TauTable",
     "PiDecomposition",
     "MonotonicityReport",
@@ -79,6 +82,9 @@ PROV_VIA_ALPHA = "via-alpha"
 # m exceeds the number of antipodal classes: every subset contains an
 # antipodal pair, so the value is exactly 0 without enumeration
 PROV_STRUCTURAL_ZERO = "structural-zero"
+# m <= 1 over the budget: no interior point, and no single one, is on the
+# diagonal, so tau is exactly 1 (see graph._pass_verdicts)
+PROV_CLOSED_FORM = "closed-form"
 # the enumeration size up to which tau_cell, and the CLI's alpha, enumerate
 # a cell instead of sampling it
 EXACT_BUDGET = 20_000
@@ -134,6 +140,15 @@ def _exact_share(k: int, total: int, cap: int, what: str, faces: Callable) -> Es
                           samples=total)
 
 
+def _tau_subsets(k: int, m: int) -> Iterator[np.ndarray]:
+    """The m-subsets of the interior points of the k-cube in the order of
+    combinations, as arrays of at most _SUBSETS_PER_PASS rows."""
+    word = np.int64 if k < 64 else object
+    it = _subsets(range(1, (1 << k) - 1), m)
+    while rows := list(islice(it, _SUBSETS_PER_PASS)):
+        yield np.array(rows, dtype=word).reshape(len(rows), m)
+
+
 def tau_exact(k: int, m: int, max_subsets: int = 200_000) -> Estimate:
     """Exact long-edge probability by enumerating all m-subsets of the
     interior face points.
@@ -148,8 +163,7 @@ def tau_exact(k: int, m: int, max_subsets: int = 200_000) -> Estimate:
     if m > (1 << (k - 1)) - 1:
         BudgetExceeded.check(total, max_subsets, "subsets")
         return exact_estimate(Fraction(0), samples=total)
-    return _exact_share(k, total, max_subsets, "subsets",
-                        lambda: _subsets(range(1, (1 << k) - 1), m))
+    return _exact_share(k, total, max_subsets, "subsets", lambda: _tau_subsets(k, m))
 
 
 def alpha_exact(k: int, m: int, max_subsets: int = 400_000) -> Estimate:
@@ -210,19 +224,21 @@ def alpha_via_chambers_exact(k: int, m: int) -> Estimate:
 
 
 def _sample_star_subset(rng, k: int, m: int) -> list[int]:
-    """Uniform m-subset of the interior points of the k-cube (as bitmasks)."""
+    """Uniform m-subset of the interior points of the k-cube (as bitmasks):
+    one row of _tau_draws, drawn alone."""
     return [i + 1 for i in sample_indices(rng, (1 << k) - 2, m)]
 
 
-def _tau_draws(k: int, m: int, count: int, seed: int, block: int) -> Iterator[list[int]]:
-    """The count m-subsets of a tau(k, m) block, drawn lazily from its stream."""
+def _tau_draws(k: int, m: int, count: int, seed: int, block: int) -> np.ndarray:
+    """The count m-subsets of a tau(k, m) block from its stream, one a row:
+    count successive _sample_star_subset draws."""
     rng = stream(seed, f"tau:k={k}:m={m}", block)
-    return (_sample_star_subset(rng, k, m) for _ in range(count))
+    return sample_index_rows(rng, (1 << k) - 2, m, count) + 1
 
 
 def _tau_block(args) -> int:
     k, m, count, seed, block = args
-    return sum(long_edges_survive(k, _tau_draws(k, m, count, seed, block)))
+    return sum(long_edges_survive(k, [_tau_draws(k, m, count, seed, block)]))
 
 
 def _alpha_block(args) -> int:
@@ -374,61 +390,83 @@ class TauTable:
         return len(self.entries) - 1
 
 
-def _settled_cell(k: int, m: int, exact_budget: int,
-                  method: str) -> tuple[Estimate, str] | None:
-    """tau(k, m) with its provenance when no sampling is needed: exhaustive
-    when method is auto or exact and the subset count fits the budget, else
-    the structural zero when m exceeds the antipodal class count; None when
-    the cell must be sampled.  Over budget, method exact raises."""
+def _tau_provenance(k: int, m: int, exact_budget: int, method: str) -> str:
+    """How tau(k, m) is settled.  Methods auto and exact enumerate when the
+    subset count fits the budget (exhaustive, which tau_exact answers
+    without enumerating above the antipodal class count) and take the
+    closed form at m <= 1 otherwise; over the budget method exact raises.
+    Then m above the antipodal class count is the structural zero, and any
+    other cell is sampled: monte-carlo, or via-alpha for that method."""
     if method in ("auto", "exact"):
-        try:
-            return tau_exact(k, m, max_subsets=exact_budget), PROV_EXHAUSTIVE
-        except BudgetExceeded as exc:
-            if method == "exact":
-                raise BudgetExceeded(f"tau({k},{m}) enumeration exceeds exact budget",
-                                     required=exc.required) from None
+        total = comb((1 << k) - 2, m)
+        if total <= exact_budget:
+            return PROV_EXHAUSTIVE
+        if m <= 1:
+            return PROV_CLOSED_FORM
+        if method == "exact":
+            raise BudgetExceeded(f"tau({k},{m}) enumeration exceeds exact budget",
+                                 required=total)
     if m > (1 << (k - 1)) - 1:
-        return exact_estimate(Fraction(0)), PROV_STRUCTURAL_ZERO
-    return None
+        return PROV_STRUCTURAL_ZERO
+    return PROV_VIA_ALPHA if method == "via-alpha" else PROV_MONTE_CARLO
+
+
+# the exact values of the cells settled without an edge test
+_SETTLED = {PROV_STRUCTURAL_ZERO: Fraction(0), PROV_CLOSED_FORM: Fraction(1)}
 
 
 def tau_cell(k: int, m: int, samples: int, seed: int,
              exact_budget: int = EXACT_BUDGET, method: str = "auto",
              workers: int = 1) -> tuple[Estimate, str]:
-    """One tau(k, m) value with its provenance: exhaustive when the subset
-    count fits the budget, the structural zero when m exceeds the antipodal
-    class count, Monte Carlo (direct or through alpha) otherwise."""
+    """One tau(k, m) value with its provenance (see _tau_provenance):
+    exhaustive when the subset count fits the budget, exactly 1 at m <= 1,
+    the structural zero when m exceeds the antipodal class count, Monte
+    Carlo (direct or through alpha) otherwise."""
     _check_tau_args(k, m)
     if method not in ("auto", "exact", "mc", "via-alpha"):
         raise ValueError(f"unknown method {method!r}")
-    settled = _settled_cell(k, m, exact_budget, method)
-    if settled is not None:
-        return settled
-    if method == "via-alpha":
-        a = alpha_mc(k, m, samples, seed, workers=workers)
-        return tau_from_alpha(k, m, a), PROV_VIA_ALPHA
-    return tau_mc(k, m, samples, seed, workers=workers), PROV_MONTE_CARLO
+    prov = _tau_provenance(k, m, exact_budget, method)
+    if prov == PROV_EXHAUSTIVE:
+        return tau_exact(k, m, max_subsets=exact_budget), prov
+    if prov == PROV_VIA_ALPHA:
+        return tau_from_alpha(k, m, alpha_mc(k, m, samples, seed, workers=workers)), prov
+    if prov == PROV_MONTE_CARLO:
+        return tau_mc(k, m, samples, seed, workers=workers), prov
+    return exact_estimate(_SETTLED[prov]), prov
 
 
 def _tau_cell_task(args) -> list[tuple[Estimate, str]]:
     """tau_cell(k, m, samples, seed) for m = 0..top, one column per pool task.
 
-    The exhaustive and structural-zero cells are settled as tau_cell settles
-    them.  Every sampled cell draws the blocks of tau_mc from its own streams,
-    and all those draws are decided lazily in one long_edges_survive call,
-    which batches faces of different m in one pass; its verdicts are split
-    back into each cell's hit count, samples at a time.
+    Every cell that needs edge tests hands its faces to one
+    long_edges_survive call: an exhaustive cell its subsets as arrays of
+    combinations, a sampled cell the blocks of tau_mc, drawn from its own
+    streams.  The call reads them one pass at a time and batches faces of
+    different m in one pass; its verdicts are split back into each cell's
+    hit count.
     """
     k, top, samples, seed = args
-    cells = [_settled_cell(k, m, EXACT_BUDGET, "auto") for m in range(top + 1)]
-    sampled = [m for m, cell in enumerate(cells) if cell is None]
-    if sampled:
-        blocks = split_blocks(samples)
-        verdicts = iter(long_edges_survive(k, chain.from_iterable(
-            _tau_draws(k, m, count, seed, block) for m in sampled for block, count in blocks)))
-        for m in sampled:
-            hits = sum(islice(verdicts, samples))
-            cells[m] = bernoulli_estimate(hits, samples, seed), PROV_MONTE_CARLO
+    provs = [_tau_provenance(k, m, EXACT_BUDGET, "auto") for m in range(top + 1)]
+    classes = (1 << (k - 1)) - 1
+    tested = {m: comb((1 << k) - 2, m) if prov == PROV_EXHAUSTIVE else samples
+              for m, prov in enumerate(provs)
+              if prov == PROV_MONTE_CARLO or prov == PROV_EXHAUSTIVE and m <= classes}
+    blocks = split_blocks(samples)
+    verdicts = iter(long_edges_survive(k, chain.from_iterable(
+        _tau_subsets(k, m) if provs[m] == PROV_EXHAUSTIVE
+        else (_tau_draws(k, m, count, seed, block) for block, count in blocks)
+        for m in tested)))
+    cells = []
+    for m, prov in enumerate(provs):
+        if m in tested:
+            hits = sum(islice(verdicts, tested[m]))
+            est = (exact_estimate(Fraction(hits, tested[m]), samples=tested[m])
+                   if prov == PROV_EXHAUSTIVE else bernoulli_estimate(hits, samples, seed))
+        elif prov == PROV_EXHAUSTIVE:  # the pigeonhole zero
+            est = tau_exact(k, m, max_subsets=EXACT_BUDGET)
+        else:
+            est = exact_estimate(_SETTLED[prov])
+        cells.append((est, prov))
     return cells
 
 

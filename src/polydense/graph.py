@@ -19,9 +19,11 @@ p(y) = ((y_i - y_0) / 2) for i = 1..k-1, a point of {-1, 0, 1}^(k-1) whose
 entries are bit_i - bit_0 of the point's mask.  So the diagonal meets
 conv(Y) iff origin_in_conv holds for the p(y): an LP of k rows (with the
 convexity row) and m columns, where exactlp.segment_hull_intersect lifts
-the same query to k + 2 rows and m + 2 columns.  long_edges_survive solves
-the LP faces of each pass of its input as one batch, padding the ragged
-faces to the longest by repeating a point.  count_edges is the one loop
+the same query to k + 2 rows and m + 2 columns.  long_edges_survive reads
+its input, faces or arrays of faces, in passes: each pass is one array,
+padded to its longest face by repeating a point, screened at once for the
+verdicts that need no LP, and its LP faces are solved as one batch.
+count_edges is the one loop
 from (point set, pair) rows to an edge count: the exact densities here and
 in estimators.pi_exact and the Monte-Carlo pi block all stream their rows
 through it.
@@ -34,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,62 +84,112 @@ def long_edge_survives(k: int, face_points: Iterable[int]) -> bool:
     return long_edges_survive(k, [face_points])[0]
 
 
-def _verdict_without_lp(k: int, pts: set[int]) -> bool | None:
-    """False for an antipodal pair, True for two points or fewer otherwise,
-    None when an LP must decide; raises ValueError on a point that is not
-    interior to the face.
-
-    One interior point is never on the diagonal.  If a point of the segment
-    between interior points p and q were, a coordinate where p and q agree
-    would put it at an end of the diagonal, a cube vertex, which only p or
-    q itself could be; with no such coordinate, q = -p, the antipodal pair.
-    """
-    mask = (1 << k) - 1
-    for p in pts:
-        if not 0 < p < mask:
-            raise ValueError(f"face point 0x{p:x} is not interior to the {k}-face")
-        if p ^ mask in pts:
-            return False
-    return None if len(pts) > 2 else True
-
-
-# subsets read from the input at a time by long_edges_survive, which bounds
-# the memory an exhaustive enumeration holds
+# faces decided in one pass of long_edges_survive, which bounds the memory
+# an exhaustive enumeration holds
 _SUBSETS_PER_PASS = 4096
 
 
-def long_edges_survive(k: int, subsets: Iterable[Iterable[int]]) -> list[bool]:
-    """long_edge_survives(k, Y) for each subset Y, in order; every edge
-    verdict is decided here.
+def _passes(k: int, subsets: Iterable) -> Iterator[np.ndarray]:
+    """The faces of ``subsets`` as 2-D arrays of at most _SUBSETS_PER_PASS
+    rows, one face a row.  An item of ``subsets`` is a face, or a 2-D
+    integer array whose rows are faces.  Each face is padded to its pass's
+    widest by repeating its first point, and an empty face is filled with
+    the pass's first point: that keeps every point set, or makes an empty
+    one a lone point, which has the same verdict."""
+    word = np.int64 if k < 64 else object  # object arrays hold Python ints
+    pieces: list = []  # 2-D arrays, and lists of loose faces
+    rows = 0
 
-    Subsets of two points or fewer, antipodal pairs and points that are not
-    interior are answered by _verdict_without_lp, with no LP.  The other
-    subsets of a pass are projected (see the module docstring) and solved as
-    one exact batch by origin_in_conv_batch, each subset's sorted points
-    padded to the pass's largest subset by repeating its first point, which
-    leaves the hull, and so the verdict, unchanged.
+    def assemble() -> np.ndarray:
+        width = max(p.shape[1] if isinstance(p, np.ndarray) else max(map(len, p))
+                    for p in pieces)
+        out = np.empty((rows, width), dtype=word)
+        empty = np.zeros(rows, dtype=bool)
+        at = 0
+        for p in pieces:
+            block = out[at:at + len(p)]
+            if not isinstance(p, np.ndarray):
+                block[:] = [f + f[:1] * (width - len(f)) if f else [0] * width for f in p]
+                empty[at:at + len(p)] = [not f for f in p]
+            elif p.shape[1]:
+                block[:, :p.shape[1]] = p
+                block[:, p.shape[1]:] = p[:, :1]
+            else:
+                empty[at:at + len(p)] = True
+            at += len(p)
+        if width and empty.any():
+            out[empty] = out[~empty][0, 0]
+        pieces.clear()
+        return out
+
+    for item in subsets:
+        if isinstance(item, np.ndarray) and item.ndim == 2:
+            while len(item):
+                take = item[:_SUBSETS_PER_PASS - rows]
+                pieces.append(take)
+                rows += len(take)
+                item = item[len(take):]
+                if rows == _SUBSETS_PER_PASS:
+                    yield assemble()
+                    rows = 0
+            continue
+        if not pieces or isinstance(pieces[-1], np.ndarray):
+            pieces.append([])
+        pieces[-1].append(list(item))
+        rows += 1
+        if rows == _SUBSETS_PER_PASS:
+            yield assemble()
+            rows = 0
+    if rows:
+        yield assemble()
+
+
+def _pass_verdicts(k: int, faces: np.ndarray) -> list[bool]:
+    """long_edge_survives for each row of a pass (see _passes).
+
+    The screen needs no LP: a point that is not interior raises ValueError,
+    a face holding an antipodal pair fails, and a face of two points or
+    fewer otherwise survives.  One interior point is never on the diagonal.
+    If a point of the segment between interior points p and q were, a
+    coordinate where p and q agree would put it at an end of the diagonal, a
+    cube vertex, which only p or q itself could be; with no such coordinate,
+    q = -p, the antipodal pair.  The other faces are projected (see the
+    module docstring) and solved as one exact batch by origin_in_conv_batch.
     """
-    bits = np.arange(1, k)
-    word = np.int64 if k < 64 else object  # object arrays shift Python ints
+    if faces.shape[1] == 0:
+        return [True] * len(faces)
+    mask = (1 << k) - 1
+    outside = (faces <= 0) | (faces >= mask)
+    if outside.any():
+        p = int(faces[outside][0])
+        raise ValueError(f"face point 0x{p:x} is not interior to the {k}-face")
+    pts = np.sort(faces, axis=1)
+    distinct = 1 + np.count_nonzero(pts[:, 1:] != pts[:, :-1], axis=1)
+    # p and its antipode mask ^ p = mask - p share the class min(p, mask - p)
+    cls = np.sort(np.minimum(pts, mask - pts), axis=1)
+    classes = 1 + np.count_nonzero(cls[:, 1:] != cls[:, :-1], axis=1)
+    verdict = classes == distinct
+    lp = np.flatnonzero(verdict & (distinct > 2))
+    if len(lp):
+        words = pts[lp][:, :, None]
+        projected = ((words >> np.arange(1, k) & 1) - (words & 1)).astype(np.int8)
+        verdict[lp] = np.logical_not(origin_in_conv_batch(projected))
+    return verdict.tolist()
+
+
+def long_edges_survive(k: int, subsets: Iterable) -> list[bool]:
+    """long_edge_survives(k, Y) for each face Y of ``subsets``, in order;
+    every edge verdict is decided here.
+
+    An item of ``subsets`` is a face, an iterable of point masks, or a 2-D
+    integer array whose rows are faces, so callers that draw or enumerate
+    faces as arrays hand them over whole.  The faces are read in passes of
+    at most _SUBSETS_PER_PASS (_passes) and each pass is screened as one
+    array, and its LP faces solved as one batch (_pass_verdicts).
+    """
     out: list[bool] = []
-    it = iter(subsets)
-    while chunk := list(islice(it, _SUBSETS_PER_PASS)):
-        where: list[int] = []
-        rows: list[list[int]] = []
-        for face_points in chunk:
-            pts = set(face_points)
-            verdict = _verdict_without_lp(k, pts)
-            if verdict is None:
-                where.append(len(out))
-                rows.append(sorted(pts))
-            out.append(verdict)
-        if rows:
-            width = max(map(len, rows))
-            words = np.array([row + row[:1] * (width - len(row)) for row in rows],
-                             dtype=word)[:, :, None]
-            projected = ((words >> bits & 1) - (words & 1)).astype(np.int8)
-            for pos, meets in zip(where, origin_in_conv_batch(projected)):
-                out[pos] = not meets
+    for faces in _passes(k, subsets):
+        out.extend(_pass_verdicts(k, faces))
     return out
 
 

@@ -10,11 +10,11 @@ workers.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "Z95",
@@ -27,6 +27,7 @@ __all__ = [
     "weighted_sum",
     "split_blocks",
     "parallel_map",
+    "worker_pool",
     "default_workers",
     "parse_workers",
 ]
@@ -152,8 +153,65 @@ def default_workers() -> int:
     return parse_workers(env, "POLYDENSE_WORKERS") if env else 1
 
 
+def _fork_pool(processes: int):
+    import multiprocessing  # only a pool needs it
+
+    return multiprocessing.get_context("fork").Pool(processes=processes)
+
+
+class _Scope:
+    """The pool of a worker_pool scope, forked at its first use."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.pid = os.getpid()
+        self.pool = None
+
+    def get(self):
+        if self.pool is None:
+            self.pool = _fork_pool(self.workers)
+        return self.pool
+
+
+_scope: _Scope | None = None  # the open worker_pool scope, if any
+
+
+@contextmanager
+def worker_pool(workers: int) -> Iterator[None]:
+    """A scope in which every parallel_map call at this worker count, made
+    by the process that opened it, shares one fork pool.
+
+    The pool is forked at the first such call, so it sees the parent as it
+    was then, and it is closed and joined when the scope exits, or
+    terminated and joined if the scope exits with an exception.  A scope
+    opened inside another in the same process reuses the outer one; a
+    forked worker inherits the scope but never uses it, because its pid
+    differs.
+    """
+    global _scope
+    if workers <= 1 or (_scope is not None and _scope.pid == os.getpid()):
+        yield
+        return
+    scope = _scope = _Scope(workers)
+    try:
+        yield
+    except BaseException:
+        if scope.pool is not None:
+            scope.pool.terminate()
+        raise
+    else:
+        if scope.pool is not None:
+            scope.pool.close()
+    finally:
+        _scope = None
+        if scope.pool is not None:
+            scope.pool.join()
+
+
 def parallel_map(fn: Callable, tasks: Sequence, workers: int = 1) -> list:
-    """Map fn over tasks, preserving order; uses a process pool if workers > 1.
+    """Map fn over tasks, preserving order; uses a process pool if workers > 1:
+    the open worker_pool scope's pool when this process opened it at this
+    worker count, else a pool of its own.
 
     ``fn`` must be a module-level function and each task picklable.  Because
     every task result is independent of scheduling, the output is identical
@@ -162,6 +220,8 @@ def parallel_map(fn: Callable, tasks: Sequence, workers: int = 1) -> list:
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    procs = min(workers, len(tasks))
-    with multiprocessing.get_context("fork").Pool(processes=procs) as pool:
+    scope = _scope
+    if scope is not None and scope.pid == os.getpid() and scope.workers == workers:
+        return scope.get().map(fn, tasks, chunksize=1)
+    with _fork_pool(min(workers, len(tasks))) as pool:
         return pool.map(fn, tasks, chunksize=1)

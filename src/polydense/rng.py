@@ -9,10 +9,12 @@ depend on scheduling or worker count.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["stream", "stream_id", "rand_bits", "sample_indices", "sample_index_array"]
+__all__ = ["stream", "stream_id", "rand_bits", "sample_indices", "sample_index_array",
+           "sample_index_rows"]
 
 _WORD = 64
 _MASK64 = (1 << 64) - 1
@@ -75,21 +77,33 @@ def _unsigned_key(population: int) -> type:
         np.uint32 if bits <= 32 else np.uint64)
 
 
-def _first_distinct_in_numpy(rng: np.random.Generator, population: int,
-                             k: int) -> np.ndarray:
-    """The first k distinct draws of the rejection batches, in draw order.
+def _first_in_rows(keys: np.ndarray) -> np.ndarray:
+    """Where each row of the 2-D ``keys`` holds the first occurrence of a
+    value: a stable sort of each row puts that occurrence first in its run
+    of equal keys."""
+    order = np.argsort(keys, axis=1, kind="stable")
+    ranked = np.take_along_axis(keys, order, axis=1)
+    first = np.empty(keys.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    out = np.empty_like(first)
+    np.put_along_axis(out, order, first, axis=1)
+    return out
 
-    Each batch is sorted stably on its unsigned keys, so the first of each
-    run of equal keys is that value's first occurrence; draws already found
-    are found in the sorted keys of the earlier batches.
-    """
+
+def _first_distinct_in_numpy(batch: Callable[[int], np.ndarray], population: int,
+                             k: int) -> np.ndarray:
+    """_first_distinct, deduplicated in numpy: each batch is sorted stably
+    on its unsigned keys, so the first of each run of equal keys is that
+    value's first occurrence; draws already found are found in the sorted
+    keys of the earlier batches."""
     key = _unsigned_key(population)
     pieces: list[np.ndarray] = []
     found = np.empty(0, dtype=key)  # sorted
     missing = k
     while True:
-        batch = _rejection_batch(rng, population, missing)
-        keys = batch.astype(key)
+        draws = batch(missing)
+        keys = draws.astype(key)
         order = np.argsort(keys, kind="stable")
         ranked = keys[order]
         first = np.empty(len(ranked), dtype=bool)
@@ -98,9 +112,9 @@ def _first_distinct_in_numpy(rng: np.random.Generator, population: int,
         if len(found):
             at = np.minimum(np.searchsorted(found, ranked), len(found) - 1)
             first &= found[at] != ranked
-        kept = np.zeros(len(batch), dtype=bool)
+        kept = np.zeros(len(draws), dtype=bool)
         kept[order[first]] = True
-        new = batch[kept]  # in draw order
+        new = draws[kept]  # in draw order
         if len(new) >= missing:
             pieces.append(new[:missing])
             return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
@@ -108,6 +122,31 @@ def _first_distinct_in_numpy(rng: np.random.Generator, population: int,
         missing -= len(new)
         found = (np.sort(np.concatenate([found, ranked[first]]), kind="stable")
                  if len(found) else ranked[first])
+
+
+def _first_distinct(batch: Callable[[int], np.ndarray | list[int]], population: int,
+                    k: int) -> np.ndarray | list[int]:
+    """The first k distinct values of the rejection batches batch(missing),
+    in draw order: deduplicated in numpy when a first batch is longer than
+    64 int64 draws, as an array, and in an insertion-ordered dict
+    otherwise, as a list."""
+    if k > _MIN_BATCH and population <= 1 << 63:
+        return _first_distinct_in_numpy(batch, population, k)
+    seen: dict[int, None] = {}  # insertion-ordered: the distinct draws so far
+    while len(seen) < k:
+        draws = batch(k - len(seen))
+        if not isinstance(draws, list):
+            draws = draws.tolist()
+        # slices of the number still missing: a small k stops after a few draws
+        pos = 0
+        if not seen:
+            seen = dict.fromkeys(draws[:k])
+            pos = k
+        while len(seen) < k and pos < len(draws):
+            take = k - len(seen)
+            seen.update(dict.fromkeys(draws[pos:pos + take]))
+            pos += take
+    return list(seen)
 
 
 def _sample(rng: np.random.Generator, population: int, k: int) -> np.ndarray | list[int]:
@@ -123,23 +162,8 @@ def _sample(rng: np.random.Generator, population: int, k: int) -> np.ndarray | l
             j = i + int(rng.integers(0, population - i))
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
-    if k > _MIN_BATCH and population <= 1 << 63:  # a first batch longer than 64
-        return _first_distinct_in_numpy(rng, population, k)
-    seen: dict[int, None] = {}  # insertion-ordered: the distinct draws so far
-    while len(seen) < k:
-        batch = _rejection_batch(rng, population, k - len(seen))
-        if not isinstance(batch, list):
-            batch = batch.tolist()
-        # slices of the number still missing: a small k stops after a few draws
-        pos = 0
-        if not seen:
-            seen = dict.fromkeys(batch[:k])
-            pos = k
-        while len(seen) < k and pos < len(batch):
-            take = k - len(seen)
-            seen.update(dict.fromkeys(batch[pos:pos + take]))
-            pos += take
-    return list(seen)
+    return _first_distinct(lambda missing: _rejection_batch(rng, population, missing),
+                           population, k)
 
 
 def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[int]:
@@ -164,4 +188,70 @@ def sample_index_array(rng: np.random.Generator, population: int, k: int) -> np.
     out = _sample(rng, population, k)
     if isinstance(out, list):
         return np.array(out, dtype=np.int64 if population <= 1 << 63 else object)
+    return out
+
+
+def sample_index_rows(rng: np.random.Generator, population: int, k: int,
+                      count: int) -> np.ndarray:
+    """The draws of count successive sample_indices(rng, population, k)
+    calls as the rows of a (count, k) int64 array (object dtype for a
+    population above 2^63), leaving the stream where those calls leave it.
+
+    Where the calls draw by rejection from range(population) alone, their
+    draws are one sequence, because numpy's integers calls over one range
+    compose, so the rows are read from one buffer of draws.  One call of
+    count * max(64, k) draws holds every row's first batch; a window of rows
+    keeps each row's first k distinct draws at once (_first_in_rows on the
+    unsigned keys) up to the first short row, one with fewer.  That row
+    takes its further batches of max(64, missing) draws from the draws
+    after its first batch, so the rows after it start that much later and
+    the next window begins after it.  Where a window finds more than one
+    short row in eight, the rest are read one row at a time.  Every draw
+    made is one the calls make.  Fisher-Yates draws (k above
+    population // 2) and rand_bits words (a population above 2^63) take one
+    _sample call per row.
+    """
+    if not 0 <= k <= population:
+        raise ValueError(f"cannot draw {k} distinct indices from {population}")
+    word = np.int64 if population <= 1 << 63 else object
+    if k == 0 or count == 0:
+        return np.empty((count, k), dtype=word)
+    if word is object or k > population // 2:
+        return np.array([_sample(rng, population, k) for _ in range(count)],
+                        dtype=word).reshape(count, k)
+    width = max(_MIN_BATCH, k)
+    key = _unsigned_key(population)
+    # the draws made so far, and the position of the next one to read
+    buf = rng.integers(0, population, size=count * width)
+    pos = 0
+
+    def take(size: int) -> np.ndarray:
+        nonlocal buf, pos
+        if pos + size > len(buf):
+            more = rng.integers(0, population, size=pos + size - len(buf))
+            buf, pos = np.concatenate([buf[pos:], more]), 0
+        pos += size
+        return buf[pos - size:pos]
+
+    out = np.empty((count, k), dtype=np.int64)
+    row, window = 0, count
+    while row < count:
+        n = min(window, count - row)
+        batches = take(n * width).reshape(n, width)
+        first = _first_in_rows(batches.astype(key))
+        rank = np.cumsum(first, axis=1)
+        short = np.flatnonzero(rank[:, -1] < k)
+        done = short[0] if len(short) else n
+        kept = first[:done] & (rank[:done] <= k)
+        out[row:row + done] = batches[:done][kept].reshape(done, k)
+        row += done
+        if done == n:
+            continue
+        pos -= (n - done) * width  # the rows after the short row start later
+        last = count if len(short) * 8 > n else row + 1
+        while row < last:
+            out[row] = _first_distinct(lambda missing: take(max(_MIN_BATCH, missing)),
+                                       population, k)
+            row += 1
+        window = 2 * (done + 1)  # about twice the run of full rows found
     return out

@@ -1,5 +1,6 @@
 import csv
 import io
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import polydense
+from polydense import mc
 from polydense.cli import load_config, main
 from polydense.verify import CRITERIA
 
@@ -113,11 +115,13 @@ class TestTauCommand:
             ("12000000000000000", "m exceeds 2^k - 2"), ("", "m exceeds 2^k - 2")]
 
     def test_given_m_runs_at_any_k(self):
-        code, text = _run(["tau", "--k", "70", "--m", "1", "--samples", "5"])
+        # tau(k, 1) = 1 needs no sample: over the budget it is the closed form
+        code, text = _run(["tau", "--k", "70", "--m", "1,2", "--samples", "5"])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(text)))
         assert [(r["k"], r["m"], r["provenance"]) for r in rows] == [
-            ("70", "1", "monte-carlo")]
+            ("70", "1", "closed-form"), ("70", "2", "monte-carlo")]
+        assert rows[0]["exact_value"] == "1"
 
 
 class TestDensityCommand:
@@ -342,7 +346,8 @@ class TestCsvWriter:
         assert all(len(row) == len(header) and float(row[-1]) >= 0 for row in rows)
 
     def test_failure_on_a_later_row_writes_nothing(self, tmp_path, monkeypatch):
-        # the m = 0 cell is produced, then m = 1 exceeds the budget of 3
+        # the m = 0 and m = 1 cells are produced (m = 1 over the budget of 3
+        # by its closed form), then m = 2 exceeds the budget
         import polydense.cli as cli
 
         cells, real = [], cli.tau_cell
@@ -353,8 +358,8 @@ class TestCsvWriter:
 
         monkeypatch.setattr(cli, "tau_cell", spy)
         argv = ["tau", "--k", "3", "--m", "0:3", "--method", "exact", "--exact-budget", "3"]
-        assert "tau(3,1) enumeration exceeds exact budget" in _error(argv)
-        assert cells == [0, 1]
+        assert "tau(3,2) enumeration exceeds exact budget" in _error(argv)
+        assert cells == [0, 1, 2]
         out = tmp_path / "tau.csv"
         _error(argv + ["--out", str(out)])
         assert not out.exists()
@@ -527,6 +532,60 @@ class TestVerifyCommand:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("experiment,")
+
+
+class TestOnePoolPerCommand:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every pool that parallel_map forks, in order."""
+        made, fork = [], mc._fork_pool
+
+        def counted(processes):
+            made.append(fork(processes))
+            return made[-1]
+
+        monkeypatch.setattr(mc, "_fork_pool", counted)
+        return made
+
+    def test_both_methods_share_one_pool(self, pools):
+        """pi --method both maps pi_mc's blocks and the tau columns on one
+        pool, and prints what one worker prints."""
+        args = ["pi", "--d", "6", "--n", "16", "--samples", "1000",
+                "--tau-samples", "20", "--seed", "4"]
+        code, two = _run(args + ["--workers", "2"])
+        assert code == 0 and len(pools) == 1
+        assert multiprocessing.active_children() == []
+        code, one = _run(args + ["--workers", "1"])
+        assert code == 0 and len(pools) == 1
+        assert _strip_wall_time(two) == _strip_wall_time(one)
+
+    def test_an_error_after_the_pool_started_leaves_no_process(self, pools):
+        # tau(8, 10) maps two blocks on the pool, then tau(3, 10) is invalid
+        err = _error(["tau", "--k", "8,3", "--m", "10", "--samples", "1000",
+                      "--workers", "2"])
+        assert "m must lie in 0..2^3-2, got 10" in err
+        assert len(pools) == 1 and mc._scope is None
+        assert multiprocessing.active_children() == []
+
+    def test_verify_runs_nested_commands_on_the_outer_pool(self, pools):
+        """Criterion 12 calls cli.main at workers 1, 2 and 1 inside the
+        command's scope: the nested calls at 2 workers use its pool."""
+        byte_check = next(c for c in CRITERIA if c.number == 12)
+        with mc.worker_pool(2):
+            ok, detail = byte_check.check(2, 7, **byte_check.verify)
+        assert ok, detail
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_importing_the_cli_loads_no_pool_or_verify_module(self):
+        src = str(Path(polydense.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, polydense.cli; print(sorted(m for m in "
+             "('multiprocessing', 'polydense.verify') if m in sys.modules))"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [["moivre", "--seed", "5"],

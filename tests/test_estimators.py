@@ -9,7 +9,7 @@ from polydense import (BudgetExceeded, arrangements, build_config_plus, chamber_
                        chamber_count_bruteforce, estimators, full_cube, graph,
                        graph_density_exact)
 from polydense.cube import sample_vertex_bits
-from polydense.estimators import (PROV_EXHAUSTIVE, PROV_MONTE_CARLO,
+from polydense.estimators import (PROV_CLOSED_FORM, PROV_EXHAUSTIVE, PROV_MONTE_CARLO,
                                   PROV_STRUCTURAL_ZERO, alpha_exact, alpha_mc,
                                   alpha_via_chambers, alpha_via_chambers_exact,
                                   build_tau_table, decompose_pi, density_threshold_sweep,
@@ -393,6 +393,22 @@ class TestTauCell:
         with pytest.raises(ValueError, match="'exhaustive'"):
             tau_cell(3, 2, 50, 1, method="exhaustive")
 
+    @pytest.mark.parametrize("method", ["auto", "exact"])
+    def test_no_interior_point_and_no_single_one_obstructs(self, method):
+        """tau(k, 0) = tau(k, 1) = 1: enumerated within the budget, the
+        closed form over it, never sampled, at any k."""
+        est, prov = tau_cell(14, 1, samples=5, seed=1, method=method)
+        assert prov == PROV_EXHAUSTIVE and est.exact_value == 1 and est.samples == 16382
+        for k, m, budget in ((15, 1, 20_000), (100, 1, 20_000), (3, 0, 0), (3, 1, 5)):
+            est, prov = tau_cell(k, m, samples=5, seed=1, exact_budget=budget, method=method)
+            assert prov == PROV_CLOSED_FORM and est.exact_value == 1, (k, m)
+        est, prov = tau_cell(15, 2, samples=5, seed=1, method="auto")
+        assert prov == PROV_MONTE_CARLO
+
+    def test_monte_carlo_samples_m_one(self):
+        est, prov = tau_cell(15, 1, samples=5, seed=1, method="mc")
+        assert prov == PROV_MONTE_CARLO and est.value == 1 and not est.exact
+
 
 class TestTauTable:
     def test_provenance_mix(self):
@@ -443,21 +459,22 @@ def test_a_tau_column_is_its_cells(k, provenances, samples):
 
 
 def test_a_tau_column_draws_lazily(monkeypatch):
-    """The column's one long_edges_survive call reads one pass of draws at a
-    time: 5,000 draws of one sampled cell reach the first LP batch after at
-    most _SUBSETS_PER_PASS of them."""
+    """The column's one long_edges_survive call reads one pass of faces at a
+    time: behind the 1 + 62 + 1,891 subsets of its exhaustive cells, 5,000
+    draws of one sampled cell, ten blocks of 500 rows, reach the first LP
+    batch after at most _SUBSETS_PER_PASS of them."""
     drawn, at_batch = [0], []
-    real_draw, real_batch = estimators._sample_star_subset, graph.origin_in_conv_batch
+    real_rows, real_batch = estimators.sample_index_rows, graph.origin_in_conv_batch
 
-    def draw(*args):
-        drawn[0] += 1
-        return real_draw(*args)
+    def rows(rng, population, k, count):
+        drawn[0] += count
+        return real_rows(rng, population, k, count)
 
     def batch(points):
         at_batch.append(drawn[0])
         return real_batch(points)
 
-    monkeypatch.setattr(estimators, "_sample_star_subset", draw)
+    monkeypatch.setattr(estimators, "sample_index_rows", rows)
     monkeypatch.setattr(graph, "origin_in_conv_batch", batch)
     column = estimators._tau_cell_task((6, 3, 5000, 2))
     assert [prov for _, prov in column] == [PROV_EXHAUSTIVE] * 3 + [PROV_MONTE_CARLO]
@@ -524,10 +541,17 @@ class TestDecomposePi:
 
     @pytest.mark.parametrize("d, n", [(5, 32), (5, 20), (6, 40), (8, 32), (100, 3)])
     def test_no_sampled_estimate_has_a_collapsed_interval(self, d, n):
-        """At (100, 3) the sampled tau(k, 1) cells of k = 15..47 all hit:
-        their pi_k intervals collapse at 1 and take Wilson's instead."""
+        """At (100, 3) no cell is sampled: tau(k, 1) is exhaustive up to
+        k = 14 and the closed form 1 above, so every pi_k is exact."""
         dec = decompose_pi(d, n, tau_samples=20, seed=3)
         assert all(map(_sampled_intervals_are_open, [dec.combined, *dec.pi_k.values()]))
+
+    @pytest.mark.parametrize("d", [64, 100])
+    def test_three_points_never_obstruct(self, d):
+        """pi(d, 3) = 1 exactly: the third point alone never obstructs."""
+        dec = decompose_pi(d, 3, tau_samples=2, seed=3)
+        assert dec.combined.exact_value == 1
+        assert all(e.exact_value == 1 for e in dec.pi_k.values())
 
 
 class TestPiExactAndMonotone:

@@ -1,17 +1,21 @@
 import hashlib
 import math
+import multiprocessing
+import os
 from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polydense import mc
 from polydense.mc import (BLOCK_SAMPLES, Z95, Estimate, bernoulli_estimate,
                           exact_estimate, normal_estimate, parallel_map, split_blocks,
-                          weighted_sum, wilson_interval)
-from polydense.rng import rand_bits, sample_index_array, sample_indices, stream, stream_id
+                          weighted_sum, wilson_interval, worker_pool)
+from polydense.rng import (rand_bits, sample_index_array, sample_index_rows, sample_indices,
+                           stream, stream_id)
 
 
 class TestWilson:
@@ -129,6 +133,62 @@ def test_parallel_map_preserves_order():
     tasks = list(range(23))
     assert parallel_map(_square, tasks, workers=1) == [t * t for t in tasks]
     assert parallel_map(_square, tasks, workers=2) == [t * t for t in tasks]
+
+
+def _uses_the_scope(_):
+    """Whether parallel_map in the calling process would use the open scope's pool."""
+    scope = mc._scope
+    return scope is not None and scope.pid == os.getpid()
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every pool that parallel_map forks, in order."""
+        made, fork = [], mc._fork_pool
+
+        def counted(processes):
+            made.append(fork(processes))
+            return made[-1]
+
+        monkeypatch.setattr(mc, "_fork_pool", counted)
+        return made
+
+    def test_calls_in_a_scope_share_one_pool(self, pools):
+        with worker_pool(2):
+            assert pools == []  # forked at the first parallel call
+            assert parallel_map(_square, range(5), workers=2) == [0, 1, 4, 9, 16]
+            assert parallel_map(_square, range(7), workers=2) == [t * t for t in range(7)]
+            with worker_pool(2):  # a nested scope reuses the outer one
+                assert parallel_map(_square, range(3), workers=2) == [0, 1, 4]
+            assert parallel_map(_uses_the_scope, range(4), workers=2) == [False] * 4
+            assert _uses_the_scope(0)
+            assert parallel_map(_square, range(3), workers=1) == [0, 1, 4]
+            assert len(pools) == 1
+        assert mc._scope is None
+        assert multiprocessing.active_children() == []
+
+    def test_no_pool_outlives_its_scope(self, pools):
+        for _ in range(2):
+            with worker_pool(2):
+                parallel_map(_square, range(4), workers=2)
+            assert multiprocessing.active_children() == []
+        assert len(pools) == 2
+
+    def test_an_error_in_the_scope_still_joins_the_pool(self, pools):
+        with pytest.raises(ZeroDivisionError):
+            with worker_pool(2):
+                parallel_map(_square, range(4), workers=2)
+                1 / 0
+        assert len(pools) == 1 and mc._scope is None
+        assert multiprocessing.active_children() == []
+
+    def test_outside_a_scope_each_call_has_its_own_pool(self, pools):
+        with worker_pool(1):  # one worker opens no scope
+            parallel_map(_square, range(4), workers=2)
+        parallel_map(_square, range(4), workers=2)
+        assert len(pools) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestStreams:
@@ -292,3 +352,78 @@ class TestSampleIndexArray:
         ref = stream(seed, "dedup")
         assert sample_index_array(rng, pop, k).tolist() == _first_distinct_by_dict(ref, pop, k)
         assert int(rng.integers(0, 1 << 62)) == int(ref.integers(0, 1 << 62))
+
+
+class TestSampleIndexRows:
+    @pytest.mark.parametrize("population", [30, 254, (1 << 31) + 12345, 1 << 32,
+                                            (1 << 40) + 3, (1 << 62) + 5])
+    def test_draws_over_one_range_compose(self, population):
+        """The premise of sample_index_rows: Generator.integers calls over one
+        range, split at any points, draw what one call of the total size
+        draws and leave the stream in the same state (numpy 2.4.6).  The
+        ranges cover numpy's 32-bit and 64-bit draws, and ranges just above
+        a power of two, which reject often."""
+        cuts = stream(11, "cuts", population)
+        for trial in range(20):
+            total = int(cuts.integers(0, 2000))
+            points = np.sort(cuts.integers(0, total + 1, size=int(cuts.integers(1, 6))))
+            sizes = np.diff(np.concatenate([[0], points, [total]])).tolist()
+            whole, split = stream(trial, "compose", population), stream(trial, "compose", population)
+            want = whole.integers(0, population, size=total)
+            got = np.concatenate([split.integers(0, population, size=n) for n in sizes])
+            assert np.array_equal(got, want), sizes
+            assert int(split.integers(0, population)) == int(whole.integers(0, population))
+            assert int(split.integers(0, 1 << 62)) == int(whole.integers(0, 1 << 62))
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 70_000).flatmap(lambda pop: st.integers(0, pop // 2).flatmap(
+        lambda k: st.tuples(st.just(pop), st.just(k),
+                            st.integers(0, min(600, 40_000 // max(k, 64))),
+                            st.integers(0, 2 ** 32)))))
+    @example((62, 30, 600, 1))
+    @example((100, 50, 300, 2))
+    @example((1000, 65, 200, 3))
+    def test_rows_are_successive_sample_indices(self, case):
+        """The rows are count successive sample_indices draws, and the stream
+        ends where those calls leave it."""
+        pop, k, count, seed = case
+        rng, ref = stream(seed, "rows"), stream(seed, "rows")
+        rows = sample_index_rows(rng, pop, k, count)
+        assert rows.dtype == np.int64 and rows.shape == (count, k)
+        assert rows.tolist() == [sample_indices(ref, pop, k) for _ in range(count)]
+        assert int(rng.integers(0, 1 << 62)) == int(ref.integers(0, 1 << 62))
+
+    @pytest.mark.parametrize("pop, k, count, seed", [
+        (62, 31, 600, 32),  # one short row
+        (1022, 60, 300, 0),  # a few: windows after each
+        (100, 50, 300, 0),  # most rows: read one at a time
+        (4094, 72, 200, 0),  # a first batch of 72 draws, all distinct or short
+    ])
+    def test_short_rows_take_the_draws_after_their_first_batch(self, pop, k, count, seed):
+        """A row whose first batch holds fewer than k distinct draws takes
+        further batches, so the draws of the rows after it, and the stream,
+        run past the one first call."""
+        spy = _CountingStream(stream(seed, "short-rows"))
+        ref = stream(seed, "short-rows")
+        rows = sample_index_rows(spy, pop, k, count)
+        assert spy.calls > 1
+        assert rows.tolist() == [sample_indices(ref, pop, k) for _ in range(count)]
+        assert int(spy.rng.integers(0, 1 << 62)) == int(ref.integers(0, 1 << 62))
+
+    @pytest.mark.parametrize("pop, k, count, dtype", [
+        (100, 60, 20, np.int64),  # Fisher-Yates
+        (5, 5, 3, np.int64),
+        ((1 << 64) + 7, 5, 10, object),  # rand_bits words
+        (10, 0, 4, np.int64),
+        (10, 3, 0, np.int64),
+    ], ids=["fisher-yates", "whole-population", "rand-bits", "empty-rows", "no-rows"])
+    def test_the_other_branches_draw_row_by_row(self, pop, k, count, dtype):
+        rng, ref = stream(5, "other", pop), stream(5, "other", pop)
+        rows = sample_index_rows(rng, pop, k, count)
+        assert rows.dtype == dtype and rows.shape == (count, k)
+        assert rows.tolist() == [sample_indices(ref, pop, k) for _ in range(count)]
+        assert int(rng.integers(0, 1 << 62)) == int(ref.integers(0, 1 << 62))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            sample_index_rows(stream(0, "v"), 5, 6, 1)
