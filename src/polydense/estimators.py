@@ -33,14 +33,15 @@ from .arrangements import (build_config_plus, chamber_count, partial_binomial_su
                            phi_project)
 from .cube import CubeVertex
 from .errors import BudgetExceeded
-from .graph import _SUBSETS_PER_PASS, _edge_count, count_edges, long_edges_survive
+from .graph import (_SUBSETS_PER_PASS, _edge_count, count_pass_edges, long_edges_survive,
+                    pass_rows)
 # Not called here: perfbench/spans.py wraps these names in estimators and
 # fails to install without them.
 from .cube import sample_vertex_bits  # noqa: F401
 from .graph import _long_edge_survives_cached, edge_kernel, long_edge_survives  # noqa: F401
 from .mc import (Z95, Estimate, bernoulli_estimate, exact_estimate, normal_estimate,
                  parallel_map, split_blocks, weighted_sum)
-from .rng import rand_bits, sample_index_array, sample_index_rows, sample_indices, stream
+from .rng import rand_bits, sample_index_rows, sample_indices, sample_sets_and_pairs, stream
 
 __all__ = [
     "PROV_EXHAUSTIVE",
@@ -274,26 +275,20 @@ def _alpha_chambers_block(args) -> tuple[int, int]:
 def _pi_block(args) -> int:
     d, n, count, seed, block = args
     rng = stream(seed, f"pi:d={d}:n={n}", block)
-    return count_edges(d, n, ((sample_index_array(rng, 1 << d, n), sample_indices(rng, n, 2))
-                              for _ in range(count)))
+    return count_pass_edges(d, sample_sets_and_pairs(rng, 1 << d, n, count, pass_rows(n)))
 
 
 def _pik_block(args) -> int:
     d, n, k, count, seed, block = args
     rng = stream(seed, f"pik:d={d}:n={n}:k={k}", block)
     wb = (1 << k) - 1
-    size = (1 << d) - 2
-    faces = []
-    for _ in range(count):
-        face = []
-        for idx in sample_indices(rng, size, n - 2):
-            p = idx + 1
-            if p >= wb:
-                p += 1
-            if not p & ~wb:  # on the open face spanned by the canonical pair
-                face.append(p)
-        faces.append(face)
-    return sum(long_edges_survive(k, faces))
+    # the n - 2 other points: indices of the cube minus the canonical pair
+    points = sample_index_rows(rng, (1 << d) - 2, n - 2, count) + 1
+    points += points >= wb
+    on_face = np.asarray(points & ~wb == 0, dtype=bool)  # on the open face of the pair
+    flat = points[on_face].tolist()
+    ends = np.cumsum(np.count_nonzero(on_face, axis=1)).tolist()
+    return sum(long_edges_survive(k, [flat[start:end] for start, end in zip([0] + ends, ends)]))
 
 
 def _run_blocks(block_fn, params: tuple, samples: int, seed: int,

@@ -23,10 +23,11 @@ the same query to k + 2 rows and m + 2 columns.  long_edges_survive reads
 its input, faces or arrays of faces, in passes: each pass is one array,
 padded to its longest face by repeating a point, screened at once for the
 verdicts that need no LP, and its LP faces are solved as one batch.
-count_edges is the one loop
-from (point set, pair) rows to an edge count: the exact densities here and
-in estimators.pi_exact and the Monte-Carlo pi block all stream their rows
-through it.
+count_pass_edges is the one loop
+from passes of (point set, pair) rows to an edge count: the exact densities
+here and in estimators.pi_exact stream their rows through count_edges, which
+cuts them into passes, and the Monte-Carlo pi block hands it the passes it
+draws.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "edge_kernel",
     "is_edge",
     "count_edges",
+    "count_pass_edges",
     "graph_density_exact",
 ]
 
@@ -261,27 +263,43 @@ def is_edge(X: VertexSet, v: CubeVertex, w: CubeVertex) -> bool:
 _ENTRIES_PER_PASS = 1 << 16
 
 
-def count_edges(d: int, n: int, rows: Iterable[tuple[Sequence[int], Sequence[int]]]) -> int:
-    """How many rows' pairs are edges: each row is a point set of n distinct
-    d-bit masks and the positions (i, j) of a pair in it.
+def pass_rows(n: int) -> int:
+    """The rows of point sets of n entries in one face-filter pass."""
+    return max(1, _ENTRIES_PER_PASS // n)
 
-    The rows are read in face-filter passes of at most _ENTRIES_PER_PASS
-    point entries, and the faces are filed by pair distance; whenever the
-    filed faces reach the same cap, and once after the last row, they are
-    decided with one long_edges_survive call per distance.
+
+def count_pass_edges(d: int, passes: Iterable[tuple[Sequence, Sequence]]) -> int:
+    """count_edges over rows already cut into face-filter passes: each pass
+    is the point sets of its rows, one a row, and each row's pair positions
+    (i, j); drawn arrays are handed over whole.
+
+    The faces are filed by pair distance; whenever the filed faces reach
+    _ENTRIES_PER_PASS entries (one per face, plus its points), and once
+    after the last pass, they are decided with one long_edges_survive call
+    per distance.
     """
     edges = filed = 0
     by_k: dict[int, list[list[int]]] = {}
-    it = iter(rows)
-    while chunk := list(islice(it, max(1, _ENTRIES_PER_PASS // n))):
-        for k, face in _face_points(d, [points for points, _ in chunk],
-                                    [pair for _, pair in chunk]):
+    for points, pairs in passes:
+        for k, face in _face_points(d, points, pairs):
             by_k.setdefault(k, []).append(face)
             filed += 1 + len(face)
         if filed >= _ENTRIES_PER_PASS:
             edges += sum(sum(long_edges_survive(k, faces)) for k, faces in by_k.items())
             filed, by_k = 0, {}
     return edges + sum(sum(long_edges_survive(k, faces)) for k, faces in by_k.items())
+
+
+def count_edges(d: int, n: int, rows: Iterable[tuple[Sequence[int], Sequence[int]]]) -> int:
+    """How many rows' pairs are edges: each row is a point set of n distinct
+    d-bit masks and the positions (i, j) of a pair in it.  The rows are read
+    in face-filter passes of pass_rows(n) rows, at most _ENTRIES_PER_PASS
+    point entries, and counted by count_pass_edges.
+    """
+    it = iter(rows)
+    chunks = iter(lambda: list(islice(it, pass_rows(n))), [])
+    return count_pass_edges(d, (([points for points, _ in chunk], [pair for _, pair in chunk])
+                                for chunk in chunks))
 
 
 def _edge_count(d: int, point_sets: Iterable[Sequence[int]], n: int) -> int:

@@ -4,17 +4,26 @@ Every sampling routine in the package draws from a Philox stream obtained
 here.  A stream is addressed by the master seed plus a label/index pair, so
 estimators can carve their sample budget into blocks whose streams do not
 depend on scheduling or worker count.
+
+The word rule (numpy 2.4.6, guarded by a test): Generator.integers draws an
+integer below r <= 2^32 from 32-bit Philox words, one next_uint32 each, as
+rng.integers(0, 2**32) reads them.  A draw is (w * r) >> 32 of the next word
+w, reading one more word while (w * r) mod 2^32 < 2^32 mod r (Lemire 2019,
+"Fast random integer generation in an interval").  For r = 2^d nothing is
+rejected and the draw is w >> (32 - d).  So the 32-bit draws of several
+ranges can be read from one buffer of words with the values the calls draw
+(sample_sets_and_pairs).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 __all__ = ["stream", "stream_id", "rand_bits", "sample_indices", "sample_index_array",
-           "sample_index_rows"]
+           "sample_index_rows", "sample_sets_and_pairs"]
 
 _WORD = 64
 _MASK64 = (1 << 64) - 1
@@ -255,3 +264,194 @@ def sample_index_rows(rng: np.random.Generator, population: int, k: int,
             row += 1
         window = 2 * (done + 1)  # about twice the run of full rows found
     return out
+
+
+# the most 32-bit words one refill of _Words asks the stream for
+_REFILL_WORDS = 1 << 16
+_WORD32 = 1 << 32
+
+
+def _bounded(words: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """numpy's draws below r, 2 <= r <= 2^32, from 32-bit words (Lemire's
+    rule, see the module docstring): each word's value as int64, and which
+    words are kept (None when r is a power of two, which keeps them all)."""
+    if not r & (r - 1):
+        return (words >> (33 - r.bit_length())).astype(np.int64), None
+    scaled = words.astype(np.uint64) * np.uint64(r)
+    return (scaled >> 32).astype(np.int64), scaled.astype(np.uint32) >= _WORD32 % r
+
+
+class _Words:
+    """The 32-bit words of a stream in draw order, read ahead of use in
+    integers calls of at most _REFILL_WORDS words.  A refill reads what is
+    asked for, or more, up to the ``expect`` words the caller plans to read
+    in all."""
+
+    def __init__(self, rng: np.random.Generator, expect: int):
+        self.rng = rng
+        self.left = expect  # words still expected beyond those read from the stream
+        self.buf = np.empty(0, dtype=np.uint32)
+        self.pos = 0
+
+    def peek(self, size: int) -> np.ndarray:
+        """The next size words, left unread."""
+        short = self.pos + size - len(self.buf)
+        if short > 0:
+            want = max(short, min(self.left, _REFILL_WORDS))
+            self.left -= want
+            more = [self.rng.integers(0, _WORD32, size=min(_REFILL_WORDS, want - at),
+                                      dtype=np.uint32)
+                    for at in range(0, want, _REFILL_WORDS)]
+            self.buf, self.pos = np.concatenate([self.buf[self.pos:], *more]), 0
+        return self.buf[self.pos:self.pos + size]
+
+    def read(self, size: int) -> np.ndarray:
+        words = self.peek(size)
+        self.pos += size
+        return words
+
+    def draws(self, r: int, size: int) -> np.ndarray:
+        """What rng.integers(0, r, size=size) draws: a word gives at most one
+        draw, so reading as many words as draws are missing never reads past
+        the last one."""
+        pieces = []
+        while size:
+            values, kept = _bounded(self.read(size), r)
+            pieces.append(values if kept is None else values[kept])
+            size -= len(pieces[-1])
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def _row_words(population: int, n: int) -> int:
+    """About the words a row of sample_sets_and_pairs reads: 128 for n <= 64,
+    and for n > 64 the first batch of n vertex draws, room for the further
+    batches that about n^2 / (2 population) repeats call for, and the pair."""
+    if n <= _MIN_BATCH:
+        return 2 * _MIN_BATCH
+    return n + 2 * max(_MIN_BATCH, n * n // population)
+
+
+def _read_alone(words: _Words, population: int, k: int) -> np.ndarray | list[int]:
+    """sample_indices(rng, population, k) on the rejection path, draw by draw
+    from the words."""
+    return _first_distinct(lambda missing: words.draws(population, max(_MIN_BATCH, missing)),
+                           population, k)
+
+
+def _fill_short_rows(words: _Words, population: int, points: np.ndarray,
+                     pairs: np.ndarray) -> None:
+    """sample_sets_and_pairs' rows for n <= 64, where a row is regular when
+    it reads 128 words: 64 vertex draws holding n distinct values and 64
+    pair draws with no word rejected and two distinct values.  A window of
+    rows is decided at once up to its first irregular row, which is read
+    alone.  The next window is twice the last one when that was regular
+    throughout, and about twice the run of regular rows found otherwise."""
+    count, n = points.shape
+    width = 2 * _MIN_BATCH
+    key = _unsigned_key(population)
+    row, window = 0, count
+    while row < count:
+        size = min(window, count - row, _REFILL_WORDS // width)
+        block = words.peek(size * width).reshape(size, width)
+        values, kept = _bounded(block[:, :_MIN_BATCH], population)
+        first = _first_in_rows(values.astype(key))
+        rank = np.cumsum(first, axis=1)
+        regular = rank[:, -1] >= n
+        if kept is not None:
+            regular &= kept.all(axis=1)
+        ends, ends_kept = _bounded(block[:, _MIN_BATCH:], n)
+        other = ends != ends[:, :1]
+        regular &= other.any(axis=1)
+        if ends_kept is not None:
+            regular &= ends_kept.all(axis=1)
+        done = size if regular.all() else int(np.argmin(regular))
+        points[row:row + done] = values[:done][first[:done] & (rank[:done] <= n)].reshape(done, n)
+        pairs[row:row + done, 0] = ends[:done, 0]
+        pairs[row:row + done, 1] = ends[np.arange(done), np.argmax(other[:done], axis=1)]
+        words.read(done * width)
+        row += done
+        if done == size:
+            window = 2 * size
+            continue
+        points[row] = _read_alone(words, population, n)
+        pairs[row] = _read_alone(words, n, 2)
+        row += 1
+        window = 2 * (done + 1)
+
+
+def _fill_long_rows(words: _Words, population: int, points: np.ndarray,
+                    pairs: np.ndarray) -> None:
+    """sample_sets_and_pairs' rows for n > 64, one at a time.  A stable sort
+    of a window of vertex draws marks each value's first occurrence; the
+    batches of max(64, missing) draws after the first batch of n end where
+    the running count of first occurrences says, and the row keeps the first
+    n of them.  A window too short for the batches is doubled."""
+    count, n = points.shape
+    key = _unsigned_key(population)
+    span = _row_words(population, n)  # the vertex draws' window
+    for row in range(count):
+        while True:
+            values, kept = _bounded(words.peek(span), population)
+            at = None if kept is None else np.flatnonzero(kept)
+            if at is not None:
+                values = values[at]
+            keys = values.astype(key)
+            order = np.argsort(keys, kind="stable")
+            ranked = keys[order]
+            first = np.empty(len(keys), dtype=bool)
+            first[order[0]] = True
+            first[order[1:]] = ranked[1:] != ranked[:-1]
+            running = np.cumsum(first)
+            end = n
+            while end <= len(running) and running[end - 1] < n:
+                end += max(_MIN_BATCH, n - int(running[end - 1]))
+            if end <= len(running):
+                break
+            span *= 2
+        points[row] = values[:end][first[:end]][:n]
+        words.read(end if at is None else int(at[end - 1]) + 1)
+        ends, ends_kept = _bounded(words.peek(_MIN_BATCH), n)
+        other = np.flatnonzero(ends != ends[0])
+        if len(other) and (ends_kept is None or ends_kept.all()):
+            pairs[row] = ends[0], ends[other[0]]
+            words.read(_MIN_BATCH)
+        else:
+            pairs[row] = _read_alone(words, n, 2)
+
+
+def sample_sets_and_pairs(rng: np.random.Generator, population: int, n: int, count: int,
+                          chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The draws of count successive (sample_index_array(rng, population, n),
+    sample_indices(rng, n, 2)) calls, a point set of n distinct indices and
+    the positions of a pair in it, as chunks of at most ``chunk`` rows: a
+    (c, n) int64 array of point sets (object dtype above 2^63) and a (c, 2)
+    int64 array of pairs.
+
+    Where every draw is a 32-bit one (population <= 2^32) on the rejection
+    path (4 <= n <= population // 2), the rows are read from one buffer of
+    Philox words by the word rule (_Words), in refills of at most
+    _REFILL_WORDS words: by windows of rows for n <= 64 (_fill_short_rows)
+    and one row at a time above (_fill_long_rows).  The buffer reads ahead of
+    the last draw, so the stream is for these rows alone.  Otherwise the rows
+    are the per-sample calls: 64-bit draws share Philox's buffered half
+    word with 32-bit ones, and n < 4 or n > population // 2 draws by
+    Fisher-Yates.
+    """
+    if not 2 <= n <= population:
+        raise ValueError(f"cannot draw {n} distinct indices from {population}")
+    starts = range(0, count, chunk)
+    if population > _WORD32 or not 4 <= n <= population // 2:
+        word = np.int64 if population <= 1 << 63 else object
+        for start in starts:
+            rows = [(sample_index_array(rng, population, n), sample_indices(rng, n, 2))
+                    for _ in range(min(chunk, count - start))]
+            yield (np.array([p for p, _ in rows], dtype=word),
+                   np.array([q for _, q in rows], dtype=np.int64))
+        return
+    fill = _fill_short_rows if n <= _MIN_BATCH else _fill_long_rows
+    words = _Words(rng, count * _row_words(population, n))
+    for start in starts:
+        points = np.empty((min(chunk, count - start), n), dtype=np.int64)
+        pairs = np.empty((len(points), 2), dtype=np.int64)
+        fill(words, population, points, pairs)
+        yield points, pairs

@@ -628,16 +628,6 @@ def test_pi_block_matches_a_per_sample_edge_kernel_loop(d, n, count, seed):
     assert _pi_block((d, n, count, seed, block)) == want
 
 
-def _pi_block_one_by_one(d, n, count, seed, block):
-    rng = stream(seed, f"pi:d={d}:n={n}", block)
-    hits = 0
-    for _ in range(count):
-        bits = sample_vertex_bits(d, n, rng)
-        i, j = sample_indices(rng, n, 2)
-        hits += edge_kernel(d, bits[i], bits[j], bits)
-    return hits
-
-
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 500])
 @pytest.mark.parametrize("d, n", [(8, 32), (14, 1684), (64, 3), (80, 40)])
 def test_pi_block_passes_count_the_per_sample_hits(d, n, count):
@@ -814,6 +804,16 @@ def _alpha_block_one_by_one(k, m, count, seed, block):
     return hits
 
 
+def _pi_block_one_by_one(d, n, count, seed, block):
+    rng = stream(seed, f"pi:d={d}:n={n}", block)
+    hits = 0
+    for _ in range(count):
+        bits = sample_vertex_bits(d, n, rng)
+        i, j = sample_indices(rng, n, 2)
+        hits += edge_kernel(d, bits[i], bits[j], bits)
+    return hits
+
+
 def _pik_block_one_by_one(d, n, k, count, seed, block):
     rng = stream(seed, f"pik:d={d}:n={n}:k={k}", block)
     wb = (1 << k) - 1
@@ -829,9 +829,22 @@ def _pik_block_one_by_one(d, n, k, count, seed, block):
     (_tau_block, _tau_block_one_by_one, (8, 12)),
     (_alpha_block, _alpha_block_one_by_one, (8, 12)),
     (_pik_block, _pik_block_one_by_one, (8, 32, 6)),
-], ids=["tau", "alpha", "pik"])
+    # pi: the word buffer's windows of rows (n <= 64) and its rows one at a
+    # time (n > 64), then the per-sample fallback: 64-bit vertex draws,
+    # Fisher-Yates pairs (n < 4) and Fisher-Yates point sets (n > 2^d / 2)
+    (_pi_block, _pi_block_one_by_one, (8, 32)),
+    (_pi_block, _pi_block_one_by_one, (10, 202)),
+    (_pi_block, _pi_block_one_by_one, (34, 5)),
+    (_pi_block, _pi_block_one_by_one, (4, 3)),
+    (_pi_block, _pi_block_one_by_one, (3, 8)),
+], ids=["tau", "alpha", "pik", "pi-8-32", "pi-10-202", "pi-34-5", "pi-4-3", "pi-3-8"])
 def test_blocks_count_the_hits_of_one_by_one_verdicts(seed, batched, one_by_one, params):
     args = params + (300, seed, 2)
     hits = one_by_one(*args)
-    assert 0 < hits < 300
+    if params in ((4, 3), (34, 5)):
+        # three points, and five points of the 34-cube in general position:
+        # every pair is an edge
+        assert hits == 300
+    else:
+        assert 0 < hits < 300
     assert batched(args) == hits

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polydense import mc
+from polydense import mc, rng as rng_module
 from polydense.mc import (BLOCK_SAMPLES, Z95, Estimate, bernoulli_estimate,
                           exact_estimate, normal_estimate, parallel_map, split_blocks,
                           weighted_sum, wilson_interval, worker_pool)
 from polydense.rng import (rand_bits, sample_index_array, sample_index_rows, sample_indices,
-                           stream, stream_id)
+                           sample_sets_and_pairs, stream, stream_id)
 
 
 class TestWilson:
@@ -427,3 +427,128 @@ class TestSampleIndexRows:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_index_rows(stream(0, "v"), 5, 6, 1)
+
+
+# ranges that numpy draws from 32-bit words: the edge 2^32, powers of two,
+# which reject no word, and ranges that reject about a quarter and a half
+_WORD_RANGES = [2, 3, 64, 202, 1 << 14, (1 << 32) - 1, 1 << 32, (3 << 30) + 1, (1 << 31) + 1]
+
+
+def _per_sample_rows(rng, population, n, count):
+    """The rows of sample_sets_and_pairs as the per-sample calls draw them."""
+    return [(sample_index_array(rng, population, n).tolist(), sample_indices(rng, n, 2))
+            for _ in range(count)]
+
+
+def _generated_rows(rng, population, n, count, chunk):
+    rows = []
+    for points, pairs in sample_sets_and_pairs(rng, population, n, count, chunk):
+        assert points.dtype == pairs.dtype == np.int64
+        assert points.shape == (len(pairs), n) and pairs.shape[1] == 2
+        assert 0 < len(points) <= chunk
+        rows += zip(points.tolist(), pairs.tolist())
+    return rows
+
+
+class TestWordRule:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from(_WORD_RANGES),
+                                        st.integers(2, 1 << 32)),
+                              st.integers(1, 300)), min_size=1, max_size=12),
+           st.integers(0, 2 ** 32))
+    def test_words_draw_what_integers_draws(self, calls, seed):
+        """Interleaved draws over ranges up to 2^32, as a pi block makes
+        them (vertex draws, then pair draws, over two ranges), read from one
+        buffer of words by Lemire's rule, are the draws of the
+        Generator.integers calls (numpy 2.4.6)."""
+        words = rng_module._Words(stream(seed, "words"), 1000)
+        ref = stream(seed, "words")
+        for r, size in calls:
+            got = words.draws(r, size)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref.integers(0, r, size=size)), (r, size)
+
+
+class TestSampleSetsAndPairs:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.integers(3, 32).map(lambda d: 1 << d),
+                     st.sampled_from(_WORD_RANGES[3:])).flatmap(
+        lambda pop: st.tuples(st.just(pop), st.integers(4, min(pop // 2, 300)),
+                              st.integers(0, 150), st.integers(1, 200),
+                              st.integers(0, 2 ** 32))))
+    @example(((1 << 6), 32, 150, 40, 1))
+    @example(((1 << 8), 65, 60, 7, 2))
+    def test_rows_are_the_per_sample_calls(self, case):
+        """Every chunk row is the point set and the pair the per-sample
+        calls draw, over populations up to 2^32, powers of two or not."""
+        pop, n, count, chunk, seed = case
+        got = _generated_rows(stream(seed, "sets"), pop, n, count, chunk)
+        assert got == _per_sample_rows(stream(seed, "sets"), pop, n, count)
+
+    @pytest.mark.parametrize("pop, n, count", [
+        (1 << 7, 48, 300),  # 64 draws from 128 values: about half the rows are short
+        (1 << 7, 64, 100),  # every row short
+        ((1 << 31) + 1, 10, 300),  # vertex words rejected half the time
+    ])
+    def test_irregular_rows_are_read_alone(self, monkeypatch, pop, n, count):
+        """n <= 64: a row whose 128 words are not 64 vertex draws with n
+        distinct values and 64 pair draws with two is read draw by draw, and
+        the rows after it start later."""
+        alone = []
+        read_alone = rng_module._read_alone
+        monkeypatch.setattr(rng_module, "_read_alone",
+                            lambda *args: alone.append(args[1:]) or read_alone(*args))
+        got = _generated_rows(stream(0, "irregular"), pop, n, count, 1000)
+        assert (pop, n) in alone
+        assert got == _per_sample_rows(stream(0, "irregular"), pop, n, count)
+
+    @pytest.mark.parametrize("pop, n, count", [
+        (1 << 8, 65, 200),  # 65 draws from 256 values: nearly every row is short
+        (1 << 10, 202, 100),
+    ])
+    def test_long_rows_walk_their_further_batches(self, pop, n, count):
+        """n > 64: a row whose first batch of n draws holds fewer than n
+        distinct values takes batches of max(64, missing) further draws.
+        The spy counts the batches of the per-sample calls, so the rows
+        match only if the walk over the batch ends ran."""
+        spy = _CountingStream(stream(1, "long"))
+        want = _per_sample_rows(spy, pop, n, count)
+        assert spy.calls > 2 * count  # a vertex batch and a pair batch a row, and more
+        assert _generated_rows(stream(1, "long"), pop, n, count, 64) == want
+
+    @pytest.mark.parametrize("pop, n, count", [
+        (1 << 34, 5, 30),  # 64-bit vertex draws
+        (1 << 70, 5, 10),  # rand_bits words: object dtype
+        (1 << 4, 3, 30),  # Fisher-Yates pairs
+        (1 << 3, 8, 30),  # Fisher-Yates point sets
+        (1 << 4, 9, 30),
+    ])
+    def test_the_fallback_makes_the_per_sample_calls(self, pop, n, count):
+        chunks = list(sample_sets_and_pairs(stream(2, "fallback"), pop, n, count, 7))
+        assert [len(p) for p, _ in chunks] == [7] * (count // 7) + [count % 7] * (count % 7 > 0)
+        got = [(p, q) for points, pairs in chunks
+               for p, q in zip(points.tolist(), pairs.tolist())]
+        assert got == _per_sample_rows(stream(2, "fallback"), pop, n, count)
+
+    @pytest.mark.parametrize("pop, n, count", [
+        (1 << 8, 32, 2000),  # windows of rows: 256,000 words
+        (1 << 14, 1684, 100),  # rows one at a time: about 180,000 words
+        (1 << 32, 70_000, 2),  # one row's window wider than a refill
+    ])
+    def test_no_refill_asks_for_more_than_the_cap(self, pop, n, count):
+        """The words are read in integers calls of at most _REFILL_WORDS, so
+        a block holds a bounded buffer whatever its rows need in all."""
+        rng, sizes = stream(4, "refill"), []
+
+        class Spy:
+            def integers(self, *args, size=None, **kwargs):
+                sizes.append(size)
+                return rng.integers(*args, size=size, **kwargs)
+
+        got = _generated_rows(Spy(), pop, n, count, max(1, (1 << 16) // n))
+        assert len(sizes) > 1 and max(sizes) <= rng_module._REFILL_WORDS
+        assert got == _per_sample_rows(stream(4, "refill"), pop, n, count)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            next(sample_sets_and_pairs(stream(0, "v"), 4, 5, 1, 1))
