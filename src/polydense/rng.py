@@ -5,16 +5,26 @@ here.  A stream is addressed by the master seed plus a label/index pair, so
 estimators can carve their sample budget into blocks whose streams do not
 depend on scheduling or worker count.
 
-The word rule (numpy 2.4.6, guarded by a test): Generator.integers draws an
-integer below r <= 2^32 from 32-bit Philox words, one next_uint32 each, as
-rng.integers(0, 2**32) reads them.  A draw is (w * r) >> 32 of the next word
-w, reading one more word while (w * r) mod 2^32 < 2^32 mod r (Lemire 2019,
-"Fast random integer generation in an interval").  For r = 2^d nothing is
-rejected and the draw is w >> (32 - d).  So the 32-bit draws of several
-ranges can be read from one buffer of words with the values the calls draw
-(sample_sets_and_pairs).
-"""
+sample_indices draws k distinct indices, and sample_index_array makes the
+same draws as an array.  Two row readers return the draws of many
+successive calls at once and leave the stream where those calls leave it:
+sample_index_rows, the rows of sample_indices over one population, and
+sample_sets_and_pairs, a point set and a pair in it a row.  One reader,
+_fill_rows, fills both kinds of row from a buffer that is never read past a
+word the calls would read.  The buffer rests on two facts of numpy 2.4.6,
+each guarded by a test:
 
+- Generator.integers calls over one range compose: split at any points,
+  they draw what one call draws and leave the stream in the same state.  So
+  index rows are read from one sequence of int64 draws (_Draws).
+- The word rule: Generator.integers draws an integer below r <= 2^32 from
+  32-bit Philox words, one next_uint32 each, as rng.integers(0, 2**32)
+  reads them.  A draw is (w * r) >> 32 of the next word w, reading one more
+  word while (w * r) mod 2^32 < 2^32 mod r (Lemire 2019, "Fast random
+  integer generation in an interval").  For r = 2^d nothing is rejected and
+  the draw is w >> (32 - d).  So the 32-bit draws of the two ranges of a
+  sets row are read from one buffer of words (_Words).
+"""
 from __future__ import annotations
 
 import hashlib
@@ -200,25 +210,184 @@ def sample_index_array(rng: np.random.Generator, population: int, k: int) -> np.
     return out
 
 
+# the most words one refill of _Words asks the stream for
+_REFILL_WORDS = 1 << 16
+_WORD32 = 1 << 32
+
+
+class _Words:
+    """The 32-bit words of a stream in draw order, read ahead of use in
+    integers calls of at most _REFILL_WORDS words, but no further than
+    ``floor`` words past the next unread one: the fewest words its reader is
+    sure to read, which each read counts down.  A read of more than that is
+    one the reader is sure of, so no word is read that the calls it stands
+    for would not read."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.floor = 0
+        self.buf = np.empty(0, dtype=np.uint32)
+        self.pos = 0
+
+    def _more(self, size: int) -> np.ndarray:
+        return self.rng.integers(0, _WORD32, size=size, dtype=np.uint32)
+
+    def peek(self, size: int) -> np.ndarray:
+        """The next size words, left unread."""
+        short = self.pos + size - len(self.buf)
+        if short > 0:
+            want = max(short, min(self.pos + self.floor - len(self.buf), _REFILL_WORDS))
+            more = [self._more(min(_REFILL_WORDS, want - at)) for at in range(0, want, _REFILL_WORDS)]
+            self.buf, self.pos = np.concatenate([self.buf[self.pos:], *more]), 0
+        return self.buf[self.pos:self.pos + size]
+
+    def read(self, size: int) -> np.ndarray:
+        words = self.peek(size)
+        self.pos += size
+        self.floor -= size
+        return words
+
+    def values(self, words: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """numpy's draws below r, 2 <= r <= 2^32, from the words by the word
+        rule (see the module docstring): each word's value as int64, and
+        which words are kept (None when r is a power of two, which keeps
+        them all)."""
+        if not r & (r - 1):
+            return (words >> (33 - r.bit_length())).astype(np.int64), None
+        scaled = words.astype(np.uint64) * np.uint64(r)
+        return (scaled >> 32).astype(np.int64), scaled.astype(np.uint32) >= _WORD32 % r
+
+    def draws(self, r: int, size: int) -> np.ndarray:
+        """What rng.integers(0, r, size=size) draws: a word gives at most one
+        draw, so reading as many words as draws are missing never reads past
+        the last one."""
+        pieces = []
+        while size:
+            values, kept = self.values(self.read(size), r)
+            pieces.append(values if kept is None else values[kept])
+            size -= len(pieces[-1])
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+class _Draws(_Words):
+    """The int64 draws of rng.integers(0, population) as the words, each
+    its own value: numpy's integers calls over one range compose (guarded
+    by a test), so they are one sequence however they are split."""
+
+    def __init__(self, rng: np.random.Generator, population: int):
+        super().__init__(rng)
+        self.population = population
+
+    def _more(self, size: int) -> np.ndarray:
+        return self.rng.integers(0, self.population, size=size)
+
+    def values(self, words: np.ndarray, r: int) -> tuple[np.ndarray, None]:
+        return words, None
+
+
+def _read_part(source: _Words, population: int, k: int) -> np.ndarray | list[int]:
+    """The draws of sample_indices(rng, population, k) on the rejection
+    path, read alone from the source: by _first_distinct for k <= 64, and
+    above by one stable sort of a span of draws, which marks each value's
+    first occurrence.  The first batch of k draws and the further batches
+    of max(64, missing) then end where the running count of first
+    occurrences says, and the part keeps the first k of them.  The span
+    reaches no further than source.floor, and past it grows only by the
+    draws the batches are found to need."""
+    if k <= _MIN_BATCH:
+        return _first_distinct(lambda missing: source.draws(population, max(_MIN_BATCH, missing)),
+                               population, k)
+    key = _unsigned_key(population)
+    # the first batch, and about the further batches its repeats call for
+    span = max(k, min(k + 2 * max(_MIN_BATCH, k * k // population), source.floor))
+    while True:
+        values, kept = source.values(source.peek(span), population)
+        at = None if kept is None else np.flatnonzero(kept)
+        if at is not None:
+            values = values[at]
+        keys = values.astype(key)
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[order[0]] = True
+        first[order[1:]] = ranked[1:] != ranked[:-1]
+        running = np.cumsum(first)
+        end = k
+        while end <= len(running) and running[end - 1] < k:
+            end += max(_MIN_BATCH, k - int(running[end - 1]))
+        if end <= len(running):
+            break
+        span = max(min(2 * span, source.floor), span + end - len(running))
+    source.read(end if at is None else int(at[end - 1]) + 1)
+    return values[:end][first[:end]][:k]
+
+
+def _fill_rows(source: _Words, parts: list[tuple[int, int]], count: int,
+               chunk: int) -> Iterator[list[np.ndarray]]:
+    """count rows read from the source, a row holding the draws of one
+    sample_indices(rng, population, k) call for each part (population, k)
+    in turn, as one (c, k) int64 array per part for each chunk of at most
+    ``chunk`` rows.
+
+    A row reads at least max(64, k) words a part, and source.floor is kept
+    at that many for the rows still to draw.  While every part has
+    k <= 64, a window of rows (at most _REFILL_WORDS words) is decided at
+    once: a row is regular when the 64-draw batch of each part rejects no
+    word and holds k distinct values (_first_in_rows), and the window is
+    kept up to its first irregular row, which is read alone (_read_part).
+    The next window is twice the last one when that was regular throughout,
+    and 2 * (regular rows + 1) otherwise.  After a window with more than one
+    irregular row in eight, and wherever a part has k > 64, every row is
+    read alone.
+    """
+    width = sum(max(_MIN_BATCH, k) for _, k in parts)  # the fewest words of a row
+    alone = any(k > _MIN_BATCH for _, k in parts)
+    window = count
+    for start in range(0, count, chunk):
+        outs = [np.empty((min(chunk, count - start), k), dtype=np.int64) for _, k in parts]
+        row = 0
+        while row < len(outs[0]):
+            source.floor = (count - start - row) * width
+            if not alone:
+                size = min(window, len(outs[0]) - row, _REFILL_WORDS // width)
+                block = source.peek(size * width).reshape(size, width)
+                regular = np.ones(size, dtype=bool)
+                picks = []
+                for at, (population, k) in zip(range(0, width, _MIN_BATCH), parts):
+                    values, kept = source.values(block[:, at:at + _MIN_BATCH], population)
+                    first = _first_in_rows(values.astype(_unsigned_key(population)))
+                    rank = np.cumsum(first, axis=1, dtype=np.uint8)
+                    regular &= rank[:, -1] >= k
+                    if kept is not None:
+                        regular &= kept.all(axis=1)
+                    picks.append((values, first & (rank <= k)))
+                irregular = np.flatnonzero(~regular)
+                done = irregular[0] if len(irregular) else size
+                for out, (_, k), (values, pick) in zip(outs, parts, picks):
+                    out[row:row + done] = values[:done][pick[:done]].reshape(done, k)
+                source.read(done * width)
+                row += done
+                if done == size:
+                    window = 2 * size
+                    continue
+                alone = len(irregular) * 8 > size
+                window = 2 * (done + 1)
+            for out, (population, k) in zip(outs, parts):
+                out[row] = _read_part(source, population, k)
+            row += 1
+        yield outs
+
+
 def sample_index_rows(rng: np.random.Generator, population: int, k: int,
                       count: int) -> np.ndarray:
     """The draws of count successive sample_indices(rng, population, k)
     calls as the rows of a (count, k) int64 array (object dtype for a
     population above 2^63), leaving the stream where those calls leave it.
 
-    Where the calls draw by rejection from range(population) alone, their
-    draws are one sequence, because numpy's integers calls over one range
-    compose, so the rows are read from one buffer of draws.  One call of
-    count * max(64, k) draws holds every row's first batch; a window of rows
-    keeps each row's first k distinct draws at once (_first_in_rows on the
-    unsigned keys) up to the first short row, one with fewer.  That row
-    takes its further batches of max(64, missing) draws from the draws
-    after its first batch, so the rows after it start that much later and
-    the next window begins after it.  Where a window finds more than one
-    short row in eight, the rest are read one row at a time.  Every draw
-    made is one the calls make.  Fisher-Yates draws (k above
-    population // 2) and rand_bits words (a population above 2^63) take one
-    _sample call per row.
+    On the rejection path the calls' draws are one sequence of
+    integers(0, population) draws, which _fill_rows reads (_Draws).
+    Fisher-Yates draws (k above population // 2) and rand_bits words (a
+    population above 2^63) take one _sample call per row.
     """
     if not 0 <= k <= population:
         raise ValueError(f"cannot draw {k} distinct indices from {population}")
@@ -228,195 +397,8 @@ def sample_index_rows(rng: np.random.Generator, population: int, k: int,
     if word is object or k > population // 2:
         return np.array([_sample(rng, population, k) for _ in range(count)],
                         dtype=word).reshape(count, k)
-    width = max(_MIN_BATCH, k)
-    key = _unsigned_key(population)
-    # the draws made so far, and the position of the next one to read
-    buf = rng.integers(0, population, size=count * width)
-    pos = 0
-
-    def take(size: int) -> np.ndarray:
-        nonlocal buf, pos
-        if pos + size > len(buf):
-            more = rng.integers(0, population, size=pos + size - len(buf))
-            buf, pos = np.concatenate([buf[pos:], more]), 0
-        pos += size
-        return buf[pos - size:pos]
-
-    out = np.empty((count, k), dtype=np.int64)
-    row, window = 0, count
-    while row < count:
-        n = min(window, count - row)
-        batches = take(n * width).reshape(n, width)
-        first = _first_in_rows(batches.astype(key))
-        rank = np.cumsum(first, axis=1)
-        short = np.flatnonzero(rank[:, -1] < k)
-        done = short[0] if len(short) else n
-        kept = first[:done] & (rank[:done] <= k)
-        out[row:row + done] = batches[:done][kept].reshape(done, k)
-        row += done
-        if done == n:
-            continue
-        pos -= (n - done) * width  # the rows after the short row start later
-        last = count if len(short) * 8 > n else row + 1
-        while row < last:
-            out[row] = _first_distinct(lambda missing: take(max(_MIN_BATCH, missing)),
-                                       population, k)
-            row += 1
-        window = 2 * (done + 1)  # about twice the run of full rows found
-    return out
-
-
-# the most 32-bit words one refill of _Words asks the stream for
-_REFILL_WORDS = 1 << 16
-_WORD32 = 1 << 32
-
-
-def _bounded(words: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """numpy's draws below r, 2 <= r <= 2^32, from 32-bit words (Lemire's
-    rule, see the module docstring): each word's value as int64, and which
-    words are kept (None when r is a power of two, which keeps them all)."""
-    if not r & (r - 1):
-        return (words >> (33 - r.bit_length())).astype(np.int64), None
-    scaled = words.astype(np.uint64) * np.uint64(r)
-    return (scaled >> 32).astype(np.int64), scaled.astype(np.uint32) >= _WORD32 % r
-
-
-class _Words:
-    """The 32-bit words of a stream in draw order, read ahead of use in
-    integers calls of at most _REFILL_WORDS words.  A refill reads what is
-    asked for, or more, up to the ``expect`` words the caller plans to read
-    in all."""
-
-    def __init__(self, rng: np.random.Generator, expect: int):
-        self.rng = rng
-        self.left = expect  # words still expected beyond those read from the stream
-        self.buf = np.empty(0, dtype=np.uint32)
-        self.pos = 0
-
-    def peek(self, size: int) -> np.ndarray:
-        """The next size words, left unread."""
-        short = self.pos + size - len(self.buf)
-        if short > 0:
-            want = max(short, min(self.left, _REFILL_WORDS))
-            self.left -= want
-            more = [self.rng.integers(0, _WORD32, size=min(_REFILL_WORDS, want - at),
-                                      dtype=np.uint32)
-                    for at in range(0, want, _REFILL_WORDS)]
-            self.buf, self.pos = np.concatenate([self.buf[self.pos:], *more]), 0
-        return self.buf[self.pos:self.pos + size]
-
-    def read(self, size: int) -> np.ndarray:
-        words = self.peek(size)
-        self.pos += size
-        return words
-
-    def draws(self, r: int, size: int) -> np.ndarray:
-        """What rng.integers(0, r, size=size) draws: a word gives at most one
-        draw, so reading as many words as draws are missing never reads past
-        the last one."""
-        pieces = []
-        while size:
-            values, kept = _bounded(self.read(size), r)
-            pieces.append(values if kept is None else values[kept])
-            size -= len(pieces[-1])
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-
-
-def _row_words(population: int, n: int) -> int:
-    """About the words a row of sample_sets_and_pairs reads: 128 for n <= 64,
-    and for n > 64 the first batch of n vertex draws, room for the further
-    batches that about n^2 / (2 population) repeats call for, and the pair."""
-    if n <= _MIN_BATCH:
-        return 2 * _MIN_BATCH
-    return n + 2 * max(_MIN_BATCH, n * n // population)
-
-
-def _read_alone(words: _Words, population: int, k: int) -> np.ndarray | list[int]:
-    """sample_indices(rng, population, k) on the rejection path, draw by draw
-    from the words."""
-    return _first_distinct(lambda missing: words.draws(population, max(_MIN_BATCH, missing)),
-                           population, k)
-
-
-def _fill_short_rows(words: _Words, population: int, points: np.ndarray,
-                     pairs: np.ndarray) -> None:
-    """sample_sets_and_pairs' rows for n <= 64, where a row is regular when
-    it reads 128 words: 64 vertex draws holding n distinct values and 64
-    pair draws with no word rejected and two distinct values.  A window of
-    rows is decided at once up to its first irregular row, which is read
-    alone.  The next window is twice the last one when that was regular
-    throughout, and about twice the run of regular rows found otherwise."""
-    count, n = points.shape
-    width = 2 * _MIN_BATCH
-    key = _unsigned_key(population)
-    row, window = 0, count
-    while row < count:
-        size = min(window, count - row, _REFILL_WORDS // width)
-        block = words.peek(size * width).reshape(size, width)
-        values, kept = _bounded(block[:, :_MIN_BATCH], population)
-        first = _first_in_rows(values.astype(key))
-        rank = np.cumsum(first, axis=1)
-        regular = rank[:, -1] >= n
-        if kept is not None:
-            regular &= kept.all(axis=1)
-        ends, ends_kept = _bounded(block[:, _MIN_BATCH:], n)
-        other = ends != ends[:, :1]
-        regular &= other.any(axis=1)
-        if ends_kept is not None:
-            regular &= ends_kept.all(axis=1)
-        done = size if regular.all() else int(np.argmin(regular))
-        points[row:row + done] = values[:done][first[:done] & (rank[:done] <= n)].reshape(done, n)
-        pairs[row:row + done, 0] = ends[:done, 0]
-        pairs[row:row + done, 1] = ends[np.arange(done), np.argmax(other[:done], axis=1)]
-        words.read(done * width)
-        row += done
-        if done == size:
-            window = 2 * size
-            continue
-        points[row] = _read_alone(words, population, n)
-        pairs[row] = _read_alone(words, n, 2)
-        row += 1
-        window = 2 * (done + 1)
-
-
-def _fill_long_rows(words: _Words, population: int, points: np.ndarray,
-                    pairs: np.ndarray) -> None:
-    """sample_sets_and_pairs' rows for n > 64, one at a time.  A stable sort
-    of a window of vertex draws marks each value's first occurrence; the
-    batches of max(64, missing) draws after the first batch of n end where
-    the running count of first occurrences says, and the row keeps the first
-    n of them.  A window too short for the batches is doubled."""
-    count, n = points.shape
-    key = _unsigned_key(population)
-    span = _row_words(population, n)  # the vertex draws' window
-    for row in range(count):
-        while True:
-            values, kept = _bounded(words.peek(span), population)
-            at = None if kept is None else np.flatnonzero(kept)
-            if at is not None:
-                values = values[at]
-            keys = values.astype(key)
-            order = np.argsort(keys, kind="stable")
-            ranked = keys[order]
-            first = np.empty(len(keys), dtype=bool)
-            first[order[0]] = True
-            first[order[1:]] = ranked[1:] != ranked[:-1]
-            running = np.cumsum(first)
-            end = n
-            while end <= len(running) and running[end - 1] < n:
-                end += max(_MIN_BATCH, n - int(running[end - 1]))
-            if end <= len(running):
-                break
-            span *= 2
-        points[row] = values[:end][first[:end]][:n]
-        words.read(end if at is None else int(at[end - 1]) + 1)
-        ends, ends_kept = _bounded(words.peek(_MIN_BATCH), n)
-        other = np.flatnonzero(ends != ends[0])
-        if len(other) and (ends_kept is None or ends_kept.all()):
-            pairs[row] = ends[0], ends[other[0]]
-            words.read(_MIN_BATCH)
-        else:
-            pairs[row] = _read_alone(words, n, 2)
+    [rows] = next(_fill_rows(_Draws(rng, population), [(population, k)], count, count))
+    return rows
 
 
 def sample_sets_and_pairs(rng: np.random.Generator, population: int, n: int, count: int,
@@ -425,33 +407,23 @@ def sample_sets_and_pairs(rng: np.random.Generator, population: int, n: int, cou
     sample_indices(rng, n, 2)) calls, a point set of n distinct indices and
     the positions of a pair in it, as chunks of at most ``chunk`` rows: a
     (c, n) int64 array of point sets (object dtype above 2^63) and a (c, 2)
-    int64 array of pairs.
+    int64 array of pairs.  The stream ends where those calls leave it.
 
     Where every draw is a 32-bit one (population <= 2^32) on the rejection
-    path (4 <= n <= population // 2), the rows are read from one buffer of
-    Philox words by the word rule (_Words), in refills of at most
-    _REFILL_WORDS words: by windows of rows for n <= 64 (_fill_short_rows)
-    and one row at a time above (_fill_long_rows).  The buffer reads ahead of
-    the last draw, so the stream is for these rows alone.  Otherwise the rows
-    are the per-sample calls: 64-bit draws share Philox's buffered half
-    word with 32-bit ones, and n < 4 or n > population // 2 draws by
-    Fisher-Yates.
+    path (4 <= n <= population // 2), _fill_rows reads the rows from the
+    stream's words by the word rule (_Words).  Otherwise the rows are the
+    per-sample calls: 64-bit draws share Philox's buffered half word with
+    32-bit ones, and n < 4 or n > population // 2 draws by Fisher-Yates.
     """
     if not 2 <= n <= population:
         raise ValueError(f"cannot draw {n} distinct indices from {population}")
-    starts = range(0, count, chunk)
-    if population > _WORD32 or not 4 <= n <= population // 2:
-        word = np.int64 if population <= 1 << 63 else object
-        for start in starts:
-            rows = [(sample_index_array(rng, population, n), sample_indices(rng, n, 2))
-                    for _ in range(min(chunk, count - start))]
-            yield (np.array([p for p, _ in rows], dtype=word),
-                   np.array([q for _, q in rows], dtype=np.int64))
+    if population <= _WORD32 and 4 <= n <= population // 2:
+        for points, pairs in _fill_rows(_Words(rng), [(population, n), (n, 2)], count, chunk):
+            yield points, pairs
         return
-    fill = _fill_short_rows if n <= _MIN_BATCH else _fill_long_rows
-    words = _Words(rng, count * _row_words(population, n))
-    for start in starts:
-        points = np.empty((min(chunk, count - start), n), dtype=np.int64)
-        pairs = np.empty((len(points), 2), dtype=np.int64)
-        fill(words, population, points, pairs)
-        yield points, pairs
+    word = np.int64 if population <= 1 << 63 else object
+    for start in range(0, count, chunk):
+        rows = [(sample_index_array(rng, population, n), sample_indices(rng, n, 2))
+                for _ in range(min(chunk, count - start))]
+        yield (np.array([p for p, _ in rows], dtype=word),
+               np.array([q for _, q in rows], dtype=np.int64))

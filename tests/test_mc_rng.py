@@ -383,6 +383,8 @@ class TestSampleIndexRows:
     @example((62, 30, 600, 1))
     @example((100, 50, 300, 2))
     @example((1000, 65, 200, 3))
+    @example(((1 << 40) + 3, 80, 50, 4))  # 64-bit draws: rows read alone
+    @example(((1 << 40) + 3, 20, 300, 5))  # 64-bit draws: windows of rows
     def test_rows_are_successive_sample_indices(self, case):
         """The rows are count successive sample_indices draws, and the stream
         ends where those calls leave it."""
@@ -450,6 +452,23 @@ def _generated_rows(rng, population, n, count, chunk):
     return rows
 
 
+def _reader_rows(reader, rng, population, k, count, chunk):
+    """The rows of one of the two row readers: sample_index_rows ("index")
+    or sample_sets_and_pairs ("sets")."""
+    if reader == "index":
+        rows = sample_index_rows(rng, population, k, count)
+        assert rows.dtype == np.int64 and rows.shape == (count, k)
+        return rows.tolist()
+    return _generated_rows(rng, population, k, count, chunk)
+
+
+def _per_call_rows(reader, rng, population, k, count):
+    """The rows of _reader_rows as the per-sample calls draw them."""
+    if reader == "index":
+        return [sample_indices(rng, population, k) for _ in range(count)]
+    return _per_sample_rows(rng, population, k, count)
+
+
 class TestWordRule:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(st.one_of(st.sampled_from(_WORD_RANGES),
@@ -461,7 +480,8 @@ class TestWordRule:
         them (vertex draws, then pair draws, over two ranges), read from one
         buffer of words by Lemire's rule, are the draws of the
         Generator.integers calls (numpy 2.4.6)."""
-        words = rng_module._Words(stream(seed, "words"), 1000)
+        words = rng_module._Words(stream(seed, "words"))
+        words.floor = 1000  # read ahead across the calls
         ref = stream(seed, "words")
         for r, size in calls:
             got = words.draws(r, size)
@@ -482,25 +502,27 @@ class TestSampleSetsAndPairs:
         """Every chunk row is the point set and the pair the per-sample
         calls draw, over populations up to 2^32, powers of two or not."""
         pop, n, count, chunk, seed = case
-        got = _generated_rows(stream(seed, "sets"), pop, n, count, chunk)
-        assert got == _per_sample_rows(stream(seed, "sets"), pop, n, count)
+        rng, ref = stream(seed, "sets"), stream(seed, "sets")
+        assert _generated_rows(rng, pop, n, count, chunk) == _per_sample_rows(ref, pop, n, count)
+        assert int(rng.integers(0, 1 << 62)) == int(ref.integers(0, 1 << 62))
 
-    @pytest.mark.parametrize("pop, n, count", [
-        (1 << 7, 48, 300),  # 64 draws from 128 values: about half the rows are short
-        (1 << 7, 64, 100),  # every row short
-        ((1 << 31) + 1, 10, 300),  # vertex words rejected half the time
-    ])
-    def test_irregular_rows_are_read_alone(self, monkeypatch, pop, n, count):
-        """n <= 64: a row whose 128 words are not 64 vertex draws with n
-        distinct values and 64 pair draws with two is read draw by draw, and
-        the rows after it start later."""
+    @pytest.mark.parametrize("reader, pop, n, count", [
+        ("sets", 1 << 7, 48, 300),  # 64 draws from 128 values: about half the rows are short
+        ("sets", 1 << 7, 64, 100),  # every row short
+        ("sets", (1 << 31) + 1, 10, 300),  # vertex words rejected half the time
+        ("index", 100, 50, 300),  # most rows short: the rest read alone
+    ], ids=["128-48-300", "128-64-100", "2147483649-10-300", "index-100-50-300"])
+    def test_irregular_rows_are_read_alone(self, monkeypatch, reader, pop, n, count):
+        """k <= 64: a row whose 64-draw batches do not hold k distinct values
+        in each part, or reject a word, is read draw by draw, and the rows
+        after it start later."""
         alone = []
-        read_alone = rng_module._read_alone
-        monkeypatch.setattr(rng_module, "_read_alone",
-                            lambda *args: alone.append(args[1:]) or read_alone(*args))
-        got = _generated_rows(stream(0, "irregular"), pop, n, count, 1000)
+        read_part = rng_module._read_part
+        monkeypatch.setattr(rng_module, "_read_part",
+                            lambda *args: alone.append(args[1:]) or read_part(*args))
+        got = _reader_rows(reader, stream(0, "irregular"), pop, n, count, 1000)
         assert (pop, n) in alone
-        assert got == _per_sample_rows(stream(0, "irregular"), pop, n, count)
+        assert got == _per_call_rows(reader, stream(0, "irregular"), pop, n, count)
 
     @pytest.mark.parametrize("pop, n, count", [
         (1 << 8, 65, 200),  # 65 draws from 256 values: nearly every row is short
@@ -530,12 +552,13 @@ class TestSampleSetsAndPairs:
                for p, q in zip(points.tolist(), pairs.tolist())]
         assert got == _per_sample_rows(stream(2, "fallback"), pop, n, count)
 
-    @pytest.mark.parametrize("pop, n, count", [
-        (1 << 8, 32, 2000),  # windows of rows: 256,000 words
-        (1 << 14, 1684, 100),  # rows one at a time: about 180,000 words
-        (1 << 32, 70_000, 2),  # one row's window wider than a refill
-    ])
-    def test_no_refill_asks_for_more_than_the_cap(self, pop, n, count):
+    @pytest.mark.parametrize("reader, pop, n, count", [
+        ("sets", 1 << 8, 32, 2000),  # windows of rows: 256,000 words
+        ("sets", 1 << 14, 1684, 100),  # rows one at a time: about 180,000 words
+        ("sets", 1 << 32, 70_000, 2),  # one row's span wider than a refill
+        ("index", (1 << 14) - 2, 1682, 100),  # a pi_k block's faces: 168,200 draws at least
+    ], ids=["256-32-2000", "16384-1684-100", "4294967296-70000-2", "index-16382-1682-100"])
+    def test_no_refill_asks_for_more_than_the_cap(self, reader, pop, n, count):
         """The words are read in integers calls of at most _REFILL_WORDS, so
         a block holds a bounded buffer whatever its rows need in all."""
         rng, sizes = stream(4, "refill"), []
@@ -545,9 +568,9 @@ class TestSampleSetsAndPairs:
                 sizes.append(size)
                 return rng.integers(*args, size=size, **kwargs)
 
-        got = _generated_rows(Spy(), pop, n, count, max(1, (1 << 16) // n))
+        got = _reader_rows(reader, Spy(), pop, n, count, max(1, (1 << 16) // n))
         assert len(sizes) > 1 and max(sizes) <= rng_module._REFILL_WORDS
-        assert got == _per_sample_rows(stream(4, "refill"), pop, n, count)
+        assert got == _per_call_rows(reader, stream(4, "refill"), pop, n, count)
 
     def test_validation(self):
         with pytest.raises(ValueError):
