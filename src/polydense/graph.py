@@ -25,7 +25,7 @@ padded to its longest face by repeating a point, screened at once for the
 verdicts that need no LP, and its LP faces are solved as one batch.
 count_pass_edges is the one loop
 from passes of (point set, pair) rows to an edge count: the exact densities
-here and in estimators.pi_exact stream their rows through count_edges, which
+here and in estimators.pi_exact stream their rows through _edge_count, which
 cuts them into passes, and the Monte-Carlo pi block hands it the passes it
 draws.
 """
@@ -54,7 +54,6 @@ __all__ = [
     "long_edges_survive",
     "edge_kernel",
     "is_edge",
-    "count_edges",
     "count_pass_edges",
     "graph_density_exact",
 ]
@@ -258,8 +257,8 @@ def is_edge(X: VertexSet, v: CubeVertex, w: CubeVertex) -> bool:
     return edge_kernel(X.dim, v.bits, w.bits, [u.bits for u in X])
 
 
-# the most point entries one face-filter pass of count_edges holds, and the
-# most entries (one per face, plus its points) it files before deciding them
+# the most point entries one face-filter pass holds, and the most entries
+# (one per face, plus its points) count_pass_edges files before deciding them
 _ENTRIES_PER_PASS = 1 << 16
 
 
@@ -269,9 +268,10 @@ def pass_rows(n: int) -> int:
 
 
 def count_pass_edges(d: int, passes: Iterable[tuple[Sequence, Sequence]]) -> int:
-    """count_edges over rows already cut into face-filter passes: each pass
-    is the point sets of its rows, one a row, and each row's pair positions
-    (i, j); drawn arrays are handed over whole.
+    """How many rows' pairs are edges, over rows already cut into
+    face-filter passes: each pass is the point sets of its rows, one a row
+    (n distinct d-bit masks), and each row's pair positions (i, j); drawn
+    arrays are handed over whole.
 
     The faces are filed by pair distance; whenever the filed faces reach
     _ENTRIES_PER_PASS entries (one per face, plus its points), and once
@@ -290,26 +290,18 @@ def count_pass_edges(d: int, passes: Iterable[tuple[Sequence, Sequence]]) -> int
     return edges + sum(sum(long_edges_survive(k, faces)) for k, faces in by_k.items())
 
 
-def count_edges(d: int, n: int, rows: Iterable[tuple[Sequence[int], Sequence[int]]]) -> int:
-    """How many rows' pairs are edges: each row is a point set of n distinct
-    d-bit masks and the positions (i, j) of a pair in it.  The rows are read
-    in face-filter passes of pass_rows(n) rows, at most _ENTRIES_PER_PASS
-    point entries, and counted by count_pass_edges.
-    """
-    it = iter(rows)
-    chunks = iter(lambda: list(islice(it, pass_rows(n))), [])
-    return count_pass_edges(d, (([points for points, _ in chunk], [pair for _, pair in chunk])
-                                for chunk in chunks))
-
-
 def _edge_count(d: int, point_sets: Iterable[Sequence[int]], n: int) -> int:
     """Edges of the hulls of point sets of n distinct d-bit masks each,
-    summed over the sets: count_edges over every pair of every set, each
-    set made an array once."""
+    summed over the sets: every pair of every set is a (point set, pair)
+    row, each set made an array once, and the rows are cut into face-filter
+    passes of pass_rows(n) rows, at most _ENTRIES_PER_PASS point entries,
+    for count_pass_edges."""
     word = np.int64 if d < 64 else object
     sets = (np.array(points, dtype=word) for points in point_sets)
-    return count_edges(d, n, ((points, pair) for points in sets
-                              for pair in combinations(range(n), 2)))
+    rows = ((points, pair) for points in sets for pair in combinations(range(n), 2))
+    chunks = iter(lambda: list(islice(rows, pass_rows(n))), [])
+    return count_pass_edges(d, (([points for points, _ in chunk], [pair for _, pair in chunk])
+                                for chunk in chunks))
 
 
 def graph_density_exact(X: VertexSet) -> DensityReport:

@@ -5,14 +5,16 @@ here.  A stream is addressed by the master seed plus a label/index pair, so
 estimators can carve their sample budget into blocks whose streams do not
 depend on scheduling or worker count.
 
-sample_indices draws k distinct indices, and sample_index_array makes the
-same draws as an array.  Two row readers return the draws of many
-successive calls at once and leave the stream where those calls leave it:
-sample_index_rows, the rows of sample_indices over one population, and
-sample_sets_and_pairs, a point set and a pair in it a row.  One reader,
-_fill_rows, fills both kinds of row from a buffer that is never read past a
-word the calls would read.  The buffer rests on two facts of numpy 2.4.6,
-each guarded by a test:
+sample_indices draws k distinct indices.  Two row readers return the draws
+of many successive calls at once and leave the stream where those calls
+leave it: sample_index_rows, the rows of sample_indices over one
+population, and sample_sets_and_pairs, a point set and a pair in it a row.
+Each regime of the rejection path has one dedup for a call read alone,
+shared by the per-call draws and both readers: an insertion-ordered dict
+for k <= 64 (_first_distinct) and one stable sort of a span of draws above
+it (_read_part).  One reader, _fill_rows, fills both kinds of row from a
+buffer that is never read past a word the calls would read.  The buffer
+rests on two facts of numpy 2.4.6, each guarded by a test:
 
 - Generator.integers calls over one range compose: split at any points,
   they draw what one call draws and leave the stream in the same state.  So
@@ -32,8 +34,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["stream", "stream_id", "rand_bits", "sample_indices", "sample_index_array",
-           "sample_index_rows", "sample_sets_and_pairs"]
+__all__ = ["stream", "stream_id", "rand_bits", "sample_indices", "sample_index_rows",
+           "sample_sets_and_pairs"]
 
 _WORD = 64
 _MASK64 = (1 << 64) - 1
@@ -110,47 +112,9 @@ def _first_in_rows(keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_distinct_in_numpy(batch: Callable[[int], np.ndarray], population: int,
-                             k: int) -> np.ndarray:
-    """_first_distinct, deduplicated in numpy: each batch is sorted stably
-    on its unsigned keys, so the first of each run of equal keys is that
-    value's first occurrence; draws already found are found in the sorted
-    keys of the earlier batches."""
-    key = _unsigned_key(population)
-    pieces: list[np.ndarray] = []
-    found = np.empty(0, dtype=key)  # sorted
-    missing = k
-    while True:
-        draws = batch(missing)
-        keys = draws.astype(key)
-        order = np.argsort(keys, kind="stable")
-        ranked = keys[order]
-        first = np.empty(len(ranked), dtype=bool)
-        first[0] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-        if len(found):
-            at = np.minimum(np.searchsorted(found, ranked), len(found) - 1)
-            first &= found[at] != ranked
-        kept = np.zeros(len(draws), dtype=bool)
-        kept[order[first]] = True
-        new = draws[kept]  # in draw order
-        if len(new) >= missing:
-            pieces.append(new[:missing])
-            return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        pieces.append(new)
-        missing -= len(new)
-        found = (np.sort(np.concatenate([found, ranked[first]]), kind="stable")
-                 if len(found) else ranked[first])
-
-
-def _first_distinct(batch: Callable[[int], np.ndarray | list[int]], population: int,
-                    k: int) -> np.ndarray | list[int]:
+def _first_distinct(batch: Callable[[int], np.ndarray | list[int]], k: int) -> list[int]:
     """The first k distinct values of the rejection batches batch(missing),
-    in draw order: deduplicated in numpy when a first batch is longer than
-    64 int64 draws, as an array, and in an insertion-ordered dict
-    otherwise, as a list."""
-    if k > _MIN_BATCH and population <= 1 << 63:
-        return _first_distinct_in_numpy(batch, population, k)
+    in draw order, deduplicated in an insertion-ordered dict."""
     seen: dict[int, None] = {}  # insertion-ordered: the distinct draws so far
     while len(seen) < k:
         draws = batch(k - len(seen))
@@ -166,48 +130,6 @@ def _first_distinct(batch: Callable[[int], np.ndarray | list[int]], population: 
             seen.update(dict.fromkeys(draws[pos:pos + take]))
             pos += take
     return list(seen)
-
-
-def _sample(rng: np.random.Generator, population: int, k: int) -> np.ndarray | list[int]:
-    """sample_indices' draws, as an int64 array where numpy deduplicated
-    them and as a list otherwise."""
-    if not 0 <= k <= population:
-        raise ValueError(f"cannot draw {k} distinct indices from {population}")
-    if k == 0:
-        return []
-    if k > population // 2:
-        pool = list(range(population))
-        for i in range(k):
-            j = i + int(rng.integers(0, population - i))
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
-    return _first_distinct(lambda missing: _rejection_batch(rng, population, missing),
-                           population, k)
-
-
-def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[int]:
-    """Sample k distinct indices uniformly from range(population).
-
-    Rejection sampling while k is small relative to the population: the
-    first k distinct draws of batches of max(64, missing) int64 draws, in
-    draw order, deduplicated in an insertion-ordered dict for k <= 64 and in
-    numpy above.  Partial Fisher-Yates over the full range otherwise.  A
-    population above 2^63 exceeds numpy's int64 draws, so its indices are
-    batches of max(16, missing) words of (population - 1).bit_length() bits
-    from rand_bits, rejected when out of range.  Deterministic given the
-    stream state.
-    """
-    out = _sample(rng, population, k)
-    return out if isinstance(out, list) else out.tolist()
-
-
-def sample_index_array(rng: np.random.Generator, population: int, k: int) -> np.ndarray:
-    """sample_indices' draws, consuming the same stream, as an int64 array
-    (object dtype for a population above 2^63)."""
-    out = _sample(rng, population, k)
-    if isinstance(out, list):
-        return np.array(out, dtype=np.int64 if population <= 1 << 63 else object)
-    return out
 
 
 # the most words one refill of _Words asks the stream for
@@ -293,10 +215,11 @@ def _read_part(source: _Words, population: int, k: int) -> np.ndarray | list[int
     of max(64, missing) then end where the running count of first
     occurrences says, and the part keeps the first k of them.  The span
     reaches no further than source.floor, and past it grows only by the
-    draws the batches are found to need."""
+    draws the batches are found to need: at floor 0, as sample_indices
+    reads it, exactly those batches."""
     if k <= _MIN_BATCH:
-        return _first_distinct(lambda missing: source.draws(population, max(_MIN_BATCH, missing)),
-                               population, k)
+        return _first_distinct(
+            lambda missing: source.draws(population, max(_MIN_BATCH, missing)), k)
     key = _unsigned_key(population)
     # the first batch, and about the further batches its repeats call for
     span = max(k, min(k + 2 * max(_MIN_BATCH, k * k // population), source.floor))
@@ -320,6 +243,34 @@ def _read_part(source: _Words, population: int, k: int) -> np.ndarray | list[int
         span = max(min(2 * span, source.floor), span + end - len(running))
     source.read(end if at is None else int(at[end - 1]) + 1)
     return values[:end][first[:end]][:k]
+
+
+def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[int]:
+    """Sample k distinct indices uniformly from range(population).
+
+    Rejection sampling while k is small relative to the population: the
+    first k distinct draws of batches of max(64, missing) int64 draws, in
+    draw order, deduplicated in an insertion-ordered dict for k <= 64 and
+    above by _read_part, which reads exactly those batches.  Partial
+    Fisher-Yates over the full range otherwise.  A population above 2^63
+    exceeds numpy's int64 draws, so its indices are batches of
+    max(16, missing) words of (population - 1).bit_length() bits from
+    rand_bits, rejected when out of range.  Deterministic given the stream
+    state.
+    """
+    if not 0 <= k <= population:
+        raise ValueError(f"cannot draw {k} distinct indices from {population}")
+    if k == 0:
+        return []
+    if k > population // 2:
+        pool = list(range(population))
+        for i in range(k):
+            j = i + int(rng.integers(0, population - i))
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+    if k > _MIN_BATCH and population <= 1 << 63:
+        return _read_part(_Draws(rng, population), population, k).tolist()
+    return _first_distinct(lambda missing: _rejection_batch(rng, population, missing), k)
 
 
 def _fill_rows(source: _Words, parts: list[tuple[int, int]], count: int,
@@ -387,7 +338,7 @@ def sample_index_rows(rng: np.random.Generator, population: int, k: int,
     On the rejection path the calls' draws are one sequence of
     integers(0, population) draws, which _fill_rows reads (_Draws).
     Fisher-Yates draws (k above population // 2) and rand_bits words (a
-    population above 2^63) take one _sample call per row.
+    population above 2^63) take one sample_indices call per row.
     """
     if not 0 <= k <= population:
         raise ValueError(f"cannot draw {k} distinct indices from {population}")
@@ -395,7 +346,7 @@ def sample_index_rows(rng: np.random.Generator, population: int, k: int,
     if k == 0 or count == 0:
         return np.empty((count, k), dtype=word)
     if word is object or k > population // 2:
-        return np.array([_sample(rng, population, k) for _ in range(count)],
+        return np.array([sample_indices(rng, population, k) for _ in range(count)],
                         dtype=word).reshape(count, k)
     [rows] = next(_fill_rows(_Draws(rng, population), [(population, k)], count, count))
     return rows
@@ -403,7 +354,7 @@ def sample_index_rows(rng: np.random.Generator, population: int, k: int,
 
 def sample_sets_and_pairs(rng: np.random.Generator, population: int, n: int, count: int,
                           chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The draws of count successive (sample_index_array(rng, population, n),
+    """The draws of count successive (sample_indices(rng, population, n),
     sample_indices(rng, n, 2)) calls, a point set of n distinct indices and
     the positions of a pair in it, as chunks of at most ``chunk`` rows: a
     (c, n) int64 array of point sets (object dtype above 2^63) and a (c, 2)
@@ -414,6 +365,8 @@ def sample_sets_and_pairs(rng: np.random.Generator, population: int, n: int, cou
     stream's words by the word rule (_Words).  Otherwise the rows are the
     per-sample calls: 64-bit draws share Philox's buffered half word with
     32-bit ones, and n < 4 or n > population // 2 draws by Fisher-Yates.
+    Either way a point set read alone is deduplicated as sample_indices
+    does it: in a dict for n <= 64 and by _read_part above.
     """
     if not 2 <= n <= population:
         raise ValueError(f"cannot draw {n} distinct indices from {population}")
@@ -423,7 +376,7 @@ def sample_sets_and_pairs(rng: np.random.Generator, population: int, n: int, cou
         return
     word = np.int64 if population <= 1 << 63 else object
     for start in range(0, count, chunk):
-        rows = [(sample_index_array(rng, population, n), sample_indices(rng, n, 2))
+        rows = [(sample_indices(rng, population, n), sample_indices(rng, n, 2))
                 for _ in range(min(chunk, count - start))]
         yield (np.array([p for p, _ in rows], dtype=word),
                np.array([q for _, q in rows], dtype=np.int64))

@@ -640,8 +640,9 @@ def test_pi_block_passes_count_the_per_sample_hits(d, n, count):
 
 @pytest.mark.parametrize("cap", [1, 7, 64])
 def test_every_pass_and_filing_cap_counts_the_same_edges(monkeypatch, cap):
-    """graph.count_edges gives the same count whatever its cap on a pass's
-    point entries and on the faces it files before deciding them."""
+    """graph.count_pass_edges, fed by the pi block's drawn passes or by
+    graph._edge_count's cut rows, gives the same count whatever the cap on a
+    pass's point entries and on the faces it files before deciding them."""
     calls = [lambda: _pi_block((8, 32, 150, 5, 1)), lambda: _pi_block((14, 1684, 40, 5, 1)),
              lambda: pi_exact(3, 5).exact_value,
              lambda: graph_density_exact(full_cube(5)).edge_count]

@@ -14,8 +14,8 @@ from polydense import mc, rng as rng_module
 from polydense.mc import (BLOCK_SAMPLES, Z95, Estimate, bernoulli_estimate,
                           exact_estimate, normal_estimate, parallel_map, split_blocks,
                           weighted_sum, wilson_interval, worker_pool)
-from polydense.rng import (rand_bits, sample_index_array, sample_index_rows, sample_indices,
-                           sample_sets_and_pairs, stream, stream_id)
+from polydense.rng import (rand_bits, sample_index_rows, sample_indices, sample_sets_and_pairs,
+                           stream, stream_id)
 
 
 class TestWilson:
@@ -285,16 +285,18 @@ class TestSampleIndices:
 
 
 class _CountingStream:
-    """A stream that counts its integers calls: one per rejection batch, or
-    per rand_bits word."""
+    """A stream that counts its integers calls (one per rejection batch, or
+    per rand_bits word) and keeps the size each call asks for."""
 
     def __init__(self, rng):
         self.rng = rng
         self.calls = 0
+        self.sizes = []
 
-    def integers(self, *args, **kwargs):
+    def integers(self, *args, size=None, **kwargs):
         self.calls += 1
-        return self.rng.integers(*args, **kwargs)
+        self.sizes.append(size)
+        return self.rng.integers(*args, size=size, **kwargs)
 
 
 def _first_distinct_by_dict(rng, population, k):
@@ -309,48 +311,81 @@ def _first_distinct_by_dict(rng, population, k):
     return list(seen)
 
 
+def _sample_indices_by_definition(rng, population, k):
+    """sample_indices as its docstring defines it, written plainly: a
+    partial Fisher-Yates shuffle for k above population // 2, else the first
+    k distinct draws of rejection batches, of max(64, missing) int64 draws
+    or, above 2^63, of max(16, missing) rand_bits words kept when in range."""
+    if k > population // 2:
+        pool = list(range(population))
+        for i in range(k):
+            j = i + int(rng.integers(0, population - i))
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+    if population <= 1 << 63:
+        return _first_distinct_by_dict(rng, population, k)
+    nbits = (population - 1).bit_length()
+    seen = {}
+    while len(seen) < k:
+        for x in [rand_bits(rng, nbits) for _ in range(max(16, k - len(seen)))]:
+            if len(seen) == k:
+                break
+            if x < population:
+                seen[x] = None
+    return list(seen)
+
+
 class TestSampleIndexArray:
-    @pytest.mark.parametrize("pop, k, calls, dtype", [
-        (4094, 18, 1, np.int64),
-        (1 << 20, 64, 1, np.int64),
-        (200, 60, 2, np.int64),
-        (16384, 1684, 3, np.int64),
-        (200, 70, 2, np.int64),
-        (1 << 63, 100, 1, np.int64),
-        (100, 60, 60, np.int64),
-        ((1 << 64) + 7, 5, 2 * 16, object),  # one batch of 65-bit words
-        (3 << 63, 40, 2 * (40 + 16), object),  # two batches
+    """sample_indices on every branch, each pinned by its integers calls.
+    Above 64 int64 draws its dedup is the array one, _read_part, which the
+    row readers share; the oracle here is the plain definition above."""
+
+    @pytest.mark.parametrize("pop, k, calls", [
+        (4094, 18, 1),
+        (1 << 20, 64, 1),
+        (200, 60, 2),
+        (16384, 1684, 3),
+        (200, 70, 2),
+        (1 << 63, 100, 1),
+        ((1 << 40) + 3, 100, 1),
+        ((1 << 33) + 1, 70_000, 2),  # one batch wider than a refill: two calls
+        (100, 60, 60),
+        ((1 << 64) + 7, 5, 2 * 16),  # one batch of 65-bit words
+        (3 << 63, 40, 2 * (40 + 16)),  # two batches
     ], ids=["one-batch-of-64", "k-64", "dict-multi-round", "numpy-multi-round",
-            "numpy-uint8-keys", "numpy-uint64-keys", "fisher-yates", "rand-bits",
-            "rand-bits-wide-k"])
-    def test_same_draws_and_next_draw_as_sample_indices(self, pop, k, calls, dtype):
-        """Both samplers draw the same indices and leave the stream in the
-        same state, on every branch.  calls counts the integers calls: one
-        per batch of int64 draws, per Fisher-Yates step or per 64-bit word."""
+            "numpy-uint8-keys", "numpy-uint64-keys", "numpy-64-bit-draws",
+            "numpy-batch-past-a-refill", "fisher-yates", "rand-bits", "rand-bits-wide-k"])
+    def test_same_draws_and_next_draw_as_sample_indices(self, pop, k, calls):
+        """sample_indices draws what its definition draws and leaves the
+        stream in the same state, on every branch.  calls counts the
+        integers calls: one per batch of int64 draws, per Fisher-Yates step
+        or per 64-bit word, and a batch asks for at most _REFILL_WORDS
+        draws a call."""
         spy = _CountingStream(stream(20250809, "array", pop))
-        got = sample_index_array(spy, pop, k)
+        got = sample_indices(spy, pop, k)
         rng = stream(20250809, "array", pop)
-        want = sample_indices(rng, pop, k)
-        assert got.dtype == dtype and got.shape == (k,)
-        assert got.tolist() == want
+        assert got == _sample_indices_by_definition(rng, pop, k)
         assert spy.calls == calls
+        assert all(size is None or size <= rng_module._REFILL_WORDS for size in spy.sizes)
         assert int(spy.rng.integers(0, 1 << 62)) == int(rng.integers(0, 1 << 62))
 
     def test_empty_draw(self):
-        got = sample_index_array(stream(0, "z"), 10, 0)
-        assert got.dtype == np.int64 and got.shape == (0,)
+        spy = _CountingStream(stream(0, "z"))
+        assert sample_indices(spy, 10, 0) == []
+        assert spy.calls == 0
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(130, 70_000).flatmap(lambda pop: st.tuples(
         st.just(pop), st.integers(65, pop // 2), st.integers(0, 2 ** 32))))
     def test_numpy_dedup_keeps_the_first_distinct_draws(self, case):
-        """Above 64 draws the batches are deduplicated in numpy: the result
-        is still the first k distinct draws in draw order, and the stream
-        ends where an insertion-ordered dict leaves it."""
+        """Above 64 draws the batches are deduplicated by one sort of a span
+        of draws: the result is still the first k distinct draws in draw
+        order, and the stream ends where an insertion-ordered dict leaves
+        it."""
         pop, k, seed = case
         rng = stream(seed, "dedup")
         ref = stream(seed, "dedup")
-        assert sample_index_array(rng, pop, k).tolist() == _first_distinct_by_dict(ref, pop, k)
+        assert sample_indices(rng, pop, k) == _first_distinct_by_dict(ref, pop, k)
         assert int(rng.integers(0, 1 << 62)) == int(ref.integers(0, 1 << 62))
 
 
@@ -387,12 +422,14 @@ class TestSampleIndexRows:
     @example(((1 << 40) + 3, 20, 300, 5))  # 64-bit draws: windows of rows
     def test_rows_are_successive_sample_indices(self, case):
         """The rows are count successive sample_indices draws, and the stream
-        ends where those calls leave it."""
+        ends where those calls leave it.  Every case is on the rejection
+        path, so the calls are drawn by an insertion-ordered dict: the row
+        readers and sample_indices share _read_part above 64 draws."""
         pop, k, count, seed = case
         rng, ref = stream(seed, "rows"), stream(seed, "rows")
         rows = sample_index_rows(rng, pop, k, count)
         assert rows.dtype == np.int64 and rows.shape == (count, k)
-        assert rows.tolist() == [sample_indices(ref, pop, k) for _ in range(count)]
+        assert rows.tolist() == [_first_distinct_by_dict(ref, pop, k) for _ in range(count)]
         assert int(rng.integers(0, 1 << 62)) == int(ref.integers(0, 1 << 62))
 
     @pytest.mark.parametrize("pop, k, count, seed", [
@@ -409,7 +446,7 @@ class TestSampleIndexRows:
         ref = stream(seed, "short-rows")
         rows = sample_index_rows(spy, pop, k, count)
         assert spy.calls > 1
-        assert rows.tolist() == [sample_indices(ref, pop, k) for _ in range(count)]
+        assert rows.tolist() == [_first_distinct_by_dict(ref, pop, k) for _ in range(count)]
         assert int(spy.rng.integers(0, 1 << 62)) == int(ref.integers(0, 1 << 62))
 
     @pytest.mark.parametrize("pop, k, count, dtype", [
@@ -437,9 +474,10 @@ _WORD_RANGES = [2, 3, 64, 202, 1 << 14, (1 << 32) - 1, 1 << 32, (3 << 30) + 1, (
 
 
 def _per_sample_rows(rng, population, n, count):
-    """The rows of sample_sets_and_pairs as the per-sample calls draw them."""
-    return [(sample_index_array(rng, population, n).tolist(), sample_indices(rng, n, 2))
-            for _ in range(count)]
+    """The rows of sample_sets_and_pairs as the per-sample calls draw them,
+    each call drawn by the plain definition of sample_indices."""
+    return [(_sample_indices_by_definition(rng, population, n),
+             _sample_indices_by_definition(rng, n, 2)) for _ in range(count)]
 
 
 def _generated_rows(rng, population, n, count, chunk):
@@ -465,7 +503,7 @@ def _reader_rows(reader, rng, population, k, count, chunk):
 def _per_call_rows(reader, rng, population, k, count):
     """The rows of _reader_rows as the per-sample calls draw them."""
     if reader == "index":
-        return [sample_indices(rng, population, k) for _ in range(count)]
+        return [_sample_indices_by_definition(rng, population, k) for _ in range(count)]
     return _per_sample_rows(rng, population, k, count)
 
 
