@@ -29,6 +29,7 @@ __all__ = [
     "DELETION_RESTRICTION",
     "BRUTE_FORCE",
     "phi_project",
+    "half_cube_vector",
     "build_config_plus",
     "chamber_count",
     "chamber_count_bruteforce",
@@ -97,6 +98,12 @@ def phi_project(v: CubeVertex) -> tuple[Fraction, ...]:
     return out
 
 
+def half_cube_vector(r: int, i: int) -> tuple[Fraction, ...]:
+    """Vector i of build_config_plus(r), 0 <= i < 2**r - 1, built alone: the
+    image of the vertex of R^(r+1) with last coordinate +1 and low bits i."""
+    return phi_project(CubeVertex(r + 1, 1 << r | i))
+
+
 @lru_cache(maxsize=32)
 def build_config_plus(r: int) -> VectorConfig:
     """The projected half configuration: images of all vertices with last
@@ -106,8 +113,7 @@ def build_config_plus(r: int) -> VectorConfig:
     if r < 1:
         raise ValueError("r must be positive")
     BudgetExceeded.check((1 << r) - 1, CONFIG_PLUS_BUDGET, "vectors")
-    return VectorConfig(r=r, vectors=tuple(phi_project(CubeVertex(r + 1, 1 << r | low))
-                                           for low in range((1 << r) - 1)))
+    return VectorConfig(r=r, vectors=tuple(half_cube_vector(r, i) for i in range((1 << r) - 1)))
 
 
 def _primitive(v: Sequence) -> tuple[int, ...]:

@@ -26,9 +26,8 @@ import time
 from contextlib import nullcontext
 from typing import Iterator
 
-from .arrangements import (build_config_plus, chamber_count,
-                           chamber_count_bruteforce, harding_bound,
-                           moivre_cutoff, moivre_laplace_ratio, normal_cdf,
+from .arrangements import (chamber_count, chamber_count_bruteforce, half_cube_vector,
+                           harding_bound, moivre_cutoff, moivre_laplace_ratio, normal_cdf,
                            random_rational_config)
 from .errors import BudgetExceeded, PolydenseError
 from .estimators import (EXACT_BUDGET, PROV_EXHAUSTIVE, PROV_MONTE_CARLO, alpha_exact,
@@ -287,10 +286,10 @@ def cmd_chambers(ns: argparse.Namespace) -> Iterator[list[str]]:
     for i in range(ns.configs):
         rng = stream(seed, f"chambers:r={r}:m={m}:src={source}", i)
         if source == "halfcube":
-            cfg = build_config_plus(r)
-            if m > len(cfg):
-                raise ValueError(f"m={m} exceeds the {len(cfg)} half-cube vectors")
-            vecs = [cfg.vectors[j] for j in sample_indices(rng, len(cfg), m)]
+            size = (1 << r) - 1
+            if m > size:
+                raise ValueError(f"m={m} exceeds the {size} half-cube vectors")
+            vecs = [half_cube_vector(r, j) for j in sample_indices(rng, size, m)]
         else:
             vecs = random_rational_config(rng, r, m)
         cc = chamber_count(vecs)

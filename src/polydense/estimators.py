@@ -29,9 +29,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .arrangements import (build_config_plus, chamber_count, partial_binomial_sum,
-                           phi_project)
-from .cube import CubeVertex
+from .arrangements import (build_config_plus, chamber_count, half_cube_vector,
+                           partial_binomial_sum)
 from .errors import BudgetExceeded
 from .graph import (_SUBSETS_PER_PASS, _edge_count, count_pass_edges, long_edges_survive,
                     pass_rows)
@@ -260,16 +259,9 @@ def _alpha_block(args) -> int:
 def _alpha_chambers_block(args) -> tuple[int, int]:
     k, m, count, seed, block = args
     rng = stream(seed, f"alphachi:k={k}:m={m}", block)
-    top = 1 << (k - 1)
-    total = 0
-    totalsq = 0
-    for _ in range(count):
-        # vector i of build_config_plus(k - 1), built alone
-        idxs = sample_indices(rng, top - 1, m)
-        chi = chamber_count([phi_project(CubeVertex(k, top | i)) for i in idxs]).count
-        total += chi
-        totalsq += chi * chi
-    return total, totalsq
+    rows = sample_index_rows(rng, (1 << (k - 1)) - 1, m, count).tolist()
+    chis = [chamber_count([half_cube_vector(k - 1, i) for i in row]).count for row in rows]
+    return sum(chis), sum(chi * chi for chi in chis)
 
 
 def _pi_block(args) -> int:

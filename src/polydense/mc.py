@@ -4,7 +4,8 @@ All estimators follow the same contract: the sample budget is cut into
 fixed-size blocks, each block consumes its own derived RNG stream and
 returns an integer success count, and counts are merged by addition.  The
 result is therefore bit-identical no matter how blocks are scheduled over
-workers.
+workers.  Every process pool belongs to a worker_pool scope, which forks it
+at first use and closes it on exit; parallel_map opens one if none is open.
 """
 
 from __future__ import annotations
@@ -178,8 +179,9 @@ _scope: _Scope | None = None  # the open worker_pool scope, if any
 
 @contextmanager
 def worker_pool(workers: int) -> Iterator[None]:
-    """A scope in which every parallel_map call at this worker count, made
-    by the process that opened it, shares one fork pool.
+    """A scope in which every parallel_map call on more than one worker,
+    made by the process that opened it, shares one fork pool of ``workers``
+    processes.
 
     The pool is forked at the first such call, so it sees the parent as it
     was then, and it is closed and joined when the scope exits, or
@@ -210,8 +212,9 @@ def worker_pool(workers: int) -> Iterator[None]:
 
 def parallel_map(fn: Callable, tasks: Sequence, workers: int = 1) -> list:
     """Map fn over tasks, preserving order; uses a process pool if workers > 1:
-    the open worker_pool scope's pool when this process opened it at this
-    worker count, else a pool of its own.
+    the pool of the worker_pool scope this process opened, whatever its
+    worker count, else the pool of a scope opened for this call at
+    min(workers, len(tasks)) workers.
 
     ``fn`` must be a module-level function and each task picklable.  Because
     every task result is independent of scheduling, the output is identical
@@ -220,8 +223,5 @@ def parallel_map(fn: Callable, tasks: Sequence, workers: int = 1) -> list:
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    scope = _scope
-    if scope is not None and scope.pid == os.getpid() and scope.workers == workers:
-        return scope.get().map(fn, tasks, chunksize=1)
-    with _fork_pool(min(workers, len(tasks))) as pool:
-        return pool.map(fn, tasks, chunksize=1)
+    with worker_pool(min(workers, len(tasks))):
+        return _scope.get().map(fn, tasks, chunksize=1)

@@ -65,7 +65,7 @@ def rand_bits(rng: np.random.Generator, nbits: int) -> int:
     produced = 0
     while produced < nbits:
         take = min(_WORD, nbits - produced)
-        word = int(rng.integers(0, 1 << take if take < _WORD else 1 << 64, dtype=np.uint64))
+        word = int(rng.integers(0, 1 << take, dtype=np.uint64))
         out |= word << produced
         produced += take
     return out
@@ -122,9 +122,6 @@ def _first_distinct(batch: Callable[[int], np.ndarray | list[int]], k: int) -> l
             draws = draws.tolist()
         # slices of the number still missing: a small k stops after a few draws
         pos = 0
-        if not seen:
-            seen = dict.fromkeys(draws[:k])
-            pos = k
         while len(seen) < k and pos < len(draws):
             take = k - len(seen)
             seen.update(dict.fromkeys(draws[pos:pos + take]))

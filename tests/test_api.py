@@ -3,11 +3,15 @@
 ``__all__`` is read by star imports, and the benchmark's span recorder
 rebinds the functions in ``perfbench/spans.py``'s ``WRAP`` with a bare
 ``getattr``, so a deleted or renamed name there breaks every traced run.
+A traced run also reads ``graph._long_edge_survives_cached.cache_info()``.
 """
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,10 +19,11 @@ import pytest
 import polydense
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(polydense.__path__))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _load_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -39,3 +44,18 @@ def test_benchmark_wrap_names_exist():
                for attr in names
                if not hasattr(importlib.import_module(f"polydense.{namespace}"), attr)]
     assert not missing
+
+
+def test_a_traced_run_installs_every_wrap_and_reads_the_edge_cache():
+    """What a traced benchmark run does before and after the command, in a
+    fresh interpreter so that the wrappers stay out of this one."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    script = ("import spans; from polydense import graph; "
+              "spans.install(spans.Recorder()); "
+              "info = graph._long_edge_survives_cached.cache_info(); "
+              "print(info.hits, info.misses)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]

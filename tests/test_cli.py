@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -12,7 +13,9 @@ import pytest
 
 import polydense
 from polydense import mc
+from polydense.arrangements import build_config_plus, chamber_count
 from polydense.cli import load_config, main
+from polydense.rng import sample_indices, stream
 from polydense.verify import CRITERIA
 
 
@@ -273,6 +276,31 @@ class TestChambersCommand:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(text)))
         assert all(r["source"] == "halfcube" for r in rows)
+
+    def test_halfcube_rows_index_the_full_half_configuration(self):
+        """Each config's vectors, built alone from their indices, are the
+        vectors that indexing build_config_plus(r) by its draws gives."""
+        code, text = _run(["chambers", "--r", "4", "--m", "5", "--configs", "6",
+                           "--source", "halfcube", "--seed", "3"])
+        assert code == 0
+        vecs = build_config_plus(4).vectors
+        want = [chamber_count([vecs[j] for j in sample_indices(
+                    stream(3, "chambers:r=4:m=5:src=halfcube", i), len(vecs), 5)]).count
+                for i in range(6)]
+        assert [int(r["chambers"]) for r in csv.DictReader(io.StringIO(text))] == want
+
+    def test_halfcube_source_builds_only_the_sampled_vectors(self):
+        # 2^30 - 1 vectors would exceed build_config_plus's budget
+        tracemalloc.start()
+        try:
+            code, text = _run(["chambers", "--r", "30", "--m", "6", "--configs", "3",
+                               "--source", "halfcube", "--seed", "3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 5 << 20
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == 3 and all(r["bound_ok"] == "true" for r in rows)
 
     @pytest.mark.parametrize("value, brute", [("TRUE", True), ("No", False),
                                               ("0", False)])

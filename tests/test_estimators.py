@@ -320,7 +320,7 @@ class TestAlphaViaChambers:
             assert est.ci95 == bernoulli_estimate(5, 5, 1).ci95
             assert round(est.ci95[0], 4) == 0.5655
 
-    @pytest.mark.parametrize("k, m", [(2, 1), (3, 2), (5, 4), (6, 3), (8, 5)])
+    @pytest.mark.parametrize("k, m", [(2, 1), (3, 2), (4, 0), (5, 4), (6, 3), (8, 5)])
     def test_block_equals_indexing_the_full_half_configuration(self, k, m):
         """Each sampled vector, built alone from its index, is the vector
         that indexing build_config_plus(k - 1) gives."""

@@ -144,12 +144,12 @@ def _uses_the_scope(_):
 class TestWorkerPool:
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Every pool that parallel_map forks, in order."""
+        """Every pool that parallel_map forks, in order, as (processes, pool)."""
         made, fork = [], mc._fork_pool
 
         def counted(processes):
-            made.append(fork(processes))
-            return made[-1]
+            made.append((processes, fork(processes)))
+            return made[-1][1]
 
         monkeypatch.setattr(mc, "_fork_pool", counted)
         return made
@@ -188,6 +188,19 @@ class TestWorkerPool:
             parallel_map(_square, range(4), workers=2)
         parallel_map(_square, range(4), workers=2)
         assert len(pools) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_a_call_in_a_scope_uses_its_pool_at_any_worker_count(self, pools):
+        with worker_pool(2):
+            assert parallel_map(_square, range(5), workers=3) == [0, 1, 4, 9, 16]
+            assert parallel_map(_square, range(5), workers=2) == [0, 1, 4, 9, 16]
+        assert [processes for processes, _ in pools] == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_outside_a_scope_a_call_forks_no_more_processes_than_tasks(self, pools):
+        assert parallel_map(_square, [3, 4], workers=4) == [9, 16]
+        assert [processes for processes, _ in pools] == [2]
+        assert mc._scope is None
         assert multiprocessing.active_children() == []
 
 
