@@ -4,7 +4,23 @@ Edge oracles backed by exact rational feasibility, long-edge and edge
 probability estimators, chamber counts of central hyperplane arrangements,
 and seeded threshold experiments around the square-root-of-2 density
 transition.
+
+Importing polydense before numpy keeps OpenBLAS at one thread: the package
+sets OPENBLAS_NUM_THREADS=1 unless the variable is already set.  polydense
+makes no BLAS call (every verdict is exact, in Python ints and int64
+arrays), yet numpy's bundled OpenBLAS starts an idle worker thread when it
+loads, and that thread busy-waits through start-up, about 65 ms of CPU per
+command-line run.  Forked pool workers inherit the setting.  To run
+OpenBLAS threaded, set OPENBLAS_NUM_THREADS in the environment, or import
+numpy before polydense.
 """
+
+import os
+
+# First, before any module imports numpy: OpenBLAS reads this when it loads.
+# polydense makes no BLAS call, and OpenBLAS's idle worker thread would spin
+# through start-up; a value the caller has set stands.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .arrangements import (BRUTE_FORCE, DELETION_RESTRICTION, ChamberCount,
                            VectorConfig, build_config_plus, chamber_count,

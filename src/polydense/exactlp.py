@@ -22,8 +22,11 @@ Exactness does not rest on that bound, though: before each pivot, an
 instance holding an entry of magnitude 2**31 or more leaves the batch, and
 the scalar tableau finishes it in Python integers from the state it
 reached.  Below that limit a pivot's products piv·x − f·y and the ratio
-test's cross-products stay under 2**63, and the division by the previous
-pivot is exact, as in the scalar tableau.  With POLYDENSE_LP_CHECK set,
+test's cross-products stay under 2**63.  The division by the previous
+pivot is exact, as in the scalar tableau, so the batch divides without a
+hardware divide: it shifts out the pivot's trailing zero bits and
+multiplies by the inverse of its odd part modulo 2**64 (see _divexact),
+which gives the same quotients as //.  With POLYDENSE_LP_CHECK set,
 every batched verdict is compared with the checked origin_in_conv.
 
 Certificate conventions:
@@ -336,6 +339,24 @@ def origin_in_conv_batch(points) -> list[bool]:
     return out
 
 
+def _divexact(T: np.ndarray, den: np.ndarray) -> None:
+    """T[b] //= den[b] in place, for T[b] an exact multiple of den[b] > 0.
+
+    Jebelean's exact division (1993), as in GMP's mpz_divexact: shift out
+    den's trailing zero bits, then multiply by the inverse of its odd part
+    modulo 2**64.  Five Newton steps x *= 2 - odd·x lift that inverse from
+    the 3 bits odd·odd ≡ 1 (mod 8) gives to 96.  The product wraps modulo
+    2**64 to the quotient, which is exact when the quotient fits in int64.
+    """
+    shift = np.frexp((den & -den).astype(np.float64))[1] - 1
+    T >>= shift[:, None, None]
+    odd = (den >> shift).astype(np.uint64)
+    inv = odd.copy()
+    for _ in range(5):
+        inv *= 2 - odd * inv
+    T *= inv.view(np.int64)[:, None, None]
+
+
 def _phase_one_batch(pts: np.ndarray) -> list[bool]:
     """_Tableau.phase_one on every configuration of ``pts`` at once."""
     count, n, d = pts.shape
@@ -399,7 +420,7 @@ def _phase_one_batch(pts: np.ndarray) -> list[bool]:
         f = T[rows, :, enter]
         T *= piv[:, None, None]
         T -= f[:, :, None] * pivot_rows[:, None, :]
-        T //= den[:, None, None]
+        _divexact(T, den)
         T[rows, leave] = pivot_rows
         basis[rows, leave] = enter
         den = piv

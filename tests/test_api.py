@@ -4,6 +4,10 @@
 rebinds the functions in ``perfbench/spans.py``'s ``WRAP`` with a bare
 ``getattr``, so a deleted or renamed name there breaks every traced run.
 A traced run also reads ``graph._long_edge_survives_cached.cache_info()``.
+
+Importing the package also keeps OpenBLAS at one thread unless the caller
+has set ``OPENBLAS_NUM_THREADS``; every CLI process and pool worker relies
+on that default.
 """
 
 import importlib
@@ -59,3 +63,29 @@ def test_a_traced_run_installs_every_wrap_and_reads_the_edge_cache():
                           env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0"]
+
+
+def _fresh_import(script, **env):
+    """stdout of ``script`` run after ``import polydense.cli`` in a fresh
+    interpreter, whose environment lacks OPENBLAS_NUM_THREADS (this process
+    imported polydense, which set it) unless given in ``env``."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", "import polydense.cli, os; " + script],
+                          capture_output=True, text=True, env={**base, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_keeps_openblas_single_threaded():
+    assert _fresh_import("print(os.environ['OPENBLAS_NUM_THREADS'])") == "1"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+def test_import_starts_no_blas_thread():
+    assert _fresh_import("print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+def test_a_caller_set_openblas_thread_count_stands():
+    script = "print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_import(script, OPENBLAS_NUM_THREADS="2") == "2"

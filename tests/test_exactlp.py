@@ -399,6 +399,64 @@ def test_batch_agrees_with_scalar_on_degenerate_groups(points):
     assert origin_in_conv_batch(points) == _scalar_verdicts(points)
 
 
+@st.composite
+def _exact_multiples(draw):
+    """(T, den, Q) with T[b] = den[b]·Q[b] exactly and |T| < 2**63: den odd,
+    a power of two or any positive int64, entries of both signs, and
+    quotients up to the int64 limit (near ±2**62 when den is 1 or 2)."""
+    count = draw(st.integers(1, 4))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    dens, quotients = [], []
+    for _ in range(count):
+        kind = draw(st.sampled_from(["odd", "power of two", "any"]))
+        if kind == "odd":
+            den = 2 * draw(st.integers(0, 2**61)) + 1
+        elif kind == "power of two":
+            den = 1 << draw(st.integers(0, 62))
+        else:
+            den = draw(st.integers(1, 2**62))
+        limit = (2**63 - 1) // den
+        edge = min(limit, 2**62)
+        q = st.integers(-limit, limit) | st.sampled_from([edge, edge - 1, -edge, 1 - edge])
+        dens.append(den)
+        quotients.append(draw(st.lists(q, min_size=shape[0] * shape[1],
+                                       max_size=shape[0] * shape[1])))
+    Q = np.array(quotients, dtype=np.int64).reshape(count, *shape)
+    den = np.array(dens, dtype=np.int64)
+    return Q * den[:, None, None], den, Q
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_exact_multiples())
+def test_exact_division_is_floor_division_on_exact_multiples(case):
+    T, den, Q = case
+    want = T // den[:, None, None]
+    exactlp._divexact(T, den)
+    assert (want == Q).all()
+    assert (T == Q).all()
+
+
+def test_batch_divisions_match_floor_division_with_even_pivots(monkeypatch):
+    """Scaled points keep their verdicts and make even pivots; every exact
+    division of the batch's own tableaus gives the quotients of //."""
+    points = _diagonal_instances(8, 16, 40, 3)
+    want = _scalar_verdicts(points)
+    assert 0 < sum(want) < len(want)
+    even = []
+    real = exactlp._divexact
+
+    def recorded(T, den):
+        floor = T // den[:, None, None]
+        real(T, den)
+        assert (T == floor).all()
+        even.append(bool((den % 2 == 0).any()))
+
+    monkeypatch.setattr(exactlp, "_divexact", recorded)
+    for scale in (2, 3, 4, 12):
+        assert origin_in_conv_batch(scale * points) == want
+    assert any(even)
+
+
 def test_batch_of_empty_configurations():
     assert origin_in_conv_batch(np.zeros((3, 0, 2), dtype=np.int64)) == [False] * 3
     assert origin_in_conv_batch(np.zeros((0, 4, 2), dtype=np.int64)) == []
