@@ -24,16 +24,17 @@ import math
 import sys
 import time
 from contextlib import nullcontext
+from fractions import Fraction
 from typing import Iterator
 
 from .arrangements import (chamber_count, chamber_count_bruteforce, half_cube_vector,
                            harding_bound, moivre_cutoff, moivre_laplace_ratio, normal_cdf,
                            random_rational_config)
 from .errors import BudgetExceeded, PolydenseError
-from .estimators import (EXACT_BUDGET, PROV_EXHAUSTIVE, PROV_MONTE_CARLO, alpha_exact,
-                         alpha_mc, alpha_via_chambers, decompose_pi,
+from .estimators import (EXACT_BUDGET, PROV_CLOSED_FORM, PROV_EXHAUSTIVE, PROV_MONTE_CARLO,
+                         alpha_exact, alpha_mc, alpha_via_chambers, decompose_pi,
                          density_threshold_sweep, pi_mc, tau_cell, tau_threshold_sweep)
-from .mc import Estimate, default_workers, parse_workers, worker_pool
+from .mc import Estimate, default_workers, exact_estimate, parse_workers, worker_pool
 from .rng import sample_indices, stream
 
 __all__ = ["main"]
@@ -252,7 +253,9 @@ def cmd_alpha(ns: argparse.Namespace) -> Iterator[list[str]]:
                 try:
                     estv, how = alpha_exact(k, m, max_subsets=exact_budget), PROV_EXHAUSTIVE
                 except BudgetExceeded as exc:
-                    if ns.method == "exact":
+                    if m <= 1:  # as for tau: no single interior point blocks the diagonal
+                        estv, how = exact_estimate(Fraction(1)), PROV_CLOSED_FORM
+                    elif ns.method == "exact":
                         raise BudgetExceeded(
                             f"alpha({k},{m}) enumeration exceeds exact budget",
                             required=exc.required) from None
@@ -361,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_pi, samples=10_000)
 
     sub = add("chambers", "chamber counts of sampled arrangements")
-    sub.add_argument("--r", type=int, default=3)
-    sub.add_argument("--m", type=int, default=8)
+    sub.add_argument("--r", type=_positive, default=3)
+    sub.add_argument("--m", type=_positive, default=8)
     sub.add_argument("--configs", type=_nonnegative, default=100,
                      help="number of sampled configurations")
     sub.add_argument("--source", choices=["random", "halfcube"], default="random")
@@ -374,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_chambers)
 
     sub = add("moivre", "binomial tail ratios vs the normal limit")
-    sub.add_argument("--q", type=_parse_ints, default=[100, 400, 1600],
+    sub.add_argument("--q", type=_parse_positive_ints, default=[100, 400, 1600],
                      help="tail sizes, e.g. 100,400,1600")
     sub.add_argument("--mu", type=_parse_floats, default=[-0.5, 0.0, 0.5],
                      help="offsets, e.g. --mu=-0.5,0,0.5 (a leading minus "

@@ -34,13 +34,14 @@ from .arrangements import (build_config_plus, chamber_count, half_cube_vector,
 from .errors import BudgetExceeded
 from .graph import (_SUBSETS_PER_PASS, _edge_count, count_pass_edges, long_edges_survive,
                     pass_rows)
+from .mc import (Z95, Estimate, bernoulli_estimate, exact_estimate, normal_estimate,
+                 parallel_map, split_blocks, weighted_sum)
+from .rng import sample_index_rows, sample_indices, sample_sets_and_pairs, stream
 # Not called here: perfbench/spans.py wraps these names in estimators and
 # fails to install without them.
 from .cube import sample_vertex_bits  # noqa: F401
 from .graph import _long_edge_survives_cached, edge_kernel, long_edge_survives  # noqa: F401
-from .mc import (Z95, Estimate, bernoulli_estimate, exact_estimate, normal_estimate,
-                 parallel_map, split_blocks, weighted_sum)
-from .rng import rand_bits, sample_index_rows, sample_indices, sample_sets_and_pairs, stream
+from .rng import rand_bits  # noqa: F401
 
 __all__ = [
     "PROV_EXHAUSTIVE",
@@ -244,16 +245,10 @@ def _tau_block(args) -> int:
 def _alpha_block(args) -> int:
     k, m, count, seed, block = args
     rng = stream(seed, f"alpha:k={k}:m={m}", block)
-    base = 1 << (k - 1)
-    mask = (1 << k) - 1
-    classes = base - 1
-    draws = []
-    for _ in range(count):
-        idxs = sample_indices(rng, classes, m)
-        orient = rand_bits(rng, m) if m else 0
-        draws.append([(base + idx) ^ (mask if orient >> j & 1 else 0)
-                      for j, idx in enumerate(idxs)])
-    return sum(long_edges_survive(k, draws))
+    word = np.int64 if k < 64 else object  # at k = 64 base + row reaches 2^64 - 2
+    rows = sample_index_rows(rng, (1 << (k - 1)) - 1, m, count).astype(word)
+    flips = rng.integers(0, 2, size=(count, m)).astype(word)
+    return sum(long_edges_survive(k, [(rows + (1 << (k - 1))) ^ flips * ((1 << k) - 1)]))
 
 
 def _alpha_chambers_block(args) -> tuple[int, int]:

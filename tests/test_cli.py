@@ -222,6 +222,16 @@ class TestAlphaCommand:
         assert code == 0 and seen == [900_000]
         assert list(csv.DictReader(io.StringIO(text)))[0]["method"] == "exhaustive"
 
+    @pytest.mark.parametrize("method", ["auto", "exact"])
+    def test_one_class_over_the_budget_is_the_closed_form(self, method):
+        # alpha(k, 1) = 1, as tau(k, 1): over the budget it is not sampled
+        code, text = _run(["alpha", "--k", "70", "--m", "1", "--method", method])
+        assert code == 0
+        [row] = csv.DictReader(io.StringIO(text))
+        assert (row["method"], row["exact_value"], row["samples"]) == ("closed-form", "1", "0")
+        code, text = _run(["alpha", "--k", "3", "--m", "1", "--method", method])
+        assert [r["method"] for r in csv.DictReader(io.StringIO(text))] == ["exhaustive"]
+
     def test_exact_over_budget_is_an_error(self):
         # as for tau: --method exact never falls back to Monte Carlo
         assert "alpha(6,10) enumeration exceeds exact budget" in _error(
@@ -488,12 +498,17 @@ class TestConfigFile:
          "must be nonnegative, got '-0.1'"),
         (["tau", "--k", "4", "--samples", "10"], "ratio=-1",
          "must be nonnegative, got '-1'"),
+        (["chambers", "--configs", "1"], "r=0", "must be positive, got 0"),
+        (["chambers", "--configs", "1"], "m=0", "must be positive, got 0"),
+        (["moivre", "--mu", "0"], "q=0", "must be positive, got 0"),
+        (["moivre", "--mu", "0"], "q=100,-4", "must be positive, got -4"),
     ], ids=["pi-samples", "density-samples", "tau-samples", "tau-exact-budget",
             "alpha-exact-budget", "tau-k-zero", "tau-k-negative", "alpha-k-zero",
             "alpha-k-range", "pi-d-negative", "density-d-zero", "density-base-inf",
             "density-base-nan", "tau-ratio-inf", "tau-ratio-nan", "moivre-mu-inf",
             "density-base-negative", "density-base-zero", "tau-ratio-negative",
-            "tau-ratio-minus-one"])
+            "tau-ratio-minus-one", "chambers-r-zero", "chambers-m-zero", "moivre-q-zero",
+            "moivre-q-negative"])
     def test_bad_budget_names_its_flag(self, tmp_path, argv, line, message):
         cfg = tmp_path / "c.conf"
         cfg.write_text(line + "\n")

@@ -21,7 +21,7 @@ from polydense.estimators import (_alpha_block, _alpha_chambers_block, _pi_block
                                   _pik_block, _sample_star_subset, _tau_block)
 from polydense.graph import edge_kernel, long_edge_survives
 from polydense.mc import Z95, bernoulli_estimate, exact_estimate, wilson_interval
-from polydense.rng import rand_bits, sample_indices, stream
+from polydense.rng import sample_indices, stream
 
 SEED = 20250809
 
@@ -792,17 +792,21 @@ def _tau_block_one_by_one(k, m, count, seed, block):
                for _ in range(count))
 
 
-def _alpha_block_one_by_one(k, m, count, seed, block):
+def _alpha_faces_one_by_one(k, m, count, seed, block):
+    """The faces of an alpha(k, m) block: count sample_indices calls for the
+    classes, then a 0/1 orientation for each point of every row."""
     rng = stream(seed, f"alpha:k={k}:m={m}", block)
     base = 1 << (k - 1)
     mask = (1 << k) - 1
-    hits = 0
-    for _ in range(count):
-        idxs = sample_indices(rng, base - 1, m)
-        orient = rand_bits(rng, m) if m else 0
-        hits += long_edge_survives(k, [(base + idx) ^ (mask if orient >> j & 1 else 0)
-                                       for j, idx in enumerate(idxs)])
-    return hits
+    rows = [sample_indices(rng, base - 1, m) for _ in range(count)]
+    flips = rng.integers(0, 2, size=(count, m)).tolist()
+    return [[(base + idx) ^ (mask if flip else 0) for idx, flip in zip(row, flip_row)]
+            for row, flip_row in zip(rows, flips)]
+
+
+def _alpha_block_one_by_one(k, m, count, seed, block):
+    return sum(long_edge_survives(k, face)
+               for face in _alpha_faces_one_by_one(k, m, count, seed, block))
 
 
 def _pi_block_one_by_one(d, n, count, seed, block):
@@ -849,3 +853,59 @@ def test_blocks_count_the_hits_of_one_by_one_verdicts(seed, batched, one_by_one,
     else:
         assert 0 < hits < 300
     assert batched(args) == hits
+
+
+def _alpha_block_faces(monkeypatch, k, m, count, seed, block=0):
+    """The faces _alpha_block hands to long_edges_survive, and its hits."""
+    seen = []
+
+    def spy(k, subsets):
+        seen.extend(subsets)
+        return graph.long_edges_survive(k, subsets)
+
+    monkeypatch.setattr(estimators, "long_edges_survive", spy)
+    hits = _alpha_block((k, m, count, seed, block))
+    [faces] = seen
+    return faces, hits
+
+
+def test_alpha_faces_are_uniform_on_the_antipodal_free_outcomes(monkeypatch):
+    # alpha(4, 2): C(7, 2) class pairs times 4 orientations, 84 equally
+    # likely faces; 128.56 is the 0.999 quantile of chi-square with 83
+    # degrees of freedom
+    from collections import Counter
+
+    per_outcome = 100
+    faces, _ = _alpha_block_faces(monkeypatch, 4, 2, 84 * per_outcome, seed=11)
+    counts = Counter(frozenset(face) for face in faces.tolist())
+    assert len(counts) == 84
+    assert all(len({min(p, 15 ^ p) for p in face}) == 2 for face in counts)
+    chi2 = sum((c - per_outcome) ** 2 / per_outcome for c in counts.values())
+    assert chi2 < 128.56
+
+
+def test_alpha_mc_is_the_same_on_one_and_two_workers():
+    assert alpha_mc(5, 6, 1500, 7, workers=1) == alpha_mc(5, 6, 1500, 7, workers=2)
+
+
+@pytest.mark.parametrize("k", [63, 64, 65])
+def test_alpha_faces_at_the_int64_edge(monkeypatch, k):
+    # at k = 64 a class row is int64 but base + row reaches 2^64 - 2, beyond
+    # int64: from k = 64 the faces are Python ints, and an int64 build fails
+    mask = (1 << k) - 1
+    faces, hits = _alpha_block_faces(monkeypatch, k, 3, 40, seed=5)
+    assert faces.shape == (40, 3) and hits == 40
+    assert faces.tolist() == _alpha_faces_one_by_one(k, 3, 40, 5, 0)
+    assert any(p > (1 << 63) - 1 for face in faces.tolist() for p in face) == (k >= 64)
+    for face in faces.tolist():
+        assert all(0 < p < mask for p in face)
+        assert len({min(p, mask ^ p) for p in face}) == 3
+    monkeypatch.undo()
+    assert alpha_mc(k, 3, 20, 3).value == 1.0
+
+
+def test_alpha_rows_above_64_draws_match_the_reference_loop(monkeypatch):
+    # m = 70 > 64: each row of classes is read alone (rng._read_part)
+    faces, hits = _alpha_block_faces(monkeypatch, 9, 70, 40, seed=2)
+    assert faces.tolist() == _alpha_faces_one_by_one(9, 70, 40, 2, 0)
+    assert hits == _alpha_block_one_by_one(9, 70, 40, 2, 0)
