@@ -32,8 +32,9 @@ from .arrangements import (chamber_count, chamber_count_bruteforce, half_cube_ve
                            random_rational_config)
 from .errors import BudgetExceeded, PolydenseError
 from .estimators import (EXACT_BUDGET, PROV_CLOSED_FORM, PROV_EXHAUSTIVE, PROV_MONTE_CARLO,
-                         alpha_exact, alpha_mc, alpha_via_chambers, decompose_pi,
-                         density_threshold_sweep, pi_mc, tau_cell, tau_threshold_sweep)
+                         TauSweepRow, alpha_exact, alpha_mc, alpha_via_chambers,
+                         decompose_pi, density_threshold_sweep, pi_mc, tau_cell,
+                         tau_threshold_sweep)
 from .mc import Estimate, default_workers, exact_estimate, parse_workers, worker_pool
 from .rng import sample_indices, stream
 
@@ -214,26 +215,22 @@ def cmd_tau(ns: argparse.Namespace) -> Iterator[list[str]]:
                                           ("--exact-budget", ns.exact_budget))
                  if value is not None]
         if given:
-            raise ValueError("--ratio runs Monte Carlo at m = ceil(ratio * k) "
-                             f"and takes no {', '.join(given)}")
+            raise ValueError("--ratio settles each cell at m = ceil(ratio * k) as "
+                             f"--method mc does and takes no {', '.join(given)}")
+        rows = (tau_threshold_sweep([k], [ratio], samples=ns.samples, seed=ns.seed,
+                                    workers=ns.workers)[0]
+                for k in ns.k for ratio in ns.ratio)
     else:
         _check_default_m(ns)
-    exact_budget = EXACT_BUDGET if ns.exact_budget is None else ns.exact_budget
-    for k in ns.k:
-        if ns.ratio is not None:
-            for ratio in ns.ratio:
-                row = tau_threshold_sweep([k], [ratio], samples=ns.samples,
-                                          seed=ns.seed, workers=ns.workers)[0]
-                yield (["tau", str(k), "" if row.m is None else str(row.m), _fmt(ratio),
-                        PROV_MONTE_CARLO if row.estimate is not None else ""]
-                       + _est_fields(row.estimate) + [str(ns.seed), row.note])
-        else:
-            for m in ns.m or range((1 << k) - 1):
-                estv, prov = tau_cell(k, m, samples=ns.samples, seed=ns.seed,
-                                      exact_budget=exact_budget,
-                                      method=ns.method or "auto", workers=ns.workers)
-                yield (["tau", str(k), str(m), "", prov] + _est_fields(estv)
-                       + [str(ns.seed), ""])
+        exact_budget = EXACT_BUDGET if ns.exact_budget is None else ns.exact_budget
+        rows = (TauSweepRow(k, None, m, *tau_cell(k, m, samples=ns.samples, seed=ns.seed,
+                                                  exact_budget=exact_budget,
+                                                  method=ns.method or "auto",
+                                                  workers=ns.workers))
+                for k in ns.k for m in ns.m or range((1 << k) - 1))
+    for row in rows:
+        yield (["tau", str(row.k), "" if row.m is None else str(row.m), _fmt(row.ratio),
+                row.provenance] + _est_fields(row.estimate) + [str(ns.seed), row.note])
 
 
 def cmd_alpha(ns: argparse.Namespace) -> Iterator[list[str]]:
@@ -253,7 +250,7 @@ def cmd_alpha(ns: argparse.Namespace) -> Iterator[list[str]]:
                 try:
                     estv, how = alpha_exact(k, m, max_subsets=exact_budget), PROV_EXHAUSTIVE
                 except BudgetExceeded as exc:
-                    if m <= 1:  # as for tau: no single interior point blocks the diagonal
+                    if m <= 2:  # alpha(k, m) = 1: see PROV_CLOSED_FORM
                         estv, how = exact_estimate(Fraction(1)), PROV_CLOSED_FORM
                     elif ns.method == "exact":
                         raise BudgetExceeded(

@@ -83,8 +83,8 @@ PROV_VIA_ALPHA = "via-alpha"
 # m exceeds the number of antipodal classes: every subset contains an
 # antipodal pair, so the value is exactly 0 without enumeration
 PROV_STRUCTURAL_ZERO = "structural-zero"
-# m <= 1 over the budget: no interior point, and no single one, is on the
-# diagonal, so tau is exactly 1 (see graph._pass_verdicts)
+# tau at m <= 1, alpha at m <= 2, over the budget: no point, no single one and
+# no pair that is not antipodal meets the diagonal (see graph._pass_verdicts)
 PROV_CLOSED_FORM = "closed-form"
 # the enumeration size up to which tau_cell, and the CLI's alpha, enumerate
 # a cell instead of sampling it
@@ -393,17 +393,12 @@ def _tau_provenance(k: int, m: int, exact_budget: int, method: str) -> str:
     return PROV_VIA_ALPHA if method == "via-alpha" else PROV_MONTE_CARLO
 
 
-# the exact values of the cells settled without an edge test
-_SETTLED = {PROV_STRUCTURAL_ZERO: Fraction(0), PROV_CLOSED_FORM: Fraction(1)}
-
-
 def tau_cell(k: int, m: int, samples: int, seed: int,
              exact_budget: int = EXACT_BUDGET, method: str = "auto",
              workers: int = 1) -> tuple[Estimate, str]:
-    """One tau(k, m) value with its provenance (see _tau_provenance):
-    exhaustive when the subset count fits the budget, exactly 1 at m <= 1,
-    the structural zero when m exceeds the antipodal class count, Monte
-    Carlo (direct or through alpha) otherwise."""
+    """One tau(k, m) value with its provenance (see _tau_provenance), the one
+    map from a provenance to an estimate: enumerated, exactly 1 at m <= 1, the
+    structural zero above the antipodal class count, or sampled."""
     _check_tau_args(k, m)
     if method not in ("auto", "exact", "mc", "via-alpha"):
         raise ValueError(f"unknown method {method!r}")
@@ -414,7 +409,7 @@ def tau_cell(k: int, m: int, samples: int, seed: int,
         return tau_from_alpha(k, m, alpha_mc(k, m, samples, seed, workers=workers)), prov
     if prov == PROV_MONTE_CARLO:
         return tau_mc(k, m, samples, seed, workers=workers), prov
-    return exact_estimate(_SETTLED[prov]), prov
+    return exact_estimate(Fraction(1 if prov == PROV_CLOSED_FORM else 0)), prov
 
 
 def _tau_cell_task(args) -> list[tuple[Estimate, str]]:
@@ -425,7 +420,7 @@ def _tau_cell_task(args) -> list[tuple[Estimate, str]]:
     combinations, a sampled cell the blocks of tau_mc, drawn from its own
     streams.  The call reads them one pass at a time and batches faces of
     different m in one pass; its verdicts are split back into each cell's
-    hit count.
+    hit count.  Every other cell is tau_cell's.
     """
     k, top, samples, seed = args
     provs = [_tau_provenance(k, m, EXACT_BUDGET, "auto") for m in range(top + 1)]
@@ -440,15 +435,13 @@ def _tau_cell_task(args) -> list[tuple[Estimate, str]]:
         for m in tested)))
     cells = []
     for m, prov in enumerate(provs):
-        if m in tested:
-            hits = sum(islice(verdicts, tested[m]))
-            est = (exact_estimate(Fraction(hits, tested[m]), samples=tested[m])
-                   if prov == PROV_EXHAUSTIVE else bernoulli_estimate(hits, samples, seed))
-        elif prov == PROV_EXHAUSTIVE:  # the pigeonhole zero
-            est = tau_exact(k, m, max_subsets=EXACT_BUDGET)
-        else:
-            est = exact_estimate(_SETTLED[prov])
-        cells.append((est, prov))
+        if m not in tested:  # settled without an edge test
+            cells.append(tau_cell(k, m, samples, seed))
+            continue
+        hits = sum(islice(verdicts, tested[m]))
+        cells.append((exact_estimate(Fraction(hits, tested[m]), samples=tested[m])
+                      if prov == PROV_EXHAUSTIVE else bernoulli_estimate(hits, samples, seed),
+                      prov))
     return cells
 
 
@@ -501,9 +494,11 @@ def pi_k_semianalytic(d: int, n: int, tau: TauTable) -> Estimate:
     lo = max(0.0, value - Z95 * mix.stderr - half)
     hi = min(1.0, value + Z95 * mix.stderr + half)
     se = (hi - lo) / (2 * Z95)
-    if se == 0.0:
+    if se == 0.0 and mix.stderr == 0.0:
         return normal_estimate(value, 0.0, mix.samples)
-    return Estimate(value=value, stderr=se, ci95=(lo, hi), samples=mix.samples, seed=None)
+    # an interval that collapses in float keeps the mix's own stderr
+    return Estimate(value=value, stderr=se or mix.stderr, ci95=(lo, hi),
+                    samples=mix.samples, seed=None)
 
 
 def pi_from_pk(d: int, pik: Mapping[int, Estimate]) -> Estimate:
@@ -597,9 +592,10 @@ def monotonicity_check(d: int) -> MonotonicityReport:
 @dataclass(frozen=True)
 class TauSweepRow:
     k: int
-    ratio: float
+    ratio: float | None  # None for a cell given by its m
     m: int | None  # None when ratio * k is beyond the float range
     estimate: Estimate | None
+    provenance: str = ""  # empty when there is no estimate
     note: str = ""
 
 
@@ -614,7 +610,8 @@ class DensitySweepRow:
 
 def tau_threshold_sweep(k_list: Sequence[int], ratio_list: Sequence[float],
                         samples: int, seed: int, workers: int = 1) -> list[TauSweepRow]:
-    """tau estimates at m = ceil(ratio * k) for each pair from the grids."""
+    """tau_cell(k, ceil(ratio * k), method="mc") for each pair from the grids:
+    sampled, or the structural zero above the antipodal class count."""
     if not all(ratio >= 0 for ratio in ratio_list):
         raise ValueError(f"ratios must be nonnegative, got {list(ratio_list)}")
     rows = []
@@ -625,8 +622,8 @@ def tau_threshold_sweep(k_list: Sequence[int], ratio_list: Sequence[float],
                 rows.append(TauSweepRow(k=k, ratio=ratio, m=m, estimate=None,
                                         note="m exceeds 2^k - 2"))
                 continue
-            est = tau_mc(k, m, samples, seed, workers=workers)
-            rows.append(TauSweepRow(k=k, ratio=ratio, m=m, estimate=est))
+            est, prov = tau_cell(k, m, samples, seed, method="mc", workers=workers)
+            rows.append(TauSweepRow(k=k, ratio=ratio, m=m, estimate=est, provenance=prov))
     return rows
 
 

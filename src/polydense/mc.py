@@ -112,14 +112,15 @@ def exact_estimate(value: Fraction, samples: int = 0, seed: int | None = None) -
 
 
 def weighted_sum(weights: Sequence[Fraction], estimates: Sequence[Estimate]) -> Estimate:
-    """The sum of w·e over exact weights: exact when every estimate of nonzero
-    weight is, else the float sum with stderr by quadrature."""
+    """The sum of w·e over the exact weights of a probability mix: exact when
+    every estimate of nonzero weight is, else the float sum, clipped at 1
+    where rounding passes it, with stderr by quadrature."""
     samples = sum(e.samples for e in estimates)
     terms = [(w, e) for w, e in zip(weights, estimates, strict=True) if w]
     if all(e.exact for _, e in terms):
         return exact_estimate(sum((w * e.exact_value for w, e in terms), start=Fraction(0)),
                               samples=samples)
-    value = sum(float(w) * e.value for w, e in terms)
+    value = min(1.0, sum(float(w) * e.value for w, e in terms))
     stderr = math.sqrt(sum((float(w) * e.stderr) ** 2 for w, e in terms))
     return normal_estimate(value, stderr, samples)
 

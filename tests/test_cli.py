@@ -63,6 +63,14 @@ class TestTauCommand:
         assert [r["m"] for r in rows] == ["8", "15"]
         assert all(r["provenance"] == "monte-carlo" for r in rows)
 
+    def test_ratio_above_the_classes_is_the_structural_zero(self):
+        # m = ceil(1.5 * 3) = 5 exceeds the 3 antipodal classes of k = 3
+        code, text = _run(["tau", "--k", "3", "--ratio", "1.5", "--samples", "10"])
+        assert code == 0
+        row, = csv.DictReader(io.StringIO(text))
+        assert (row["m"], row["provenance"], row["exact_value"], row["samples"]) == (
+            "5", "structural-zero", "0", "0")
+
     @pytest.mark.parametrize("flag", [["--method", "exact"],
                                       ["--exact-budget", "1"], ["--m", "0"]],
                              ids=["method", "exact-budget", "m"])
@@ -224,13 +232,20 @@ class TestAlphaCommand:
 
     @pytest.mark.parametrize("method", ["auto", "exact"])
     def test_one_class_over_the_budget_is_the_closed_form(self, method):
-        # alpha(k, 1) = 1, as tau(k, 1): over the budget it is not sampled
-        code, text = _run(["alpha", "--k", "70", "--m", "1", "--method", method])
-        assert code == 0
-        [row] = csv.DictReader(io.StringIO(text))
-        assert (row["method"], row["exact_value"], row["samples"]) == ("closed-form", "1", "0")
-        code, text = _run(["alpha", "--k", "3", "--m", "1", "--method", method])
-        assert [r["method"] for r in csv.DictReader(io.StringIO(text))] == ["exhaustive"]
+        # alpha(k, 1) = 1, as tau(k, 1), and alpha(k, 2) = 1: two points that
+        # are not antipodal never meet the diagonal.  Over the budget neither
+        # is sampled
+        for k, m in (("70", "1"), ("20", "2")):
+            code, text = _run(["alpha", "--k", k, "--m", m, "--method", method])
+            assert code == 0
+            [row] = csv.DictReader(io.StringIO(text))
+            assert (row["method"], row["exact_value"], row["samples"]) == (
+                "closed-form", "1", "0"), (k, m)
+        for m in ("1", "2"):
+            code, text = _run(["alpha", "--k", "3", "--m", m, "--method", method])
+            assert [r["method"] for r in csv.DictReader(io.StringIO(text))] == ["exhaustive"]
+        assert "alpha(20,3) enumeration exceeds exact budget" in _error(
+            ["alpha", "--k", "20", "--m", "3", "--method", "exact"])
 
     def test_exact_over_budget_is_an_error(self):
         # as for tau: --method exact never falls back to Monte Carlo

@@ -449,12 +449,16 @@ def test_decomposition_maps_every_cell_at_once(monkeypatch):
 @pytest.mark.parametrize("k, provenances", [
     (5, {PROV_EXHAUSTIVE, PROV_MONTE_CARLO, PROV_STRUCTURAL_ZERO}),
     (6, {PROV_EXHAUSTIVE, PROV_MONTE_CARLO}),
+    (4, {PROV_EXHAUSTIVE}),
 ])
 def test_a_tau_column_is_its_cells(k, provenances, samples):
-    """The column task gives tau_cell's Estimate and provenance at every m,
-    with 600 samples spanning two blocks of each sampled cell."""
-    column = estimators._tau_cell_task((k, 30, samples, 11))
-    assert column == [tau_cell(k, m, samples, 11) for m in range(31)]
+    """The column task gives tau_cell's Estimate and provenance at every m up
+    to 30, or to the last at k = 4, with 600 samples spanning two blocks of
+    each sampled cell.  At k = 4 the cells m = 8..14 are pigeonhole zeros
+    inside the budget, which the column leaves to tau_cell."""
+    top = min(30, (1 << k) - 2)
+    column = estimators._tau_cell_task((k, top, samples, 11))
+    assert column == [tau_cell(k, m, samples, 11) for m in range(top + 1)]
     assert {prov for _, prov in column} == provenances
 
 
@@ -545,6 +549,14 @@ class TestDecomposePi:
         k = 14 and the closed form 1 above, so every pi_k is exact."""
         dec = decompose_pi(d, n, tau_samples=20, seed=3)
         assert all(map(_sampled_intervals_are_open, [dec.combined, *dec.pi_k.values()]))
+
+    def test_an_interval_that_collapses_in_float_keeps_its_stderr(self):
+        """At (100, 4) the sampled tau(k, 2) cells weigh about 2^(2(k - 100)):
+        every pi_k's interval collapses to its value in float, and it keeps
+        the mix's stderr instead of the Wilson interval of its sample count."""
+        dec = decompose_pi(100, 4, tau_samples=2, seed=3)
+        assert dec.combined.ci95 == (1.0, 1.0) and 0 < dec.combined.stderr < 1e-15
+        assert all(e.stderr > 0 for e in dec.pi_k.values() if not e.exact)
 
     @pytest.mark.parametrize("d", [64, 100])
     def test_three_points_never_obstruct(self, d):
@@ -737,6 +749,14 @@ class TestSweeps:
         assert [(r.k, r.m, r.estimate.value) for r in rows] == \
             [(r.k, r.m, r.estimate.value) for r in again]
         assert [r.m for r in rows] == [6, 8, 8, 10]
+
+    def test_tau_sweep_settles_each_cell_as_method_mc(self):
+        # m = 8 at k = 4 exceeds the 7 antipodal classes: the structural zero
+        row, = tau_threshold_sweep([4], [2.0], 50, 1)
+        assert (row.m, row.provenance, row.estimate.exact_value) == (
+            8, PROV_STRUCTURAL_ZERO, 0)
+        assert [(r.estimate, r.provenance) for r in tau_threshold_sweep([5], [1.5], 50, 1)] \
+            == [tau_cell(5, 8, 50, 1, method="mc")]
 
     def test_tau_sweep_skips_impossible_m(self):
         rows = tau_threshold_sweep([2], [3.0], samples=50, seed=1)
