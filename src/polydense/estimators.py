@@ -477,8 +477,9 @@ def pi_k_semianalytic(d: int, n: int, tau: TauTable) -> Estimate:
 
     If the table stops before the full support, the remaining tail lies in
     [0, tau(k, M) * leftover-weight] because tau is non-increasing in m; the
-    midpoint is reported and the bracket is folded into the interval; an
-    exact tau(k, M) = 0 closes the bracket.
+    midpoint is reported and the bracket is folded into the interval, its
+    upper end taken from the upper end of a sampled tau(k, M)'s interval;
+    an exact tau(k, M) = 0 closes the bracket.
     """
     k = tau.k
     if not tau.entries:
@@ -489,10 +490,14 @@ def pi_k_semianalytic(d: int, n: int, tau: TauTable) -> Estimate:
     mix = weighted_sum(weights, tau.entries[:use + 1])
     if mix.exact and (use == m_target or tau.entries[use].exact_value == 0):
         return mix
-    half = tau.entries[use].value * float(1 - sum(weights)) / 2
+    last, leftover = tau.entries[use], float(1 - sum(weights))
+    half = last.value * leftover / 2
     value = mix.value + half
+    # above the midpoint, the tail reaches to leftover * tau(k, M), or to
+    # leftover times the upper end of a sampled tau(k, M)'s interval
+    reach = half if last.exact else leftover * last.ci95[1] - half
     lo = max(0.0, value - Z95 * mix.stderr - half)
-    hi = min(1.0, value + Z95 * mix.stderr + half)
+    hi = min(1.0, value + Z95 * mix.stderr + reach)
     se = (hi - lo) / (2 * Z95)
     if se == 0.0 and mix.stderr == 0.0:
         return normal_estimate(value, 0.0, mix.samples)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle  # numpy has loaded it already
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,10 +156,171 @@ def default_workers() -> int:
     return parse_workers(env, "POLYDENSE_WORKERS") if env else 1
 
 
-def _fork_pool(processes: int):
-    import multiprocessing  # only a pool needs it
+def _fork_pool(processes: int) -> _ForkPool:
+    # numpy loads numpy.random at the first Generator: load it once, here,
+    # so that every worker inherits it instead of importing it itself
+    import numpy.random  # noqa: F401
 
-    return multiprocessing.get_context("fork").Pool(processes=processes)
+    return _ForkPool(processes)
+
+
+def _send(fd: int, data: bytes) -> None:
+    """Write one message, its length first, to the pipe end fd."""
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, size: int) -> bytes:
+    """Exactly size bytes from the pipe end fd; EOFError if its writer is gone."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
+
+
+def _receive(fd: int) -> bytes:
+    """One message written by _send."""
+    return _read(fd, int.from_bytes(_read(fd, 8), "little"))
+
+
+def _reply(fn: Callable, task) -> bytes:
+    """The pickled answer to one task: (True, result), or (False, exception),
+    the exception replaced by a RuntimeError carrying its repr if it does
+    not survive pickling."""
+    try:
+        return pickle.dumps((True, fn(task)))
+    except Exception as exc:
+        try:
+            data = pickle.dumps((False, exc))
+            pickle.loads(data)
+            return data
+        except Exception:
+            return pickle.dumps((False, RuntimeError(repr(exc))))
+
+
+class _ForkPool:
+    """``processes`` workers forked by os.fork, each reading one pickled
+    (fn, task) at a time from its task pipe and answering on its result pipe.
+
+    A worker closes every pipe end it does not own, so it reads EOF, or
+    fails to write its answer, as soon as the parent is gone, and it leaves
+    only through os._exit: it never returns into the parent's stack, runs
+    no atexit handler and flushes no inherited buffer.
+    """
+
+    def __init__(self, processes: int):
+        self.workers: list[tuple[int, int, int]] = []  # (pid, task fd, result fd)
+        self.pids: list[int] = []  # every worker not yet reaped
+        try:
+            for _ in range(processes):
+                self._fork()
+        except BaseException:
+            self.terminate()
+            self.join()
+            raise
+
+    def _fork(self) -> None:
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (task_r, task_w, result_r, result_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(task_w)
+                os.close(result_r)
+                for _, sibling_w, sibling_r in self.workers:
+                    os.close(sibling_w)
+                    os.close(sibling_r)
+                while True:
+                    try:
+                        fn, task = pickle.loads(_receive(task_r))
+                    except EOFError:
+                        break
+                    _send(result_w, _reply(fn, task))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(task_r)
+        os.close(result_w)
+        self.pids.append(pid)
+        self.workers.append((pid, task_w, result_r))
+
+    def map(self, fn: Callable, tasks: Sequence) -> list:
+        """fn over tasks, in task order, each task handed, in task order, to
+        whichever worker is idle.  If tasks raised, the exception of the
+        first of them in task order is raised, as one worker would raise it;
+        a worker that died raises RuntimeError naming its exit status and
+        ends the pool."""
+        import select  # only a pool needs it
+
+        if not self.workers:
+            raise ValueError("the pool is not running")
+        replies = [None] * len(tasks)
+        idle = list(self.workers)
+        busy = {}  # result fd -> (worker, task index)
+        start = 0
+        try:
+            while busy or start < len(tasks):
+                while idle and start < len(tasks):
+                    worker = idle.pop(0)
+                    try:
+                        _send(worker[1], pickle.dumps((fn, tasks[start])))
+                    except BrokenPipeError:
+                        raise self._lost(worker) from None
+                    busy[worker[2]] = (worker, start)
+                    start += 1
+                for fd in select.select(list(busy), [], [])[0]:
+                    worker, index = busy.pop(fd)
+                    try:
+                        replies[index] = pickle.loads(_receive(fd))
+                    except EOFError:
+                        raise self._lost(worker) from None
+                    idle.append(worker)
+        except BaseException:
+            self.terminate()
+            raise
+        for ok, value in replies:
+            if not ok:
+                raise value
+        return [value for _, value in replies]
+
+    def _lost(self, worker: tuple[int, int, int]) -> RuntimeError:
+        """The error for a worker whose pipe closed: it has exited, so reap it."""
+        pid = worker[0]
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        self.pids.remove(pid)
+        status = f"exit status {code}" if code >= 0 else f"signal {-code}"
+        return RuntimeError(f"pool worker {pid} died ({status})")
+
+    def close(self) -> None:
+        """Close the pipes: each worker reads EOF and exits."""
+        for _, task_w, result_r in self.workers:
+            os.close(task_w)
+            os.close(result_r)
+        self.workers = []
+
+    def terminate(self) -> None:
+        """Kill every worker not yet reaped."""
+        import signal
+
+        for pid in self.pids:
+            os.kill(pid, signal.SIGKILL)
+        self.close()
+
+    def join(self) -> None:
+        """Reap every worker."""
+        while self.pids:
+            os.waitpid(self.pids[-1], 0)
+            self.pids.pop()
 
 
 class _Scope:
@@ -225,4 +387,4 @@ def parallel_map(fn: Callable, tasks: Sequence, workers: int = 1) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with worker_pool(min(workers, len(tasks))):
-        return _scope.get().map(fn, tasks, chunksize=1)
+        return _scope.get().map(fn, tasks)

@@ -1,6 +1,5 @@
 import csv
 import io
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -605,27 +604,27 @@ class TestOnePoolPerCommand:
         monkeypatch.setattr(mc, "_fork_pool", counted)
         return made
 
-    def test_both_methods_share_one_pool(self, pools):
+    def test_both_methods_share_one_pool(self, pools, no_child_left):
         """pi --method both maps pi_mc's blocks and the tau columns on one
         pool, and prints what one worker prints."""
         args = ["pi", "--d", "6", "--n", "16", "--samples", "1000",
                 "--tau-samples", "20", "--seed", "4"]
         code, two = _run(args + ["--workers", "2"])
         assert code == 0 and len(pools) == 1
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
         code, one = _run(args + ["--workers", "1"])
         assert code == 0 and len(pools) == 1
         assert _strip_wall_time(two) == _strip_wall_time(one)
 
-    def test_an_error_after_the_pool_started_leaves_no_process(self, pools):
+    def test_an_error_after_the_pool_started_leaves_no_process(self, pools, no_child_left):
         # tau(8, 10) maps two blocks on the pool, then tau(3, 10) is invalid
         err = _error(["tau", "--k", "8,3", "--m", "10", "--samples", "1000",
                       "--workers", "2"])
         assert "m must lie in 0..2^3-2, got 10" in err
         assert len(pools) == 1 and mc._scope is None
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
-    def test_verify_runs_nested_commands_on_the_outer_pool(self, pools):
+    def test_verify_runs_nested_commands_on_the_outer_pool(self, pools, no_child_left):
         """Criterion 12 calls cli.main at workers 1, 2 and 1 inside the
         command's scope: the nested calls at 2 workers use its pool."""
         byte_check = next(c for c in CRITERIA if c.number == 12)
@@ -633,7 +632,7 @@ class TestOnePoolPerCommand:
             ok, detail = byte_check.check(2, 7, **byte_check.verify)
         assert ok, detail
         assert len(pools) == 1
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_importing_the_cli_loads_no_pool_or_verify_module(self):
         src = str(Path(polydense.__file__).resolve().parents[1])
@@ -644,6 +643,18 @@ class TestOnePoolPerCommand:
              "('multiprocessing', 'polydense.verify') if m in sys.modules))"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+    def test_a_command_on_two_workers_loads_no_multiprocessing(self):
+        src = str(Path(polydense.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, polydense.cli; code = polydense.cli.main("
+             "['pi', '--d', '6', '--n', '16', '--method', 'both', '--samples', '1000', "
+             "'--tau-samples', '20', '--workers', '2']); "
+             "print(code, 'multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("argv", [["moivre", "--seed", "5"],

@@ -530,6 +530,16 @@ class TestPiKSemianalytic:
         assert semi.ci95[0] - 1e-12 <= exact.value <= semi.ci95[1] + 1e-12
         assert not semi.exact
 
+    def test_a_sampled_zero_at_the_cut_does_not_close_the_bracket(self):
+        """At (12, 281) all of pi_12's xi weight lies beyond the cut at
+        m = 72, where tau(12, 72) reads 0 from 30 samples: the tail reaches
+        to its interval's upper end, not to its point value 0."""
+        dec = decompose_pi(12, 281, tau_samples=30, seed=1)
+        last = build_tau_table(12, 72, samples=30, seed=1).entries[72]
+        leftover = float(1 - sum(xi_exact(12, 281, 12, m) for m in range(73)))
+        assert last.value == 0 and not last.exact and leftover == 1.0
+        assert dec.pi_k[12].ci95[1] >= leftover * last.ci95[1] > 0.1
+
 
 def _sampled_intervals_are_open(est):
     return est.exact or (est.stderr > 0 and est.ci95[0] < est.ci95[1])

@@ -1,8 +1,13 @@
 import hashlib
 import math
-import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polydense
 from polydense import mc, rng as rng_module
 from polydense.mc import (BLOCK_SAMPLES, Z95, Estimate, bernoulli_estimate,
                           exact_estimate, normal_estimate, parallel_map, split_blocks,
@@ -154,7 +160,7 @@ class TestWorkerPool:
         monkeypatch.setattr(mc, "_fork_pool", counted)
         return made
 
-    def test_calls_in_a_scope_share_one_pool(self, pools):
+    def test_calls_in_a_scope_share_one_pool(self, pools, no_child_left):
         with worker_pool(2):
             assert pools == []  # forked at the first parallel call
             assert parallel_map(_square, range(5), workers=2) == [0, 1, 4, 9, 16]
@@ -166,42 +172,139 @@ class TestWorkerPool:
             assert parallel_map(_square, range(3), workers=1) == [0, 1, 4]
             assert len(pools) == 1
         assert mc._scope is None
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
-    def test_no_pool_outlives_its_scope(self, pools):
+    def test_no_pool_outlives_its_scope(self, pools, no_child_left):
         for _ in range(2):
             with worker_pool(2):
                 parallel_map(_square, range(4), workers=2)
-            assert multiprocessing.active_children() == []
+            assert no_child_left()
         assert len(pools) == 2
 
-    def test_an_error_in_the_scope_still_joins_the_pool(self, pools):
+    def test_an_error_in_the_scope_still_joins_the_pool(self, pools, no_child_left):
         with pytest.raises(ZeroDivisionError):
             with worker_pool(2):
                 parallel_map(_square, range(4), workers=2)
                 1 / 0
         assert len(pools) == 1 and mc._scope is None
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
-    def test_outside_a_scope_each_call_has_its_own_pool(self, pools):
+    def test_outside_a_scope_each_call_has_its_own_pool(self, pools, no_child_left):
         with worker_pool(1):  # one worker opens no scope
             parallel_map(_square, range(4), workers=2)
         parallel_map(_square, range(4), workers=2)
         assert len(pools) == 2
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
-    def test_a_call_in_a_scope_uses_its_pool_at_any_worker_count(self, pools):
+    def test_a_call_in_a_scope_uses_its_pool_at_any_worker_count(self, pools, no_child_left):
         with worker_pool(2):
             assert parallel_map(_square, range(5), workers=3) == [0, 1, 4, 9, 16]
             assert parallel_map(_square, range(5), workers=2) == [0, 1, 4, 9, 16]
         assert [processes for processes, _ in pools] == [2]
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
-    def test_outside_a_scope_a_call_forks_no_more_processes_than_tasks(self, pools):
+    def test_outside_a_scope_a_call_forks_no_more_processes_than_tasks(self, pools, no_child_left):
         assert parallel_map(_square, [3, 4], workers=4) == [9, 16]
         assert [processes for processes, _ in pools] == [2]
         assert mc._scope is None
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
+
+
+def _reject_from_three(x):
+    if x >= 3:
+        raise ValueError(f"task {x} rejected")
+    return x
+
+
+class _TwoArgumentError(Exception):
+    """An exception that pickles but does not unpickle: its one arg is a
+    message, its constructor takes two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _raise_unpicklable(x):
+    raise _TwoArgumentError(x, "more")
+
+
+def _python(script: str, **kwargs):
+    """Start a Python process running script with this polydense on its path."""
+    src = str(Path(polydense.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-c", script], env=env, **kwargs)
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a live process; a zombie has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestForkPool:
+    @pytest.mark.parametrize("scoped", [False, True])
+    def test_a_task_error_is_raised_with_its_type_and_message(self, scoped, no_child_left):
+        with worker_pool(2 if scoped else 1):
+            # the first task in task order that raised, as on one worker
+            with pytest.raises(ValueError, match="^task 3 rejected$"):
+                parallel_map(_reject_from_three, range(6), workers=2)
+            # the pool that raised it still maps
+            assert parallel_map(_reject_from_three, [1, 2], workers=2) == [1, 2]
+        assert no_child_left()
+
+    def test_an_exception_that_does_not_unpickle_becomes_a_runtime_error(self, no_child_left):
+        with pytest.raises(RuntimeError, match=r"_TwoArgumentError\('0 and more'\)"):
+            parallel_map(_raise_unpicklable, range(2), workers=2)
+        assert no_child_left()
+
+    def test_a_worker_that_exits_makes_the_map_raise(self):
+        script = ("import os\n"
+                  "from polydense.mc import parallel_map\n"
+                  "def task(x):\n"
+                  "    if x == 1:\n"
+                  "        os._exit(3)\n"
+                  "    return x\n"
+                  "parallel_map(task, range(4), workers=2)\n")
+        proc = _python(script, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1
+        assert "RuntimeError: pool worker" in err and "(exit status 3)" in err
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_a_parent_killed_in_the_middle_of_a_map_leaves_no_live_worker(self):
+        script = ("import os, time\n"
+                  "from polydense.mc import parallel_map\n"
+                  "def task(x):\n"
+                  "    os.write(1, b'%d\\n' % os.getpid())  # one atomic line\n"
+                  "    time.sleep(0.05)\n"
+                  "    return x\n"
+                  "parallel_map(task, range(10_000), workers=2)\n")
+        proc = _python(script, stdout=subprocess.PIPE, bufsize=0)
+        try:
+            workers, deadline = set(), time.monotonic() + 60
+            while len(workers) < 2:
+                ready, _, _ = select.select([proc.stdout], [], [],
+                                            max(0.0, deadline - time.monotonic()))
+                line = proc.stdout.readline() if ready else b""
+                assert line, "the workers stopped answering"
+                workers.add(int(line))
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=5)
+            deadline = time.monotonic() + 5
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
 
 
 class TestStreams:
