@@ -11,9 +11,9 @@ set at import, every pivot division and every origin_in_conv certificate
 (so every verdict of the functions below) is verified exactly; a failure
 raises ArithmeticError.
 
-origin_in_conv_batch gives the verdicts of many same-shape integer
-instances at once, pivoting all their tableaus together in a numpy int64
-array by the same rules.  Fixed-width integers are exact here because
+origin_in_conv_batch gives the verdicts of many integer instances, padded
+to one shape, at once, pivoting their tableaus together in numpy int64
+arrays by the same rules.  Fixed-width integers are exact here because
 every stored entry of a fraction-free tableau is a minor of the initial
 integer tableau (Bareiss, 1968), so entries stay small on the edge test's
 projected {-1, 0, 1} input (up to 11 bits at k = 12 and 17 bits at k = 16
@@ -318,7 +318,10 @@ def origin_in_conv_batch(points) -> list[bool]:
     solver's pivots to its exact verdict; an instance that holds an entry of
     magnitude 2**31 or more before a pivot is finished from there by the
     scalar tableau (see the module docstring), which also solves a batch of
-    one whole.  No certificates are returned.
+    one whole.  A batch of instances padded to one shape, by repeating an
+    instance's first point and by zero coordinates, is solved in steps of
+    instances of like shape, each step cut to the points and coordinates
+    its instances use.  No certificates are returned.
     """
     pts = np.asarray(points)
     if pts.ndim != 3 or not np.issubdtype(pts.dtype, np.integer):
@@ -328,10 +331,33 @@ def origin_in_conv_batch(points) -> list[bool]:
         return [False] * count
     if count == 1:
         return [origin_in_conv(pts[0].tolist(), d).feasible]
-    step = max(1, _BATCH_BYTES // (8 * (d + 2) * (n + d + 2)))
-    out: list[bool] = []
-    for start in range(0, count, step):
-        out.extend(_phase_one_batch(pts[start:start + step]))
+    # What each instance uses: its points up to the last that differs from
+    # its first, and its coordinates up to the last nonzero one.  The rest
+    # change no pivot: a repeat of the first point has that point's reduced
+    # cost, so it never enters ahead of it, and a zero coordinate row has a
+    # zero in every column that can enter, so it never leaves.  Solves of
+    # about _BATCH_BYTES each take the instances ordered by what they use,
+    # each solve cut to the widest instance it holds.
+    used_n, used_d = np.full(count, n), np.full(count, d)
+    order = np.arange(count)
+    if d and not ((pts[:, -1] != pts[:, 0]).any(axis=1).all() and pts[:, :, -1].any(axis=1).all()):
+        moved = (pts != pts[:, :1]).any(axis=2)
+        used_n = np.where(moved.any(axis=1), n - moved[:, ::-1].argmax(axis=1), 1)
+        nonzero = pts.any(axis=1)
+        used_d = np.where(nonzero.any(axis=1), d - nonzero[:, ::-1].argmax(axis=1), 1)
+        order = np.lexsort((used_d, used_n))
+    verdicts = np.empty(count, dtype=bool)
+    start = 0
+    while start < count:
+        rest = order[start:]
+        wn = np.maximum.accumulate(used_n[rest])
+        wd = np.maximum.accumulate(used_d[rest])
+        sizes = np.arange(1, len(rest) + 1) * 8 * (wd + 2) * (wn + wd + 2)
+        step = max(1, int(np.count_nonzero(sizes <= _BATCH_BYTES)))
+        take = rest[:step]
+        verdicts[take] = _phase_one_batch(pts[take, :wn[step - 1], :wd[step - 1]])
+        start += step
+    out = verdicts.tolist()
     if _CHECK:
         for S, verdict in zip(pts, out):
             if origin_in_conv(S.tolist(), d).feasible != verdict:
@@ -381,11 +407,12 @@ def _phase_one_batch(pts: np.ndarray) -> list[bool]:
         iters += 1
         if iters > _ITERATION_CAP:
             raise RuntimeError("simplex iteration cap exceeded")
-        obj = T[:, m]
-        enter = obj[:, :ncols].argmin(axis=1)
-        feasible = obj[:, ncols] == 0
-        finished = feasible | (obj[np.arange(len(ids)), enter] >= 0)
-        large = ~finished & (np.abs(T).max(axis=(1, 2)) >= _INT64_SAFE)
+        enter = T[:, m, :ncols].argmin(axis=1)
+        feasible = T[:, m, ncols] == 0
+        finished = feasible | (T[np.arange(len(ids)), m, enter] >= 0)
+        # no view or |T| is kept: either would hold a tableau's size more
+        large = ~finished & ((T.max(axis=(1, 2)) >= _INT64_SAFE)
+                             | (T.min(axis=(1, 2)) <= -_INT64_SAFE))
         for i in ids[feasible].tolist():
             verdicts[i] = True
         for j in np.flatnonzero(large).tolist():

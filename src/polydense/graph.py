@@ -27,7 +27,10 @@ count_pass_edges is the one loop
 from passes of (point set, pair) rows to an edge count: the exact densities
 here and in estimators.pi_exact stream their rows through _edge_count, which
 cuts them into passes, and the Monte-Carlo pi block hands it the passes it
-draws.
+draws.  It files faces of every pair distance and, at each flush, solves the
+LP faces of all distances as one batch: a projected face padded with zero
+coordinates keeps its verdict, since a 0 = 0 row leaves hull membership
+unchanged.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from .cube import CubeVertex, VertexSet
 from .errors import BudgetExceeded, DegenerateInput
-from .exactlp import origin_in_conv_batch
+from .exactlp import _CHECK, origin_in_conv, origin_in_conv_batch
 # Not called here: perfbench/spans.py wraps graph.segment_hull_intersect by
 # name and fails to install without it.
 from .exactlp import segment_hull_intersect  # noqa: F401
@@ -145,20 +148,23 @@ def _passes(k: int, subsets: Iterable) -> Iterator[np.ndarray]:
         yield assemble()
 
 
-def _pass_verdicts(k: int, faces: np.ndarray) -> list[bool]:
-    """long_edge_survives for each row of a pass (see _passes).
+def _screen(k: int, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The verdicts of a pass (see _passes) that need no LP: a bool array
+    a row, True for the rows left to the LP, with those rows' indices and
+    their faces projected (see the module docstring), an int8 array shaped
+    (rows, width, k - 1) when there are such rows.
 
-    The screen needs no LP: a point that is not interior raises ValueError,
-    a face holding an antipodal pair fails, and a face of two points or
-    fewer otherwise survives.  One interior point is never on the diagonal.
-    If a point of the segment between interior points p and q were, a
-    coordinate where p and q agree would put it at an end of the diagonal, a
-    cube vertex, which only p or q itself could be; with no such coordinate,
-    q = -p, the antipodal pair.  The other faces are projected (see the
-    module docstring) and solved as one exact batch by origin_in_conv_batch.
+    A point that is not interior raises ValueError, a face holding an
+    antipodal pair fails, and a face of two points or fewer otherwise
+    survives.  One interior point is never on the diagonal.  If a point of
+    the segment between interior points p and q were, a coordinate where p
+    and q agree would put it at an end of the diagonal, a cube vertex,
+    which only p or q itself could be; with no such coordinate, q = -p, the
+    antipodal pair.
     """
     if faces.shape[1] == 0:
-        return [True] * len(faces)
+        return (np.ones(len(faces), dtype=bool), np.empty(0, dtype=np.intp),
+                np.empty((0, 0, 0), dtype=np.int8))
     mask = (1 << k) - 1
     outside = (faces <= 0) | (faces >= mask)
     if outside.any():
@@ -171,11 +177,62 @@ def _pass_verdicts(k: int, faces: np.ndarray) -> list[bool]:
     classes = 1 + np.count_nonzero(cls[:, 1:] != cls[:, :-1], axis=1)
     verdict = classes == distinct
     lp = np.flatnonzero(verdict & (distinct > 2))
+    words = pts[lp][:, :, None]
+    projected = ((words >> np.arange(1, k) & 1) - (words & 1)).astype(np.int8)
+    return verdict, lp, projected
+
+
+def _pass_verdicts(k: int, faces: np.ndarray) -> list[bool]:
+    """long_edge_survives for each row of a pass (see _passes): the rows
+    the screen leaves (_screen) are solved as one exact batch by
+    origin_in_conv_batch."""
+    verdict, lp, projected = _screen(k, faces)
     if len(lp):
-        words = pts[lp][:, :, None]
-        projected = ((words >> np.arange(1, k) & 1) - (words & 1)).astype(np.int8)
         verdict[lp] = np.logical_not(origin_in_conv_batch(projected))
     return verdict.tolist()
+
+
+def _merged(projected: list[np.ndarray]) -> np.ndarray:
+    """Batches of projected faces, of any point counts and dimensions, as
+    one int8 array shaped (faces, widest, highest): a face gets zero
+    coordinates up to the highest dimension, since a 0 = 0 row leaves hull
+    membership unchanged, and repeats its first point up to the widest, as
+    _passes pads."""
+    width = max(p.shape[1] for p in projected)
+    dim = max(p.shape[2] for p in projected)
+    out = np.zeros((sum(map(len, projected)), width, dim), dtype=np.int8)
+    at = 0
+    for p in projected:
+        block = out[at:at + len(p)]
+        block[:, :p.shape[1], :p.shape[2]] = p
+        block[:, p.shape[1]:, :p.shape[2]] = p[:, :1]
+        at += len(p)
+    return out
+
+
+def _flush_verdicts(faces_by_k: dict[int, list]) -> dict[int, list[bool]]:
+    """long_edges_survive(k, faces) for each distance k of ``faces_by_k``,
+    with every LP face of them all solved in one origin_in_conv_batch
+    call: each distance is read in passes (_passes) and screened (_screen),
+    and the faces left are merged (_merged).  With POLYDENSE_LP_CHECK set,
+    each merged verdict is checked against the checked scalar solve of its
+    face unpadded."""
+    screened = [(k, *_screen(k, faces)) for k, subsets in faces_by_k.items()
+                for faces in _passes(k, subsets)]
+    projected = [p for _, _, lp, p in screened if len(lp)]
+    if projected:
+        inside = origin_in_conv_batch(_merged(projected))
+        if _CHECK and inside != [origin_in_conv(S).feasible for p in projected
+                                 for S in p.tolist()]:
+            raise ArithmeticError("a padded face's LP verdict differs from the face's own")
+        at = 0
+        for _, verdict, lp, _ in screened:
+            verdict[lp] = np.logical_not(inside[at:at + len(lp)])
+            at += len(lp)
+    out: dict[int, list[bool]] = {k: [] for k in faces_by_k}
+    for k, verdict, _, _ in screened:
+        out[k] += verdict.tolist()
+    return out
 
 
 def long_edges_survive(k: int, subsets: Iterable) -> list[bool]:
@@ -275,8 +332,9 @@ def count_pass_edges(d: int, passes: Iterable[tuple[Sequence, Sequence]]) -> int
 
     The faces are filed by pair distance; whenever the filed faces reach
     _ENTRIES_PER_PASS entries (one per face, plus its points), and once
-    after the last pass, they are decided with one long_edges_survive call
-    per distance.
+    after the last pass, they are flushed: each distance is screened as
+    long_edges_survive screens it, and the LP faces of every distance are
+    solved in one origin_in_conv_batch call (_flush_verdicts).
     """
     edges = filed = 0
     by_k: dict[int, list[list[int]]] = {}
@@ -285,9 +343,9 @@ def count_pass_edges(d: int, passes: Iterable[tuple[Sequence, Sequence]]) -> int
             by_k.setdefault(k, []).append(face)
             filed += 1 + len(face)
         if filed >= _ENTRIES_PER_PASS:
-            edges += sum(sum(long_edges_survive(k, faces)) for k, faces in by_k.items())
+            edges += sum(map(sum, _flush_verdicts(by_k).values()))
             filed, by_k = 0, {}
-    return edges + sum(sum(long_edges_survive(k, faces)) for k, faces in by_k.items())
+    return edges + sum(map(sum, _flush_verdicts(by_k).values()))
 
 
 def _edge_count(d: int, point_sets: Iterable[Sequence[int]], n: int) -> int:

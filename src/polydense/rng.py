@@ -13,8 +13,13 @@ Each regime of the rejection path has one dedup for a call read alone,
 shared by the per-call draws and both readers: an insertion-ordered dict
 for k <= 64 (_first_distinct) and one stable sort of a span of draws above
 it (_read_part).  One reader, _fill_rows, fills both kinds of row from a
-buffer that is never read past a word the calls would read.  The buffer
-rests on two facts of numpy 2.4.6, each guarded by a test:
+buffer that is never read past a word the calls would read, a window of
+rows at a time: rows whose parts all have k <= 64 are decided together
+(_short_window), and a row with a part of k > 64 walks that part through
+a window of words taken in one peek, whose short parts, such as the pair
+of a sets row, are then decided together (_long_window).  A window ends
+at its first irregular row, which is read alone.  The buffer rests on two
+facts of numpy 2.4.6, each guarded by a test:
 
 - Generator.integers calls over one range compose: split at any points,
   they draw what one call draws and leave the stream in the same state.  So
@@ -157,8 +162,14 @@ class _Words:
         if short > 0:
             want = max(short, min(self.pos + self.floor - len(self.buf), _REFILL_WORDS))
             more = [self._more(min(_REFILL_WORDS, want - at)) for at in range(0, want, _REFILL_WORDS)]
-            self.buf, self.pos = np.concatenate([self.buf[self.pos:], *more]), 0
+            if self.pos < len(self.buf):
+                more.insert(0, self.buf[self.pos:])
+            self.buf, self.pos = more[0] if len(more) == 1 else np.concatenate(more), 0
         return self.buf[self.pos:self.pos + size]
+
+    def unread(self) -> int:
+        """The words read ahead and not yet used."""
+        return len(self.buf) - self.pos
 
     def read(self, size: int) -> np.ndarray:
         words = self.peek(size)
@@ -166,15 +177,16 @@ class _Words:
         self.floor -= size
         return words
 
-    def values(self, words: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def values(self, words: np.ndarray, r: int,
+               dtype: type = np.int64) -> tuple[np.ndarray, np.ndarray | None]:
         """numpy's draws below r, 2 <= r <= 2^32, from the words by the word
-        rule (see the module docstring): each word's value as int64, and
+        rule (see the module docstring): each word's value as ``dtype``, and
         which words are kept (None when r is a power of two, which keeps
         them all)."""
         if not r & (r - 1):
-            return (words >> (33 - r.bit_length())).astype(np.int64), None
+            return (words >> (33 - r.bit_length())).astype(dtype), None
         scaled = words.astype(np.uint64) * np.uint64(r)
-        return (scaled >> 32).astype(np.int64), scaled.astype(np.uint32) >= _WORD32 % r
+        return (scaled >> 32).astype(dtype), scaled.astype(np.uint32) >= _WORD32 % r
 
     def draws(self, r: int, size: int) -> np.ndarray:
         """What rng.integers(0, r, size=size) draws: a word gives at most one
@@ -200,46 +212,72 @@ class _Draws(_Words):
     def _more(self, size: int) -> np.ndarray:
         return self.rng.integers(0, self.population, size=size)
 
-    def values(self, words: np.ndarray, r: int) -> tuple[np.ndarray, None]:
-        return words, None
+    def values(self, words: np.ndarray, r: int,
+               dtype: type = np.int64) -> tuple[np.ndarray, None]:
+        return words.astype(dtype, copy=False), None
+
+
+def _span(population: int, k: int) -> int:
+    """The draws a part (population, k > 64) is first sorted over: its
+    first batch, and about the further batches its repeats call for."""
+    return k + 2 * max(_MIN_BATCH, k * k // population)
+
+
+def _walk(draws: np.ndarray, k: int, span: int) -> tuple[int, np.ndarray | None]:
+    """A part (population, k > 64) read from the start of ``draws``: one
+    stable sort of the first ``span`` draws marks each value's first
+    occurrence, the first batch of k draws and the further batches of
+    max(64, missing) end where the marks counted at each batch end say, and
+    the part keeps the first k marked draws.  The span doubles, up to all
+    the draws, while the batches run past it.  Returns the draws the
+    batches take and the part, or, when the draws end first, the draws the
+    batches need at least and None."""
+    span = min(span, len(draws))
+    while k <= span:
+        seg = draws[:span]
+        order = seg.argsort(kind="stable")
+        ranked = seg[order]
+        mark = np.empty(span, dtype=bool)
+        mark[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=mark[1:])
+        first = np.empty(span, dtype=bool)
+        first[order] = mark
+        end, got = k, np.count_nonzero(first[:k])
+        while got < k and end + max(_MIN_BATCH, k - got) <= span:
+            step = max(_MIN_BATCH, k - got)
+            got += np.count_nonzero(first[end:end + step])
+            end += step
+        if got >= k:
+            return end, seg[:end][first[:end]][:k]
+        if span == len(draws):
+            return end + max(_MIN_BATCH, k - got), None
+        span = min(2 * span, len(draws))
+    return k, None
 
 
 def _read_part(source: _Words, population: int, k: int) -> np.ndarray | list[int]:
     """The draws of sample_indices(rng, population, k) on the rejection
     path, read alone from the source: by _first_distinct for k <= 64, and
-    above by one stable sort of a span of draws, which marks each value's
-    first occurrence.  The first batch of k draws and the further batches
-    of max(64, missing) then end where the running count of first
-    occurrences says, and the part keeps the first k of them.  The span
-    reaches no further than source.floor, and past it grows only by the
-    draws the batches are found to need: at floor 0, as sample_indices
-    reads it, exactly those batches."""
+    above by _walk over a span of draws.  The span reaches no further than
+    source.floor, and past it grows only by the draws the batches are
+    found to need: at floor 0, as sample_indices reads it, exactly those
+    batches."""
     if k <= _MIN_BATCH:
         return _first_distinct(
             lambda missing: source.draws(population, max(_MIN_BATCH, missing)), k)
     key = _unsigned_key(population)
-    # the first batch, and about the further batches its repeats call for
-    span = max(k, min(k + 2 * max(_MIN_BATCH, k * k // population), source.floor))
+    span = max(k, min(_span(population, k), source.floor))
     while True:
-        values, kept = source.values(source.peek(span), population)
+        keys, kept = source.values(source.peek(span), population, key)
         at = None if kept is None else np.flatnonzero(kept)
         if at is not None:
-            values = values[at]
-        keys = values.astype(key)
-        order = np.argsort(keys, kind="stable")
-        ranked = keys[order]
-        first = np.empty(len(keys), dtype=bool)
-        first[order[0]] = True
-        first[order[1:]] = ranked[1:] != ranked[:-1]
-        running = np.cumsum(first)
-        end = k
-        while end <= len(running) and running[end - 1] < k:
-            end += max(_MIN_BATCH, k - int(running[end - 1]))
-        if end <= len(running):
+            keys = keys[at]
+        end, part = _walk(keys, k, len(keys))
+        if part is not None:
             break
-        span = max(min(2 * span, source.floor), span + end - len(running))
+        span = max(min(2 * span, source.floor), span + end - len(keys))
     source.read(end if at is None else int(at[end - 1]) + 1)
-    return values[:end][first[:end]][:k]
+    return part
 
 
 def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[int]:
@@ -270,6 +308,104 @@ def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[in
     return _first_distinct(lambda missing: _rejection_batch(rng, population, missing), k)
 
 
+def _short_batches(source: _Words, population: int, k: int,
+                   batches: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a part (population, k <= 64) and one 64-word batch a row: whether
+    each row is regular, its batch rejecting no word and holding k distinct
+    values (_first_in_rows), with the batch's values and the k of them the
+    part keeps where it is."""
+    values, kept = source.values(batches, population, _unsigned_key(population))
+    first = _first_in_rows(values)
+    rank = np.cumsum(first, axis=1, dtype=np.uint8)
+    regular = rank[:, -1] >= k
+    if kept is not None:
+        regular &= kept.all(axis=1)
+    return regular, values, first & (rank <= k)
+
+
+def _short_window(source: _Words, parts: list[tuple[int, int]], outs: list[np.ndarray],
+                  row: int, size: int) -> tuple[int, int]:
+    """Rows row..row + size of parts that all have k <= 64, decided at once
+    from size * 64 words a part and kept up to the first irregular row:
+    the rows kept and the irregular rows seen."""
+    width = len(parts) * _MIN_BATCH
+    block = source.peek(size * width).reshape(size, width)
+    regular = np.ones(size, dtype=bool)
+    picks = []
+    for at, (population, k) in zip(range(0, width, _MIN_BATCH), parts):
+        ok, values, pick = _short_batches(source, population, k, block[:, at:at + _MIN_BATCH])
+        regular &= ok
+        picks.append((values, pick))
+    irregular = np.flatnonzero(~regular)
+    done = irregular[0] if len(irregular) else size
+    for out, (_, k), (values, pick) in zip(outs, parts, picks):
+        out[row:row + done] = values[:done][pick[:done]].reshape(done, k)
+    source.read(done * width)
+    return done, len(irregular)
+
+
+def _long_window(source: _Words, parts: list[tuple[int, int]], outs: list[np.ndarray],
+                 row: int, size: int) -> tuple[int, int]:
+    """Rows row..row + size, some part having k > 64, read from one peek
+    within source.floor: of the buffer's unread words while they hold a
+    row's spans, else of at most _REFILL_WORDS words, and of no more than
+    the rows' spans.  Each row walks its long parts in turn (_walk, written
+    into its out row) and takes 64 words for each short part, taken to be
+    regular; the rows walked before the words run out then decide their
+    short parts at once (_short_batches) and are kept up to the first
+    irregular one.  Returns the rows kept and the irregular rows seen: none
+    when the window ends at a row that runs past the words peeked."""
+    spans = [_span(population, k) if k > _MIN_BATCH else _MIN_BATCH for population, k in parts]
+    unread = source.unread()
+    words = source.peek(min(source.floor, size * sum(spans),
+                            unread if unread >= sum(spans) else _REFILL_WORDS))
+    draws = {}  # population -> the long part's draws in the window, and their words
+    for population, k in parts:
+        if k > _MIN_BATCH and population not in draws:
+            keys, kept = source.values(words, population, _unsigned_key(population))
+            at = None if kept is None else np.flatnonzero(kept)
+            draws[population] = (keys, None) if at is None else (keys[at], at)
+    starts = [0]  # the word each row starts at
+    batches: list[list[int]] = [[] for _ in parts]  # where each short part's batch starts
+    at = 0
+    for r in range(row, row + size):
+        for i, ((population, k), span) in enumerate(zip(parts, spans)):
+            if k <= _MIN_BATCH:
+                if at + _MIN_BATCH > len(words):
+                    break
+                batches[i].append(at)
+                at += _MIN_BATCH
+                continue
+            keys, where = draws[population]
+            j = at if where is None else int(np.searchsorted(where, at))
+            end, part = _walk(keys[j:], k, span)
+            if part is None:
+                break
+            outs[i][r] = part
+            at = j + end if where is None else int(where[j + end - 1]) + 1
+        else:
+            starts.append(at)
+            continue
+        break  # the row runs past the words peeked
+    done = len(starts) - 1
+    regular = np.ones(done, dtype=bool)
+    picks = []
+    for i, (population, k) in enumerate(parts):
+        if k <= _MIN_BATCH:
+            offsets = np.array(batches[i][:done], dtype=np.intp)
+            block = words[offsets[:, None] + np.arange(_MIN_BATCH)]
+            ok, values, pick = _short_batches(source, population, k, block)
+            regular &= ok
+            picks.append((i, values, pick))
+    irregular = np.flatnonzero(~regular)
+    if len(irregular):
+        done = int(irregular[0])
+    for i, values, pick in picks:
+        outs[i][row:row + done] = values[:done][pick[:done]].reshape(done, parts[i][1])
+    source.read(starts[done])
+    return done, len(irregular)
+
+
 def _fill_rows(source: _Words, parts: list[tuple[int, int]], count: int,
                chunk: int) -> Iterator[list[np.ndarray]]:
     """count rows read from the source, a row holding the draws of one
@@ -278,18 +414,22 @@ def _fill_rows(source: _Words, parts: list[tuple[int, int]], count: int,
     ``chunk`` rows.
 
     A row reads at least max(64, k) words a part, and source.floor is kept
-    at that many for the rows still to draw.  While every part has
-    k <= 64, a window of rows (at most _REFILL_WORDS words) is decided at
-    once: a row is regular when the 64-draw batch of each part rejects no
-    word and holds k distinct values (_first_in_rows), and the window is
-    kept up to its first irregular row, which is read alone (_read_part).
-    The next window is twice the last one when that was regular throughout,
-    and 2 * (regular rows + 1) otherwise.  After a window with more than one
-    irregular row in eight, and wherever a part has k > 64, every row is
-    read alone.
+    at that many for the rows still to draw.  Rows are read in windows.
+    While every part has k <= 64, a window of rows (at most _REFILL_WORDS
+    words) is decided at once (_short_window): a row is regular when the
+    64-draw batch of each part rejects no word and holds k distinct values.
+    Where a part has k > 64, a window is one peek of words that each row
+    walks in turn (_long_window).  Either way the window is kept up to its
+    first irregular row, which is read alone (_read_part); a long row that
+    runs past the words peeked starts the next window, or is read alone
+    when it is the window's first.  The next window is twice the last one
+    when that was regular throughout, and 2 * (regular rows + 1) after an
+    irregular row.  After a window with more than one irregular row in
+    eight, every row is read alone.
     """
     width = sum(max(_MIN_BATCH, k) for _, k in parts)  # the fewest words of a row
-    alone = any(k > _MIN_BATCH for _, k in parts)
+    long = any(k > _MIN_BATCH for _, k in parts)
+    alone = False
     window = count
     for start in range(0, count, chunk):
         outs = [np.empty((min(chunk, count - start), k), dtype=np.int64) for _, k in parts]
@@ -297,29 +437,21 @@ def _fill_rows(source: _Words, parts: list[tuple[int, int]], count: int,
         while row < len(outs[0]):
             source.floor = (count - start - row) * width
             if not alone:
-                size = min(window, len(outs[0]) - row, _REFILL_WORDS // width)
-                block = source.peek(size * width).reshape(size, width)
-                regular = np.ones(size, dtype=bool)
-                picks = []
-                for at, (population, k) in zip(range(0, width, _MIN_BATCH), parts):
-                    values, kept = source.values(block[:, at:at + _MIN_BATCH], population)
-                    first = _first_in_rows(values.astype(_unsigned_key(population)))
-                    rank = np.cumsum(first, axis=1, dtype=np.uint8)
-                    regular &= rank[:, -1] >= k
-                    if kept is not None:
-                        regular &= kept.all(axis=1)
-                    picks.append((values, first & (rank <= k)))
-                irregular = np.flatnonzero(~regular)
-                done = irregular[0] if len(irregular) else size
-                for out, (_, k), (values, pick) in zip(outs, parts, picks):
-                    out[row:row + done] = values[:done][pick[:done]].reshape(done, k)
-                source.read(done * width)
+                size = min(window, len(outs[0]) - row)
+                if long:
+                    done, irregular = _long_window(source, parts, outs, row, size)
+                else:
+                    size = min(size, _REFILL_WORDS // width)
+                    done, irregular = _short_window(source, parts, outs, row, size)
                 row += done
                 if done == size:
                     window = 2 * size
                     continue
-                alone = len(irregular) * 8 > size
-                window = 2 * (done + 1)
+                if irregular:
+                    alone = irregular * 8 > size
+                    window = 2 * (done + 1)
+                elif done:
+                    continue
             for out, (population, k) in zip(outs, parts):
                 out[row] = _read_part(source, population, k)
             row += 1

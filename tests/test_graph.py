@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from polydense import (BudgetExceeded, CubeVertex, DegenerateInput, VertexSet,
                        cut_polytope_vertices, edge_kernel, full_cube,
                        graph_density_exact, is_edge, long_edge_survives,
                        long_edges_survive, sample_vertex_bits)
-from polydense.exactlp import segment_hull_intersect
+from polydense.exactlp import origin_in_conv, origin_in_conv_batch, segment_hull_intersect
 from polydense.rng import stream
 
 
@@ -243,12 +244,10 @@ def test_projected_verdicts_match_the_lifted_test(face):
             assert meets != survives
 
 
-@st.composite
-def _ragged_faces(draw):
-    """A face dimension k = 3..8 and up to 12 face subsets mixing every
-    verdict path: sizes 0 to 2, antipodal pairs and LP faces of different
-    sizes, some with their hull on the diagonal."""
-    k = draw(st.integers(3, 8))
+def _ragged_subsets(draw, k):
+    """Up to 12 subsets of the k-face mixing every verdict path: sizes 0 to
+    2, antipodal pairs and LP faces of different sizes, some with their
+    hull on the diagonal."""
     mask = (1 << k) - 1
     point = st.integers(1, mask - 1)
     subsets = []
@@ -266,7 +265,14 @@ def _ragged_faces(draw):
                 w = draw(point)
                 pts += [(w << s | w >> (k - s)) & mask for s in range(k)]
         subsets.append(draw(st.permutations(pts)))
-    return k, subsets
+    return subsets
+
+
+@st.composite
+def _ragged_faces(draw):
+    """A face dimension k = 3..8 and its ragged subsets."""
+    k = draw(st.integers(3, 8))
+    return k, _ragged_subsets(draw, k)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -293,6 +299,74 @@ def test_padding_repeats_a_point_into_one_batch(monkeypatch):
     monkeypatch.setattr(graph, "origin_in_conv_batch", spy)
     assert long_edges_survive(4, subsets) == want
     assert shapes == [(2, 5, 3)]
+
+
+@st.composite
+def _mixed_flush(draw):
+    """Faces filed by distance, as count_pass_edges files a flush: one to
+    four distances k = 2..9, each with its ragged subsets."""
+    ks = draw(st.lists(st.integers(2, 9), min_size=1, max_size=4, unique=True))
+    return {k: _ragged_subsets(draw, k) for k in ks}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_mixed_flush())
+def test_a_merged_flush_gives_the_per_distance_verdicts(faces_by_k):
+    """The LP faces of every distance solved as one padded batch get the
+    verdicts that one long_edges_survive call a distance gives."""
+    from polydense.graph import _flush_verdicts
+
+    assert _flush_verdicts(faces_by_k) == {k: long_edges_survive(k, faces)
+                                           for k, faces in faces_by_k.items()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 7), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(st.integers(-1, 1), min_size=shape[0] * shape[1] * shape[2],
+                           max_size=shape[0] * shape[1] * shape[2]).map(
+        lambda xs: np.array(xs, dtype=np.int8).reshape(shape))),
+    min_size=1, max_size=5))
+def test_zero_coordinates_and_repeated_points_keep_hull_membership(batches):
+    """_merged pads batches of projected faces of any shape to one array,
+    with zero coordinates and repeated points: the scalar origin_in_conv
+    gives each padded face the verdict of the face itself, and so does
+    the batched kernel on the merged array."""
+    from polydense.graph import _merged
+
+    faces = [S for batch in batches for S in batch.tolist()]
+    merged = _merged(batches)
+    want = [origin_in_conv(S).feasible for S in faces]
+    assert merged.shape[0] == len(faces)
+    assert [origin_in_conv(S).feasible for S in merged.tolist()] == want
+    assert origin_in_conv_batch(merged) == want
+
+
+def test_a_pi_block_solves_one_lp_batch_a_flush(monkeypatch):
+    """With flushes of at most 2,000 entries, a pi block at (10, 202)
+    flushes several times, and each flush solves its LP faces, of mixed
+    distances, in one origin_in_conv_batch call; the edge count is the
+    one of the default flushes."""
+    from polydense import estimators, graph
+
+    block = (10, 202, 500, 20250809, 0)
+    want = estimators._pi_block(block)
+    flushes, batches = [], []
+    real_flush, real_batch = graph._flush_verdicts, graph.origin_in_conv_batch
+
+    def flush(faces_by_k):
+        flushes.append(len(faces_by_k))
+        return real_flush(faces_by_k)
+
+    def batch(points):
+        batches.append(len(points))
+        return real_batch(points)
+
+    monkeypatch.setattr(graph, "_ENTRIES_PER_PASS", 2000)
+    monkeypatch.setattr(graph, "_flush_verdicts", flush)
+    monkeypatch.setattr(graph, "origin_in_conv_batch", batch)
+    assert estimators._pi_block(block) == want
+    assert len(flushes) > 3 and min(flushes) > 1
+    assert len(batches) == len(flushes) and min(batches) > 1
 
 
 def _face_points_by_three_comparisons(d, v, w, points):

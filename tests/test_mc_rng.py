@@ -534,7 +534,7 @@ class TestSampleIndexRows:
     @example((62, 30, 600, 1))
     @example((100, 50, 300, 2))
     @example((1000, 65, 200, 3))
-    @example(((1 << 40) + 3, 80, 50, 4))  # 64-bit draws: rows read alone
+    @example(((1 << 40) + 3, 80, 50, 4))  # 64-bit draws: windows of long rows
     @example(((1 << 40) + 3, 20, 300, 5))  # 64-bit draws: windows of rows
     def test_rows_are_successive_sample_indices(self, case):
         """The rows are count successive sample_indices draws, and the stream
@@ -729,3 +729,102 @@ class TestSampleSetsAndPairs:
     def test_validation(self):
         with pytest.raises(ValueError):
             next(sample_sets_and_pairs(stream(0, "v"), 4, 5, 1, 1))
+
+
+class _WordStub:
+    """A stream of given 32-bit words, on which integers(0, r, size) draws
+    by the word rule as numpy 2.4.6 does (TestWordRule), written plainly:
+    a test can set the words one batch reads.  It keeps the range and the
+    first word of each call."""
+
+    def __init__(self, words):
+        self.words = words.tolist()
+        self.pos = 0
+        self.calls = []
+
+    def integers(self, low, high, size, dtype=np.int64):
+        assert low == 0 and 2 <= high <= 1 << 32
+        self.calls.append((high, self.pos))
+        out = []
+        while len(out) < size:
+            w = self.words[self.pos]
+            self.pos += 1
+            if not high & (high - 1):
+                out.append(w >> (33 - high.bit_length()))
+            elif w * high % (1 << 32) >= (1 << 32) % high:
+                out.append(w * high >> 32)
+        return np.array(out, dtype=dtype)
+
+
+class TestLongRowWindows:
+    """Rows with a part of k > 64 are read in windows of words: each row
+    walks its long part, and the window's short parts are decided at
+    once."""
+
+    @pytest.fixture
+    def windows(self, monkeypatch):
+        seen = []
+        real = rng_module._long_window
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(rng_module, "_long_window", spy)
+        return seen
+
+    @pytest.mark.parametrize("d, n", [(10, 202), (12, 583), (14, 1684)])
+    def test_the_density_cells_are_the_per_sample_calls(self, windows, d, n):
+        """The long cells of the density sweep, 500 rows (a pi block) in
+        chunks of pass_rows(n) = 324, 112 and 38 rows, which 500 is not a
+        multiple of: the rows are the per-sample calls, the stream ends
+        where they leave it, and nearly every row is read in a window."""
+        from polydense.graph import pass_rows
+
+        rng, ref = stream(20250809, f"pi:d={d}:n={n}"), stream(20250809, f"pi:d={d}:n={n}")
+        assert 500 % pass_rows(n)
+        got = _generated_rows(rng, 1 << d, n, 500, pass_rows(n))
+        assert got == _per_sample_rows(ref, 1 << d, n, 500)
+        assert int(rng.integers(0, 1 << 62)) == int(ref.integers(0, 1 << 62))
+        assert sum(done for done, _ in windows) >= 450
+
+    def test_a_row_straddles_a_refill(self, windows):
+        """Index rows of k > 64 whose words come in refills of
+        _REFILL_WORDS draws: some refill ends inside a row, and the rows
+        still are the per-sample calls."""
+        pop, k, count = (1 << 14) - 2, 1682, 120
+        rng, sizes = stream(6, "straddle"), []
+
+        class Spy:
+            def integers(self, *args, size=None, **kwargs):
+                sizes.append(size)
+                return rng.integers(*args, size=size, **kwargs)
+
+        got = sample_index_rows(Spy(), pop, k, count).tolist()
+        ref = _CountingStream(stream(6, "straddle"))
+        want, row_ends = [], set()
+        for _ in range(count):
+            want.append(_first_distinct_by_dict(ref, pop, k))
+            row_ends.add(sum(ref.sizes))
+        assert got == want
+        assert int(rng.integers(0, 1 << 62)) == int(ref.rng.integers(0, 1 << 62))
+        refill_ends = set(np.cumsum(sizes).tolist())
+        assert refill_ends - row_ends and max(refill_ends) == max(row_ends)
+        assert sum(done for done, _ in windows) >= count - 10
+
+    def test_an_irregular_short_part_cuts_the_window(self, windows):
+        """A pair batch of 64 equal words holds one distinct value, so its
+        row is irregular: the window is kept up to it, the row is read
+        alone, and the rows after it and the stream are still the
+        per-sample calls'."""
+        pop, n, count = 1 << 10, 202, 60
+        words = stream(7, "stub").integers(0, 1 << 32, size=40_000, dtype=np.uint32)
+        probe = _WordStub(words)
+        _per_sample_rows(probe, pop, n, count)
+        at = [pos for r, pos in probe.calls if r == n][20]  # the pair batch of row 20
+        words[at:at + 64] = words[at]
+        reader, ref = _WordStub(words), _WordStub(words)
+        got = _generated_rows(reader, pop, n, count, count)
+        assert got == _per_sample_rows(ref, pop, n, count)
+        assert reader.pos == ref.pos
+        assert windows[0] == (20, 1)
