@@ -84,7 +84,7 @@ PROV_VIA_ALPHA = "via-alpha"
 # antipodal pair, so the value is exactly 0 without enumeration
 PROV_STRUCTURAL_ZERO = "structural-zero"
 # tau at m <= 1, alpha at m <= 2, over the budget: no point, no single one and
-# no pair that is not antipodal meets the diagonal (see graph._pass_verdicts)
+# no pair that is not antipodal meets the diagonal (see graph._screen)
 PROV_CLOSED_FORM = "closed-form"
 # the enumeration size up to which tau_cell, and the CLI's alpha, enumerate
 # a cell instead of sampling it

@@ -338,14 +338,13 @@ def origin_in_conv_batch(points) -> list[bool]:
     # zero in every column that can enter, so it never leaves.  Solves of
     # about _BATCH_BYTES each take the instances ordered by what they use,
     # each solve cut to the widest instance it holds.
-    used_n, used_d = np.full(count, n), np.full(count, d)
-    order = np.arange(count)
-    if d and not ((pts[:, -1] != pts[:, 0]).any(axis=1).all() and pts[:, :, -1].any(axis=1).all()):
-        moved = (pts != pts[:, :1]).any(axis=2)
-        used_n = np.where(moved.any(axis=1), n - moved[:, ::-1].argmax(axis=1), 1)
+    moved = (pts != pts[:, :1]).any(axis=2)
+    used_n = np.where(moved.any(axis=1), n - moved[:, ::-1].argmax(axis=1), 1)
+    used_d = np.full(count, d)
+    if d:  # argmax of an empty axis raises
         nonzero = pts.any(axis=1)
         used_d = np.where(nonzero.any(axis=1), d - nonzero[:, ::-1].argmax(axis=1), 1)
-        order = np.lexsort((used_d, used_n))
+    order = np.lexsort((used_d, used_n))
     verdicts = np.empty(count, dtype=bool)
     start = 0
     while start < count:

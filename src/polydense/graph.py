@@ -22,15 +22,15 @@ convexity row) and m columns, where exactlp.segment_hull_intersect lifts
 the same query to k + 2 rows and m + 2 columns.  long_edges_survive reads
 its input, faces or arrays of faces, in passes: each pass is one array,
 padded to its longest face by repeating a point, screened at once for the
-verdicts that need no LP, and its LP faces are solved as one batch.
-count_pass_edges is the one loop
-from passes of (point set, pair) rows to an edge count: the exact densities
-here and in estimators.pi_exact stream their rows through _edge_count, which
-cuts them into passes, and the Monte-Carlo pi block hands it the passes it
-draws.  It files faces of every pair distance and, at each flush, solves the
-LP faces of all distances as one batch: a projected face padded with zero
-coordinates keeps its verdict, since a 0 = 0 row leaves hull membership
-unchanged.
+verdicts that need no LP (_screen), and its LP faces are solved as one
+batch (_solve).  count_pass_edges is the one loop from passes of
+(point set, pair) rows to an edge count: the exact densities here and in
+estimators.pi_exact stream their rows through _edge_count, which cuts them
+into passes, and the Monte-Carlo pi block hands it the passes it draws.  It
+files faces of every pair distance and, at each flush, screens them all and
+solves the LP faces of all distances as one batch, through the same _solve:
+a projected face padded with zero coordinates keeps its verdict, since a
+0 = 0 row leaves hull membership unchanged.
 """
 
 from __future__ import annotations
@@ -182,16 +182,6 @@ def _screen(k: int, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return verdict, lp, projected
 
 
-def _pass_verdicts(k: int, faces: np.ndarray) -> list[bool]:
-    """long_edge_survives for each row of a pass (see _passes): the rows
-    the screen leaves (_screen) are solved as one exact batch by
-    origin_in_conv_batch."""
-    verdict, lp, projected = _screen(k, faces)
-    if len(lp):
-        verdict[lp] = np.logical_not(origin_in_conv_batch(projected))
-    return verdict.tolist()
-
-
 def _merged(projected: list[np.ndarray]) -> np.ndarray:
     """Batches of projected faces, of any point counts and dimensions, as
     one int8 array shaped (faces, widest, highest): a face gets zero
@@ -210,44 +200,51 @@ def _merged(projected: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _solve(screened: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+    """Settle, in place, the rows that screened passes (_screen) leave to
+    the LP: the faces left in all of them are merged (_merged) and solved
+    in one origin_in_conv_batch call.  This is where every LP verdict of
+    an edge is decided.  With POLYDENSE_LP_CHECK set, each merged verdict
+    is checked against the checked scalar solve of its face unpadded."""
+    projected = [p for _, lp, p in screened if len(lp)]
+    if not projected:
+        return
+    inside = origin_in_conv_batch(_merged(projected))
+    if _CHECK and inside != [origin_in_conv(S).feasible for p in projected
+                             for S in p.tolist()]:
+        raise ArithmeticError("a padded face's LP verdict differs from the face's own")
+    at = 0
+    for verdict, lp, _ in screened:
+        verdict[lp] = np.logical_not(inside[at:at + len(lp)])
+        at += len(lp)
+
+
 def _flush_verdicts(faces_by_k: dict[int, list]) -> dict[int, list[bool]]:
     """long_edges_survive(k, faces) for each distance k of ``faces_by_k``,
-    with every LP face of them all solved in one origin_in_conv_batch
-    call: each distance is read in passes (_passes) and screened (_screen),
-    and the faces left are merged (_merged).  With POLYDENSE_LP_CHECK set,
-    each merged verdict is checked against the checked scalar solve of its
-    face unpadded."""
-    screened = [(k, *_screen(k, faces)) for k, subsets in faces_by_k.items()
-                for faces in _passes(k, subsets)]
-    projected = [p for _, _, lp, p in screened if len(lp)]
-    if projected:
-        inside = origin_in_conv_batch(_merged(projected))
-        if _CHECK and inside != [origin_in_conv(S).feasible for p in projected
-                                 for S in p.tolist()]:
-            raise ArithmeticError("a padded face's LP verdict differs from the face's own")
-        at = 0
-        for _, verdict, lp, _ in screened:
-            verdict[lp] = np.logical_not(inside[at:at + len(lp)])
-            at += len(lp)
-    out: dict[int, list[bool]] = {k: [] for k in faces_by_k}
-    for k, verdict, _, _ in screened:
-        out[k] += verdict.tolist()
-    return out
+    with every LP face of them all solved in one batch: each distance is
+    read in passes (_passes) and screened (_screen), and all the passes
+    are settled together (_solve)."""
+    screened = {k: [_screen(k, faces) for faces in _passes(k, subsets)]
+                for k, subsets in faces_by_k.items()}
+    _solve([s for passes in screened.values() for s in passes])
+    return {k: [v for verdict, _, _ in passes for v in verdict.tolist()]
+            for k, passes in screened.items()}
 
 
 def long_edges_survive(k: int, subsets: Iterable) -> list[bool]:
-    """long_edge_survives(k, Y) for each face Y of ``subsets``, in order;
-    every edge verdict is decided here.
+    """long_edge_survives(k, Y) for each face Y of ``subsets``, in order.
 
     An item of ``subsets`` is a face, an iterable of point masks, or a 2-D
     integer array whose rows are faces, so callers that draw or enumerate
     faces as arrays hand them over whole.  The faces are read in passes of
-    at most _SUBSETS_PER_PASS (_passes) and each pass is screened as one
-    array, and its LP faces solved as one batch (_pass_verdicts).
+    at most _SUBSETS_PER_PASS (_passes), and each pass is screened as one
+    array (_screen) and settled (_solve) before the next is read.
     """
     out: list[bool] = []
     for faces in _passes(k, subsets):
-        out.extend(_pass_verdicts(k, faces))
+        screened = _screen(k, faces)
+        _solve([screened])
+        out.extend(screened[0].tolist())
     return out
 
 
@@ -334,7 +331,8 @@ def count_pass_edges(d: int, passes: Iterable[tuple[Sequence, Sequence]]) -> int
     _ENTRIES_PER_PASS entries (one per face, plus its points), and once
     after the last pass, they are flushed: each distance is screened as
     long_edges_survive screens it, and the LP faces of every distance are
-    solved in one origin_in_conv_batch call (_flush_verdicts).
+    solved in one origin_in_conv_batch call (_flush_verdicts, through
+    _solve).
     """
     edges = filed = 0
     by_k: dict[int, list[list[int]]] = {}
